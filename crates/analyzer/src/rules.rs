@@ -2,13 +2,13 @@
 //!
 //! Each rule guards a property the test suite can't see directly:
 //!
-//! 1. **wal-discard** — a `Wal::append` / `append_batch` / `stage_payload`
-//!    result must reach a fail-stop decision; discarding it (`let _ =`,
-//!    `.ok()`, a bare statement) silently breaks append-before-apply.
+//! 1. **wal-discard** — a `Wal::append` / `append_batch` result must
+//!    reach a fail-stop decision; discarding it (`let _ =`, `.ok()`, a
+//!    bare statement) silently breaks append-before-apply.
 //! 2. **hot-path-alloc** — regions fenced by `// lint: hot-path` /
 //!    `// lint: end-hot-path` must not allocate: no `Vec::new`/`vec!`/
-//!    `format!`/`.clone()`/`.to_vec()` and no owned (non-`_into`) wire
-//!    encoders. `Vec::with_capacity` is allowed (bounded, up-front).
+//!    `format!`/`.clone()`/`.to_vec()`. `Vec::with_capacity` is allowed
+//!    (bounded, up-front).
 //! 3. **unwrap** — non-test service/storage code must not `unwrap()` or
 //!    `expect()` without a `// lint: allow(unwrap) <reason>` annotation:
 //!    replica nodes fail stop on *checked* invariants, not on accidents.
@@ -62,24 +62,12 @@ pub const RULE_DIRECTIVE: &str = "directive";
 const ALLOWED_RULES: [&str; 5] = ["unwrap", "alloc", "std-lock", "wal-discard", "reactor"];
 
 /// WAL mutation methods whose results must not be discarded.
-const WAL_METHODS: [&str; 3] = ["append", "append_batch", "stage_payload"];
-
-/// Owned encoders with an `_into` sibling; calling the owned form inside
-/// a hot-path fence defeats the pooled-buffer design.
-const OWNED_ENCODERS: [&str; 7] = [
-    "encode_hello_ack",
-    "encode_peer_ack",
-    "encode_batch",
-    "encode_multi_batch",
-    "encode_request",
-    "encode_response",
-    "encode_peer_hello",
-];
+const WAL_METHODS: [&str; 2] = ["append", "append_batch"];
 
 /// Calls that park or monopolize the calling thread; inside a
 /// `// lint: reactor` fence any of these stalls every connection
 /// multiplexed onto the same event-loop worker.
-const REACTOR_BLOCKING: [&str; 10] = [
+const REACTOR_BLOCKING: [&str; 9] = [
     "spawn",
     "sleep",
     "recv",
@@ -87,7 +75,6 @@ const REACTOR_BLOCKING: [&str; 10] = [
     "read_exact",
     "read_to_end",
     "read_frame",
-    "read_frame_pooled",
     "accept",
     "join",
 ];
@@ -225,15 +212,6 @@ pub fn check_file(rel: &str, src: &str, is_crate_root: bool) -> Vec<Finding> {
                 )
             {
                 Some(format!(".{}() copies into a fresh allocation", t.text))
-            } else if next_paren
-                && OWNED_ENCODERS.contains(&t.text.as_str())
-                && !prev_is(toks, i, "fn")
-                && !prev_dot
-            {
-                Some(format!(
-                    "{} returns an owned Vec; use {}_into with a pooled buffer",
-                    t.text, t.text
-                ))
             } else {
                 None
             };
@@ -532,7 +510,7 @@ mod tests {
             [RULE_WAL_DISCARD]
         );
         assert_eq!(
-            rules_hit(SVC, "fn f() { d.stage_payload(|i, o| enc(i, o)); }"),
+            rules_hit(SVC, "fn f() { wal.append(p); }"),
             [RULE_WAL_DISCARD]
         );
         assert!(rules_hit(
@@ -593,10 +571,6 @@ mod tests {
         assert_eq!(rules_hit(SVC, src), [RULE_HOT_PATH]);
         let ok = "// lint: hot-path\nfn f() { let v: Vec<u8> = Vec::with_capacity(8); }\n// lint: end-hot-path\n";
         assert!(rules_hit(SVC, ok).is_empty());
-        let owned = "// lint: hot-path\nfn f(o: &mut Vec<u8>) { let b = encode_response(&r); }\n// lint: end-hot-path\n";
-        assert_eq!(rules_hit(SVC, owned), [RULE_HOT_PATH]);
-        let into = "// lint: hot-path\nfn f(o: &mut Vec<u8>) { encode_response_into(&r, o); }\n// lint: end-hot-path\n";
-        assert!(rules_hit(SVC, into).is_empty());
         let outside =
             "fn g() { let v = vec![1]; }\n// lint: hot-path\nfn f() {}\n// lint: end-hot-path\n";
         assert!(rules_hit(SVC, outside).is_empty());

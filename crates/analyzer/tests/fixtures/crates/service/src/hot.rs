@@ -6,8 +6,7 @@ pub fn leaky(data: &[u8], out: &mut Vec<u8>) {
     let v: Vec<u8> = Vec::new();
     let copy = data.to_vec();
     let owned = copy.clone();
-    let framed = encode_response(&owned);
-    let msg = format!("{} bytes", framed.len());
+    let msg = format!("{} bytes", owned.len());
     out.extend_from_slice(msg.as_bytes());
     drop(v);
 }
@@ -15,7 +14,7 @@ pub fn leaky(data: &[u8], out: &mut Vec<u8>) {
 pub fn frugal(data: &[u8], out: &mut Vec<u8>) {
     let mut scratch: Vec<u8> = Vec::with_capacity(data.len());
     scratch.extend_from_slice(data);
-    encode_response_into(&scratch, out);
+    out.extend_from_slice(&scratch);
     // lint: allow(alloc) fixture: the annotation must suppress rule 2
     let _blessed = data.to_vec();
 }
@@ -23,12 +22,4 @@ pub fn frugal(data: &[u8], out: &mut Vec<u8>) {
 
 pub fn unfenced(data: &[u8]) -> Vec<u8> {
     data.to_vec()
-}
-
-fn encode_response(data: &[u8]) -> Vec<u8> {
-    data.to_vec()
-}
-
-fn encode_response_into(data: &[u8], out: &mut Vec<u8>) {
-    out.extend_from_slice(data);
 }

@@ -12,7 +12,7 @@ pub fn swallowed(wal: &mut Wal, refs: &[&[u8]]) {
 }
 
 pub fn bare_statement(wal: &mut Wal, payload: &[u8]) {
-    wal.stage_payload(payload);
+    wal.append(payload);
 }
 
 pub fn propagated(wal: &mut Wal, payload: &[u8]) -> std::io::Result<usize> {

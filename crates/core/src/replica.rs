@@ -34,7 +34,7 @@ pub struct ReplicaState<C> {
 /// Replica state: local register copies, the timestamp `τ_i`, and the
 /// `pending` buffer of undeliverable updates.
 ///
-/// The replica is passive: a [`crate::Cluster`] (or the threaded runtime)
+/// The replica is passive: a [`crate::Cluster`] (or the TCP service's core)
 /// drives it by calling [`Replica::write`], [`Replica::receive`] and
 /// [`Replica::drain`], and is responsible for actually transmitting the
 /// messages `write` asks it to send. This keeps the replica synchronous and

@@ -1,7 +1,7 @@
 //! Incremental frame decoding for non-blocking sockets.
 //!
 //! The blocking readers in `prcc-service`'s wire module
-//! (`read_frame` / `read_frame_pooled`) park the thread until a whole
+//! (`read_frame` / `read_frame_into`) park the thread until a whole
 //! frame arrives. On the reactor's non-blocking sockets a read can stop
 //! at *any* byte offset — mid-prefix, mid-payload — and must resume on
 //! the next readable event. [`FrameDecoder`] is that resumable state
@@ -22,7 +22,8 @@
 //!
 //! Payloads land in pooled [`Lease`] buffers, taken only after the
 //! prefix arrives — an idle connection between frames holds zero
-//! buffers, the same RSS property `read_frame_pooled` established.
+//! buffers, which keeps RSS bounded under thousands of mostly-idle
+//! connections.
 
 use crate::bufpool::{BufPool, Lease};
 use std::io::{self, Read};

@@ -1,0 +1,325 @@
+//! The durability layer under the core: the open WAL, the group commit of
+//! the core's in-memory [`Stage`], snapshots, and boot-time recovery.
+//!
+//! With a data dir configured, every state-mutating input reaches the
+//! checksummed write-ahead log *before* any of its effects leaves the
+//! node: [`Core::apply`] stages the record, the sweep loop commits the
+//! sweep's stage as one batch ([`Durable::commit`]), and only then are the
+//! sweep's replies, sends and acknowledgements released. Periodic
+//! snapshots ([`take_snapshot`]) fold the log prefix and truncate it.
+//!
+//! Because [`Core::apply`] is deterministic and is the only mutation
+//! path, [`recover`] rebuilds the exact pre-crash state by decoding
+//! `snapshot + log` and feeding each record through the very function the
+//! live loop uses — it validates (index order, gaps, digests) but owns no
+//! transitions of its own.
+
+use crate::core::{Core, CoreTelemetry, Env, Stage};
+use crate::node::ServiceConfig;
+use prcc_clock::{Protocol, WireClock};
+use prcc_graph::PartitionMap;
+use prcc_reactor::BufPool;
+use prcc_storage::{
+    decode_record, decode_snapshot, encode_snapshot, read_snapshot, write_snapshot, Wal, WalRecord,
+};
+use prcc_telemetry::{wall_us, Registry};
+use std::io;
+use std::path::{Path, PathBuf};
+
+/// The durability sidecar of a core: the open WAL, the stage the core
+/// fills, and snapshot accounting.
+pub(crate) struct Durable {
+    wal: Wal,
+    snapshot_path: PathBuf,
+    /// Sync snapshots through to disk before renaming, and the WAL before
+    /// any acknowledgement (paired with the WAL's group commit).
+    fsync: bool,
+    /// Records the core staged this sweep, written by [`Durable::commit`].
+    pub(crate) stage: Stage,
+    /// Physical WAL writes issued (one per committed batch) — group commit
+    /// makes this measurably smaller than the stage's record count.
+    wal_writes: u64,
+    snapshots_written: u64,
+    /// Payload size of the most recent snapshot, and of the first one this
+    /// process wrote — the flat-snapshot regression gate's numerator and
+    /// baseline.
+    snapshot_bytes: u64,
+    first_snapshot_bytes: u64,
+}
+
+impl Durable {
+    /// Writes every staged record as one framed batch: one buffer, one
+    /// `write`, one group-commit tick — the sweep-scoped group commit.
+    pub(crate) fn commit(&mut self) -> io::Result<()> {
+        if self.stage.is_empty() {
+            return Ok(());
+        }
+        let payloads: Vec<&[u8]> = self.stage.payloads().collect();
+        let result = self.wal.append_batch(&payloads);
+        drop(payloads);
+        self.stage.clear();
+        result?;
+        self.wal_writes += 1;
+        Ok(())
+    }
+
+    /// Syncs the WAL before an acknowledgement leaves the node, when group
+    /// commit is enabled (without it, acks only promise process-crash
+    /// durability, which the flushed page cache already provides). An ack
+    /// must not be sent over records the disk may not hold, so a sync
+    /// failure is fail-stop like every other WAL error.
+    pub(crate) fn sync_before_ack(&mut self) -> io::Result<()> {
+        if self.fsync {
+            self.wal.sync()?;
+        }
+        Ok(())
+    }
+
+    /// Fills the WAL and snapshot fields of a status reply.
+    pub(crate) fn fill_status(&self, status: &mut crate::wire::NodeStatus) {
+        status.wal_appends = self.stage.appends;
+        status.snapshots_written = self.snapshots_written;
+        status.wal_bytes = self.wal.bytes();
+        status.snapshot_bytes = self.snapshot_bytes;
+        status.first_snapshot_bytes = self.first_snapshot_bytes;
+    }
+
+    /// Mirrors the durability counters into the registry's gauges.
+    pub(crate) fn mirror_gauges(&self, r: &Registry) {
+        r.gauge("wal_appends").set(self.stage.appends);
+        r.gauge("wal_writes").set(self.wal_writes);
+        r.gauge("wal_bytes").set(self.wal.bytes());
+        r.gauge("snapshots_written").set(self.snapshots_written);
+        r.gauge("snapshot_bytes").set(self.snapshot_bytes);
+    }
+
+    /// Where the crash flight dump goes: next to the node's WAL, so a
+    /// post-mortem can line the last recorded events up against the
+    /// recovered log.
+    pub(crate) fn flight_path(&self) -> PathBuf {
+        self.snapshot_path.with_file_name("flight.log")
+    }
+}
+
+/// Writes a snapshot of the (already compacted, fully committed) core and
+/// truncates the WAL. A failure here is recoverable: the WAL still holds
+/// everything.
+fn snapshot_state<P>(core: &Core<P>, d: &mut Durable) -> io::Result<u64>
+where
+    P: Protocol,
+    P::Clock: WireClock,
+{
+    let payload = encode_snapshot(&core.to_snapshot(d.stage.high()));
+    write_snapshot(&d.snapshot_path, &payload, d.fsync)?;
+    d.wal.reset()?;
+    d.stage.folded();
+    d.snapshots_written += 1;
+    d.snapshot_bytes = payload.len() as u64;
+    if d.first_snapshot_bytes == 0 {
+        d.first_snapshot_bytes = d.snapshot_bytes;
+    }
+    Ok(d.snapshot_bytes)
+}
+
+/// Builds the post-snapshot [`WalRecord::Digest`]: one `(partition,
+/// sealed events, chained digest)` triple per hosted partition. Staged
+/// right after a snapshot truncates the log, it is the first record
+/// replay sees, and recovery verifies it against the checkpoints decoded
+/// from the snapshot file itself.
+fn digest_record<P>(core: &Core<P>) -> WalRecord<P::Clock>
+where
+    P: Protocol,
+    P::Clock: WireClock,
+{
+    WalRecord::Digest {
+        partitions: core.sealed_digests(),
+    }
+}
+
+/// Folds the core into a snapshot: commits everything staged (the
+/// snapshot folds staged effects, so they must be on disk before the log
+/// truncates), writes the snapshot, truncates the log, and stages the
+/// cross-restart [`WalRecord::Digest`] guard for the next commit. The
+/// core compacted its trace logs before asking for this.
+///
+/// # Errors
+///
+/// Only a failed *commit*: it may have torn the log tail, and any later
+/// append would bury the tear mid-file, so the caller must fail-stop. A
+/// failed snapshot *write* is merely logged — the WAL alone still
+/// recovers everything.
+pub(crate) fn take_snapshot<P>(core: &mut Core<P>, d: &mut Durable) -> io::Result<()>
+where
+    P: Protocol,
+    P::Clock: WireClock,
+{
+    d.commit()?;
+    match snapshot_state(core, d) {
+        Ok(bytes) => {
+            d.stage.push(&digest_record(core));
+            core.tel.flight.record(
+                wall_us,
+                "snapshot",
+                &[("bytes", bytes), ("wal_high", d.stage.high())],
+            );
+        }
+        Err(e) => eprintln!("prcc-service[{}]: snapshot failed: {e}", core.node),
+    }
+    Ok(())
+}
+
+/// Boots a durable core: loads the snapshot (if any), replays the WAL
+/// suffix past it through [`Core::apply`] — the same function the live
+/// loop uses, on a stopped clock and with nothing staged — and returns the
+/// recovered core plus the open log.
+///
+/// Replay never reconstructs sealed trace prefixes: the snapshot carries
+/// their checkpoint summaries, records at or below the snapshot's fold
+/// point are skipped outright, and [`WalRecord::Checkpoint`] records in
+/// the suffix re-apply the exact recorded seal points — so a recovered
+/// node's checkpoint + live-suffix pair matches its pre-crash state byte
+/// for byte.
+///
+/// A [`WalRecord::Digest`] record (staged right after every snapshot)
+/// carries the per-partition checkpoint digests the pre-crash node
+/// computed; replay re-checks them against the checkpoints decoded from
+/// the snapshot file and refuses to boot on a mismatch — a tampered or
+/// bit-rotted snapshot must not silently seed the audit trail.
+pub(crate) fn recover<P>(
+    protocol: &P,
+    map: &PartitionMap,
+    node: usize,
+    dir: &Path,
+    cfg: &ServiceConfig,
+    tel: CoreTelemetry,
+    pool: &BufPool,
+) -> io::Result<(Core<P>, Durable)>
+where
+    P: Protocol,
+    P::Clock: WireClock,
+{
+    let node_dir = dir.join(format!("node-{node}"));
+    std::fs::create_dir_all(&node_dir)?;
+    let snapshot_path = node_dir.join("snapshot.bin");
+    let wal_path = node_dir.join("wal.bin");
+    let roles = map.graph().num_replicas();
+    let new_clock = |k: prcc_graph::ReplicaId| (k.index() < roles).then(|| protocol.new_clock(k));
+    let (mut core, mut high) = match read_snapshot(&snapshot_path)? {
+        Some((version, payload)) => {
+            let snap = decode_snapshot(version, &payload, roles, new_clock)?;
+            let high = snap.wal_high;
+            (
+                Core::from_snapshot(protocol, map, node, cfg.window_cap, snap, tel)?,
+                high,
+            )
+        }
+        None => (Core::new(protocol, map, node, cfg.window_cap, tel), 0),
+    };
+    // The whole-file image lives in a pooled lease: replay decodes records
+    // as borrowed spans of it instead of one `Vec` per record, and the
+    // buffer recycles into the node's frame pool when replay finishes.
+    let mut image = pool.lease(0);
+    let (mut wal, scan) = Wal::open_with_image(&wal_path, &mut image)?;
+    wal.set_fsync_every(cfg.fsync_every);
+    wal.set_fsync_hist(core.tel.registry.histogram("wal_fsync_us"));
+    let torn_bytes = image.len() - scan.valid_len;
+    if torn_bytes > 0 {
+        eprintln!("prcc-service[{node}]: WAL recovery dropped a {torn_bytes}-byte torn tail");
+    }
+    let corrupt = |what: String| io::Error::new(io::ErrorKind::InvalidData, what);
+    let env = Env::new(protocol, map, cfg);
+    // Replayed issues re-derive their outbound copies; links pull the
+    // rebuilt windows on their first handshake instead.
+    let mut unsent = Vec::new();
+    for &(start, end) in &scan.spans {
+        let (index, record) = decode_record(&image[start..end], new_clock)?;
+        if index <= high {
+            // Already folded into the snapshot (a crash landed between
+            // snapshot write and log truncation), or a duplicate.
+            continue;
+        }
+        if index != high + 1 {
+            // Legitimate operation can never produce a gap: appends are
+            // consecutive and truncation only ever removes a snapshotted
+            // prefix. A gap means the snapshot and log do not belong
+            // together (stale snapshot restored from a backup, mixed-up
+            // data dirs) — booting would silently drop acknowledged
+            // records, so refuse instead.
+            return Err(corrupt(format!(
+                "WAL record {index} follows {high}: snapshot and log disagree"
+            )));
+        }
+        high = index;
+        if let WalRecord::Digest { partitions } = &record {
+            let sealed = core.sealed_digests();
+            for &(partition, events, digest) in partitions {
+                let actual = sealed
+                    .iter()
+                    .find(|(p, ..)| *p == partition)
+                    .map(|&(_, events, digest)| (events, digest));
+                if actual != Some((events, digest)) {
+                    return Err(corrupt(format!(
+                        "WAL record {index}: checkpoint digest mismatch for \
+                         {partition} — the log expects {events} sealed events \
+                         with digest {digest:#x}, the snapshot decodes to \
+                         {actual:?}; the snapshot file is tampered or \
+                         bit-rotted, refusing to boot"
+                    )));
+                }
+            }
+        }
+        core.apply(&env, record, &|| 0, None, &mut unsent)
+            .map_err(|e| corrupt(format!("WAL record {index}: {e}")))?;
+        unsent.clear();
+    }
+    Ok((
+        core,
+        Durable {
+            wal,
+            snapshot_path,
+            fsync: cfg.fsync_every > 0,
+            stage: Stage::new(high + 1, cfg.snapshot_every),
+            wal_writes: 0,
+            snapshots_written: 0,
+            snapshot_bytes: 0,
+            first_snapshot_bytes: 0,
+        },
+    ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use prcc_clock::EdgeProtocol;
+    use prcc_graph::topologies;
+    use std::sync::Arc;
+
+    /// A data dir holding a retired-format (`PRCCSNP1`) snapshot must stop
+    /// the boot loudly — the v1 reader is gone, and starting empty next to
+    /// a snapshot the node cannot read would silently forget its state.
+    #[test]
+    fn v1_snapshot_magic_refuses_to_boot() {
+        let dir = std::env::temp_dir().join(format!("prcc-durable-v1-{}", std::process::id()));
+        let node_dir = dir.join("node-0");
+        std::fs::create_dir_all(&node_dir).expect("mkdir");
+        let payload = b"anything";
+        let mut file = b"PRCCSNP1".to_vec();
+        file.extend_from_slice(&prcc_storage::crc32(payload).to_le_bytes());
+        file.extend_from_slice(payload);
+        std::fs::write(node_dir.join("snapshot.bin"), &file).expect("write v1 file");
+
+        let graph = topologies::ring(3);
+        let map = PartitionMap::rotated(graph.clone(), 1, 3).expect("valid map");
+        let protocol = EdgeProtocol::new(graph);
+        let cfg = ServiceConfig::default();
+        let registry = Arc::new(Registry::new());
+        let tel = CoreTelemetry::new(Arc::clone(&registry), &cfg);
+        let pool = BufPool::new(&registry);
+        let Err(err) = recover(&protocol, &map, 0, &dir, &cfg, tel, &pool) else {
+            panic!("a v1 snapshot booted");
+        };
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("magic"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}

@@ -1,36 +1,40 @@
 //! A networked TCP deployment of the partially-replicated causal-consistency
 //! protocol.
 //!
-//! The simulator (`prcc-net`) and threaded runtime (`prcc-runtime`) validate
-//! the algorithm in one process; this crate takes the same generic
-//! [`prcc_clock::Protocol`] replicas across real sockets:
+//! The simulator (`prcc-net`) validates the algorithm in one process; this
+//! crate takes the same generic [`prcc_clock::Protocol`] replicas across
+//! real sockets, as layers composed around one sans-I/O state machine:
 //!
-//! * [`wire`] — the length-prefixed binary wire protocol (version 6): a
+//! * [`wire`] — the length-prefixed binary wire protocol (version 8): a
 //!   versioned peer handshake carrying the serialized
 //!   [`prcc_graph::PartitionMap`] and answered with the link's
 //!   acknowledged resume offset, multi-partition flush frames (one frame
 //!   per flush, a `(partition, [(link seq, update)])` section per
-//!   partition present) built on [`prcc_clock::WireClock`] /
-//!   `Update::encode_wire` and carrying per-update origin issue stamps,
-//!   streamed acknowledgement frames, the partition-addressed client
-//!   read/write API, and a version-stamped `Metrics` request returning
-//!   the node's live [`prcc_telemetry::MetricsSnapshot`].
-//! * [`node`] — a partition-routing TCP node: a core protocol thread
-//!   owning one [`prcc_core::Replica`] per hosted partition, and a fixed
-//!   pool of `prcc-reactor` epoll workers carrying *all* socket I/O —
+//!   partition present, an optional trailing seal barrier) built on
+//!   [`prcc_clock::WireClock`] / `Update::encode_wire` and carrying
+//!   per-update origin issue stamps, streamed acknowledgement frames,
+//!   consistent-cut markers, the partition-addressed client read/write
+//!   API, and version-stamped `Status`/`Metrics`/`Cut` responses.
+//! * `core` — the replica core, sans I/O: one [`prcc_core::Replica`] per
+//!   hosted partition behind acknowledged, windowed peer links.
+//!   `Core::step` turns one message into staged WAL records and a list of
+//!   effects without touching a socket, thread, file or clock;
+//!   `Core::apply` is the single mutation path shared by the live loop and
+//!   WAL replay.
+//! * `durable` — the durability layer under it: group commit of the
+//!   core's staged records into a `prcc-storage` write-ahead log,
+//!   periodic snapshots that truncate it, and boot-time recovery that
+//!   replays `snapshot + log` through `Core::apply` — deterministically
+//!   rebuilding clocks, stores, event logs and resend windows after a
+//!   crash.
+//! * `drivers` — every socket as a non-blocking `prcc-reactor` driver:
 //!   peer senders that batch updates and pack each flush into a single
 //!   multi-partition frame (reconnecting with backoff on link loss and
-//!   resending the unacked window), peer receivers, and every client
-//!   connection, as non-blocking connection drivers instead of dedicated
-//!   threads. With a data dir configured the core appends every
-//!   state-mutating input to a `prcc-storage` write-ahead log before
-//!   applying it, snapshots periodically, and recovers snapshot + log on
-//!   boot — deterministically rebuilding clocks, stores, event logs and
-//!   resend windows after a crash.
-//! * [`bufpool`] — the size-classed reusable buffer pool behind the
-//!   zero-copy hot path: pooled frame reads and in-place flush encodes
-//!   lease buffers instead of allocating, with hit/miss/outstanding
-//!   telemetry in the node's metric registry.
+//!   resending the unacked window), peer receivers, and client
+//!   connections.
+//! * [`node`] — configuration, [`spawn_node`], and the sweep loop: the one
+//!   core thread that feeds messages to `Core::step`, commits the sweep's
+//!   records, and only then releases its effects into the reactor.
 //! * [`client`] — [`ServiceClient`] (blocking, single-node) and
 //!   [`RoutedClient`] (key-routed over the whole cluster).
 //! * [`cluster`] — [`LoopbackCluster`]: bind, spawn, drain-to-quiescence,
@@ -55,15 +59,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bufpool;
 pub mod client;
 pub mod cluster;
 pub mod config;
+mod core;
+mod drivers;
+mod durable;
 pub mod node;
 pub mod report;
 pub mod wire;
 
-pub use bufpool::{BufPool, Lease};
 pub use client::{RoutedClient, ServiceClient};
 pub use cluster::LoopbackCluster;
 pub use node::{spawn_node, NodeHandle, NodeSeed, ServiceConfig};

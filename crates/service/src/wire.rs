@@ -1,82 +1,59 @@
-//! The length-prefixed wire protocol (version 6, partition-aware,
-//! acknowledged, bounded-memory aware, and observable).
+//! The length-prefixed wire protocol (version 8: partition-aware,
+//! acknowledged, bounded-memory aware, observable, audited, sealed).
 //!
 //! Every message is a *frame*: a little-endian `u32` payload length followed
 //! by the payload; the first payload byte is a message tag. Peer frames
 //! carry batched [`Update`]s (varint-encoded via the lower layers'
 //! [`prcc_clock::wire::WireClock`] / [`Update::encode_wire`] codecs); client
-//! frames carry the read/write/ops API.
+//! frames carry the read/write/ops API. Only the current version is spoken
+//! or decoded: the versioned handshake refuses every other peer outright,
+//! so a mixed-version cluster fails loudly at connection time rather than
+//! half-working. What each version added, and still shapes the format:
 //!
-//! Version 2 sharded the register space: every peer batch and every client
-//! read/write is tagged with the [`prcc_graph::PartitionId`] it belongs to,
-//! and the peer handshake ([`PeerHello`]) opens with a protocol version
-//! followed by the full [`PartitionMap`] (hosting table + share-graph
-//! assignments). A node refuses peers that speak a different protocol
-//! version or run a different partition map — either mismatch would
-//! otherwise corrupt delivery predicates or routing silently.
-//!
-//! Version 3 packs multi-partition flushes: a peer flush touching many
-//! partitions ships as one [`encode_multi_batch`] frame carrying
-//! `(partition, updates[])` sections in per-partition order, instead of one
-//! v2 single-partition frame per partition. Readers still *decode* the v2
-//! single-partition batch tag ([`decode_peer_batches`] dispatches on the
-//! tag), but the versioned handshake refuses v2 peers outright — a
-//! mixed-version cluster fails loudly at connection time rather than
-//! half-working.
-//!
-//! Version 4 makes peer links acknowledged, closing the loss window where
-//! frames buffered into a dying socket vanished silently: every update in
-//! a multi-batch section carries its per-link sequence number, the
-//! acceptor answers each [`PeerHello`] with a [`encode_hello_ack`] frame
-//! naming the highest link sequence it has durably received from that
-//! peer (the sender resumes — resends from its durable window — right
-//! after it), and the receiver streams [`encode_peer_ack`] frames back on
-//! the same socket so the sender can prune its window.
-//!
-//! Version 5 is the bounded-memory protocol: nodes compact their trace
-//! logs into [`prcc_checker::TraceCheckpoint`] summaries, so the `Trace`
-//! response ships `(checkpoint, live suffix)` per partition instead of the
-//! full history, and the status payload grew the memory-boundedness gauges
-//! (`wal_bytes`, `snapshot_bytes`, `trace_events`, resend-window peaks).
-//!
-//! Version 6 makes live clusters inspectable: each update in a
-//! multi-partition flush carries its origin's wall-clock *issue stamp*
-//! (micros since epoch, varint; 0 = not sampled for lifecycle tracing), so
-//! recipients can measure visibility latency and pending-stall without any
-//! cross-node coordination, and the client API grew a `Metrics`
-//! request/response pair shipping a [`prcc_telemetry::MetricsSnapshot`]
-//! (counters, gauges, and mergeable latency histograms). Issue stamps ride
-//! the live wire only — WAL records and snapshots still use the stamp-free
-//! [`Update::encode_wire`] codec, keeping durable bytes deterministic.
-//!
-//! Version 7 adds the online consistent-cut audit: a client `Cut`
-//! request injects (or polls) a marker token, nodes flood
-//! [`encode_cut_marker`] frames down their peer links *in channel order*
-//! (the Chandy–Lamport discipline — a marker overtaken by data frames
-//! would not delimit a consistent cut), and each node answers with its
-//! [`prcc_checker::CutSnapshot`] of per-partition issue/apply frontiers
-//! taken at first sight of the token. Markers are fire-and-forget: they
-//! carry no link sequence and are not resent, so a marker lost to a
-//! severed connection makes the audit *inconclusive* (retried with a
-//! fresh token), never wrong.
-//!
-//! Version 8 rides the event-loop I/O rewrite and adds the *seal
-//! barrier*: a multi-partition flush may close with one trailing varint
-//! naming the highest link sequence whose update the origin has already
-//! retired as acknowledged-by-this-receiver (absent = 0 = no barrier, so
-//! barrier-free frames are byte-identical to v7). A receiver seeing a
-//! straggler resend at or below the barrier drops it *before* the
-//! watermark/dedup machinery — by the barrier's definition the receiver
-//! has already acknowledged that sequence, so the skip cannot change
-//! watermark state, only save the re-check ([`NodeStatus::barrier_skips`]
-//! counts the saves). The status payload also grew the reactor gauges
-//! (`reactor_wakeups`, `reactor_events`, `reactor_rearms`,
-//! `reactor_outq_hiwat`).
+//! * **v2** sharded the register space: every peer section and every client
+//!   read/write is tagged with its [`prcc_graph::PartitionId`], and the
+//!   peer handshake ([`PeerHello`]) opens with a protocol version followed
+//!   by the full [`PartitionMap`]. A peer running a different map is
+//!   refused — the mismatch would corrupt delivery predicates or routing.
+//! * **v3** packs multi-partition flushes: a peer flush ships as one
+//!   [`encode_multi_batch_into`] frame carrying `(partition, updates[])`
+//!   sections in per-partition order.
+//! * **v4** made peer links acknowledged, closing the loss window where
+//!   frames buffered into a dying socket vanished silently: every update
+//!   in a section carries its per-link sequence number (from 1 — sequence
+//!   0 is refused at decode), the acceptor answers each [`PeerHello`] with
+//!   an [`encode_hello_ack_into`] frame naming the highest link sequence
+//!   it has durably received (the sender resumes — resends from its
+//!   durable window — right after it), and the receiver streams
+//!   [`encode_peer_ack_into`] frames back so the sender can prune.
+//! * **v5** is the bounded-memory protocol: the `Trace` response ships a
+//!   [`prcc_checker::TraceCheckpoint`] summary plus the live suffix per
+//!   partition instead of the full history, and the status payload grew
+//!   the memory-boundedness gauges.
+//! * **v6** made live clusters inspectable: each update in a flush carries
+//!   its origin's *issue stamp* (micros since epoch, varint; 0 = not
+//!   sampled for lifecycle tracing), and the client API grew a `Metrics`
+//!   request/response pair shipping a [`prcc_telemetry::MetricsSnapshot`].
+//!   Issue stamps ride the live wire only — WAL records and snapshots use
+//!   the stamp-free [`Update::encode_wire`] codec, keeping durable bytes
+//!   deterministic.
+//! * **v7** added the online consistent-cut audit: a client `Cut` request
+//!   injects (or polls) a marker token, nodes flood [`encode_cut_marker`]
+//!   frames down their peer links *in channel order* (the Chandy–Lamport
+//!   discipline), and each node answers with its
+//!   [`prcc_checker::CutSnapshot`]. Markers carry no link sequence and are
+//!   not resent, so a lost marker makes the audit *inconclusive*, never
+//!   wrong.
+//! * **v8** added the *seal barrier*: a flush may close with one trailing
+//!   varint naming the highest link sequence the origin has retired as
+//!   acknowledged-by-this-receiver (absent = 0 = no barrier). A straggler
+//!   resend at or below it is dropped *before* the watermark re-check
+//!   ([`NodeStatus::barrier_skips`] counts the saves). The status payload
+//!   also grew the reactor gauges.
 //!
 //! Causal timestamps ship counters only; index sets and the partition
 //! layout are static configuration carried once in the handshake.
 
-use crate::bufpool::{BufPool, Lease};
 use prcc_checker::trace::TraceEvent;
 use prcc_checker::{CutSnapshot, PartitionCut, TraceCheckpoint};
 use prcc_clock::encoding::{read_varint_at as get_varint, write_varint};
@@ -110,7 +87,6 @@ pub use prcc_reactor::MAX_FRAME_BYTES;
 
 // Message tags.
 const TAG_PEER_HELLO: u8 = 1;
-const TAG_PEER_BATCH: u8 = 2;
 const TAG_MULTI_BATCH: u8 = 3;
 const TAG_HELLO_ACK: u8 = 4;
 const TAG_PEER_ACK: u8 = 5;
@@ -180,9 +156,9 @@ fn read_frame_len<R: Read>(r: &mut R) -> io::Result<Option<usize>> {
 
 /// Reads one frame into a fresh allocation. `Ok(None)` is a clean EOF at a
 /// frame boundary (see [`read_frame_len`] for the truncation and
-/// [`MAX_FRAME_BYTES`] rules). The hot paths use [`read_frame_pooled`] /
-/// [`read_frame_into`] instead; this stays the simple owned-buffer entry
-/// point for handshakes, tools and tests.
+/// [`MAX_FRAME_BYTES`] rules). The simple owned-buffer entry point for
+/// handshakes, tools and tests; clients reading many frames back to back
+/// use [`read_frame_into`], nodes the reactor's incremental decoder.
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
     let Some(len) = read_frame_len(r)? else {
         return Ok(None);
@@ -204,21 +180,6 @@ pub fn read_frame_into<R: Read>(r: &mut R, buf: &mut Vec<u8>) -> io::Result<Opti
     buf.resize(len, 0);
     r.read_exact(buf.as_mut_slice())?;
     Ok(Some(len))
-}
-
-/// Reads one frame into a pooled buffer: the length prefix is read first
-/// and only then is a right-sized [`Lease`] taken, so a connection idling
-/// between frames holds **zero** buffers — the property that keeps RSS
-/// bounded under hundreds of mostly-idle client connections. Same EOF,
-/// truncation and [`MAX_FRAME_BYTES`] semantics as [`read_frame`].
-pub fn read_frame_pooled<R: Read>(r: &mut R, pool: &BufPool) -> io::Result<Option<Lease>> {
-    let Some(len) = read_frame_len(r)? else {
-        return Ok(None);
-    };
-    let mut lease = pool.lease(len);
-    lease.resize(len, 0);
-    r.read_exact(lease.as_mut_slice())?;
-    Ok(Some(lease))
 }
 
 /// Appends one frame to `out` in place: reserves the 4-byte length slot,
@@ -353,13 +314,6 @@ pub fn decode_peer_hello(payload: &[u8]) -> io::Result<PeerHello> {
 /// Encodes the acceptor's answer to a [`PeerHello`]: the highest link
 /// sequence it has durably received from the dialing peer (0 = nothing),
 /// which is where the dialer resumes its update stream.
-pub fn encode_hello_ack(acked: u64) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_hello_ack_into(acked, &mut out);
-    out
-}
-
-/// The append-into variant of [`encode_hello_ack`].
 // lint: hot-path
 pub fn encode_hello_ack_into(acked: u64, out: &mut Vec<u8>) {
     out.push(TAG_HELLO_ACK);
@@ -382,14 +336,6 @@ pub fn decode_hello_ack(payload: &[u8]) -> io::Result<u64> {
 
 /// Encodes a streamed acknowledgement: the receiver has durably received
 /// every update of this link up to and including sequence `seq`.
-pub fn encode_peer_ack(seq: u64) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_peer_ack_into(seq, &mut out);
-    out
-}
-
-/// The append-into variant of [`encode_peer_ack`] — the ack writer thread
-/// re-encodes into one leased buffer instead of allocating per ack.
 // lint: hot-path
 pub fn encode_peer_ack_into(seq: u64, out: &mut Vec<u8>) {
     out.push(TAG_PEER_ACK);
@@ -410,57 +356,7 @@ pub fn decode_peer_ack(payload: &[u8]) -> io::Result<u64> {
     Ok(seq)
 }
 
-/// Encodes a batch of updates of one partition into one peer frame payload
-/// (the v2 single-partition framing, kept for compatibility decoding and
-/// tests — v3 senders emit [`encode_multi_batch`] frames).
-/// `pad` zero bytes ride along with each update, simulating larger
-/// application values.
-pub fn encode_batch<C: WireClock>(
-    partition: PartitionId,
-    updates: &[Update<C>],
-    pad: usize,
-) -> Vec<u8> {
-    let mut out = vec![TAG_PEER_BATCH];
-    write_varint(&mut out, u64::from(partition.0));
-    write_varint(&mut out, updates.len() as u64);
-    encode_updates(updates, pad, &mut out);
-    out
-}
-
-/// Decodes a peer batch into its partition tag and updates; `make_clock`
-/// maps issuer roles to template clocks (see [`Update::decode_wire`]).
-pub fn decode_batch<C, F>(
-    payload: &[u8],
-    mut make_clock: F,
-) -> io::Result<(PartitionId, Vec<Update<C>>)>
-where
-    C: WireClock,
-    F: FnMut(ReplicaId) -> Option<C>,
-{
-    let mut at = 0;
-    if payload.first() != Some(&TAG_PEER_BATCH) {
-        return Err(bad_data("expected update batch"));
-    }
-    at += 1;
-    let partition =
-        u32::try_from(get_varint(payload, &mut at)?).map_err(|_| bad_data("partition id"))?;
-    let count = get_varint(payload, &mut at)? as usize;
-    let updates = decode_updates(payload, &mut at, count, &mut make_clock)?;
-    if at != payload.len() {
-        return Err(bad_data("trailing bytes in batch"));
-    }
-    Ok((PartitionId(partition), updates))
-}
-
 // lint: hot-path
-fn encode_updates<C: WireClock>(updates: &[Update<C>], pad: usize, out: &mut Vec<u8>) {
-    for u in updates {
-        u.encode_wire(out);
-        write_varint(out, pad as u64);
-        out.resize(out.len() + pad, 0);
-    }
-}
-
 fn encode_seq_updates<C: WireClock>(updates: &[(u64, Update<C>)], pad: usize, out: &mut Vec<u8>) {
     for (seq, u) in updates {
         write_varint(out, *seq);
@@ -491,6 +387,11 @@ where
     let mut updates = Vec::with_capacity(count.min(1 << 16));
     for _ in 0..count {
         let seq = get_varint(payload, at)?;
+        if seq == 0 {
+            // Sequence 0 would bypass the receiver's link watermark, and a
+            // re-delivered copy pins the replica's pending buffer forever.
+            return Err(bad_data("link sequence 0"));
+        }
         let stamp = get_varint(payload, at)?;
         let mut u = Update::decode_wire(payload, at, &mut *make_clock)
             .ok_or_else(|| bad_data("malformed update"))?;
@@ -505,64 +406,20 @@ where
     Ok(updates)
 }
 
-fn decode_updates<C, F>(
-    payload: &[u8],
-    at: &mut usize,
-    count: usize,
-    make_clock: &mut F,
-) -> io::Result<Vec<Update<C>>>
-where
-    C: WireClock,
-    F: FnMut(ReplicaId) -> Option<C>,
-{
-    let mut updates = Vec::with_capacity(count.min(1 << 16));
-    for _ in 0..count {
-        let u = Update::decode_wire(payload, at, &mut *make_clock)
-            .ok_or_else(|| bad_data("malformed update"))?;
-        let pad = get_varint(payload, at)? as usize;
-        if payload.len() - *at < pad {
-            return Err(bad_data("truncated pad"));
-        }
-        *at += pad;
-        updates.push(u);
-    }
-    Ok(updates)
-}
-
 /// The sections of one peer flush frame: per partition present, its
 /// updates in order, each tagged with the per-link sequence number driving
-/// acknowledgement and resend (0 = unsequenced legacy traffic).
+/// acknowledgement and resend (always >= 1).
 pub type FlushSections<C> = Vec<(PartitionId, Vec<(u64, Update<C>)>)>;
 
 /// Encodes one whole peer flush — updates of *every* partition present — as
-/// a single frame payload: a section count followed by `(partition,
-/// [(link seq, update)])` sections. Empty sections are skipped (the
-/// decoder rejects them), section order and per-partition update order are
-/// preserved, and `pad` zero bytes ride along with each update as in
-/// [`encode_batch`]. Since v4 every update carries the per-link sequence
-/// number driving acknowledgement and resend.
-///
-/// This copy-assemble form is kept as the *reference implementation*: the
-/// hot path encodes with [`encode_multi_batch_into`] straight into a
-/// leased frame buffer, and a property test holds the two byte-for-byte
-/// equal on arbitrary sections — the guarantee that v6 peers and existing
-/// WAL/snapshot files interoperate with the in-place encoder unchanged.
-pub fn encode_multi_batch<C: WireClock>(sections: &FlushSections<C>, pad: usize) -> Vec<u8> {
-    let mut out = vec![TAG_MULTI_BATCH];
-    let live = sections.iter().filter(|(_, updates)| !updates.is_empty());
-    write_varint(&mut out, live.clone().count() as u64);
-    for (partition, updates) in live {
-        write_varint(&mut out, u64::from(partition.0));
-        write_varint(&mut out, updates.len() as u64);
-        encode_seq_updates(updates, pad, &mut out);
-    }
-    out
-}
-
-/// The in-place variant of [`encode_multi_batch`]: appends the identical
-/// payload bytes to `out` (typically a leased frame buffer with the length
-/// slot already reserved by [`append_frame`]) without assembling an owned
-/// `Vec` first.
+/// a single frame payload appended to `out` (typically a leased frame
+/// buffer with the length slot already reserved by [`append_frame`]): a
+/// section count followed by `(partition, [(link seq, update)])` sections.
+/// Empty sections are skipped (the decoder rejects them), section order and
+/// per-partition update order are preserved, and `pad` zero bytes ride
+/// along with each update, simulating larger application values. A
+/// property test holds these bytes equal to a copy-assemble reference
+/// encoder on arbitrary sections.
 // lint: hot-path
 pub fn encode_multi_batch_into<C: WireClock>(
     sections: &FlushSections<C>,
@@ -600,22 +457,23 @@ pub fn encode_multi_batch_sealed_into<C: WireClock>(
 // lint: end-hot-path
 
 /// Decodes a multi-partition flush frame into its `(partition,
-/// [(link seq, update)])` sections, in wire order. Frames with no sections
-/// or with an empty section are malformed — a well-formed sender never
-/// produces them, so they indicate corruption. A v8 trailing seal barrier,
-/// if present, is validated and dropped; callers that consume the barrier
-/// use [`decode_sealed_batches`].
+/// [(link seq, update)])` sections, in wire order, dropping the seal
+/// barrier; callers that consume the barrier use [`decode_sealed_batches`].
 pub fn decode_multi_batch<C, F>(payload: &[u8], make_clock: F) -> io::Result<FlushSections<C>>
 where
     C: WireClock,
     F: FnMut(ReplicaId) -> Option<C>,
 {
-    decode_multi_batch_sealed(payload, make_clock).map(|(sections, _)| sections)
+    decode_sealed_batches(payload, make_clock).map(|(sections, _)| sections)
 }
 
-/// [`decode_multi_batch`] plus the optional trailing seal barrier
-/// (0 when absent, i.e. a v7-shaped frame).
-fn decode_multi_batch_sealed<C, F>(
+/// Decodes a peer flush frame — the only update framing a v8 peer may
+/// send — into its sections plus the seal barrier: the origin's highest
+/// link sequence already acknowledged by this receiver at encode time (0
+/// when absent). Frames with no sections, an empty section, or a link
+/// sequence of 0 are malformed — a well-formed sender never produces
+/// them, so they indicate corruption or a hostile peer.
+pub fn decode_sealed_batches<C, F>(
     payload: &[u8],
     mut make_clock: F,
 ) -> io::Result<(FlushSections<C>, u64)>
@@ -655,50 +513,6 @@ where
         return Err(bad_data("trailing bytes in multi-batch"));
     }
     Ok((sections, barrier))
-}
-
-/// Decodes any peer update frame — the v4 multi-partition framing or the
-/// legacy v2 single-partition batch — into a uniform section list. The v2
-/// arm exists for compatibility tooling and tests (its updates carry no
-/// link sequence, reported as 0 = unsequenced); live v2 *peers* never get
-/// this far, the versioned [`PeerHello`] refuses them first.
-pub fn decode_peer_batches<C, F>(payload: &[u8], make_clock: F) -> io::Result<FlushSections<C>>
-where
-    C: WireClock,
-    F: FnMut(ReplicaId) -> Option<C>,
-{
-    match payload.first() {
-        Some(&TAG_MULTI_BATCH) => decode_multi_batch(payload, make_clock),
-        Some(&TAG_PEER_BATCH) => decode_batch(payload, make_clock).map(|(partition, updates)| {
-            vec![(partition, updates.into_iter().map(|u| (0, u)).collect())]
-        }),
-        _ => Err(bad_data("unknown peer frame tag")),
-    }
-}
-
-/// [`decode_peer_batches`] plus the v8 seal barrier: the origin's highest
-/// link sequence already acknowledged by this receiver at encode time
-/// (0 when absent — barrier-free v8 frames and all legacy framings). The
-/// node's receive path consumes the barrier to fast-drop straggler
-/// deliveries of already-sealed issues without a watermark re-check.
-pub fn decode_sealed_batches<C, F>(
-    payload: &[u8],
-    make_clock: F,
-) -> io::Result<(FlushSections<C>, u64)>
-where
-    C: WireClock,
-    F: FnMut(ReplicaId) -> Option<C>,
-{
-    match payload.first() {
-        Some(&TAG_MULTI_BATCH) => decode_multi_batch_sealed(payload, make_clock),
-        Some(&TAG_PEER_BATCH) => decode_batch(payload, make_clock).map(|(partition, updates)| {
-            (
-                vec![(partition, updates.into_iter().map(|u| (0, u)).collect())],
-                0,
-            )
-        }),
-        _ => Err(bad_data("unknown peer frame tag")),
-    }
 }
 
 /// Encodes a consistent-cut marker peer frame (v7): the tag and the cut
@@ -824,14 +638,7 @@ pub enum ClientRequest {
     Shutdown,
 }
 
-/// Encodes a client request payload.
-pub fn encode_request(req: &ClientRequest) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_request_into(req, &mut out);
-    out
-}
-
-/// The append-into variant of [`encode_request`] — [`crate::ServiceClient`]
+/// Appends a client request payload to `out` — [`crate::ServiceClient`]
 /// re-encodes every request into one reusable buffer instead of allocating
 /// per round trip.
 // lint: hot-path
@@ -1119,15 +926,8 @@ pub enum ClientResponse {
     Bye,
 }
 
-/// Encodes a client response payload.
-pub fn encode_response(resp: &ClientResponse) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_response_into(resp, &mut out);
-    out
-}
-
-/// The append-into variant of [`encode_response`] — client handlers encode
-/// each response straight into a leased frame buffer.
+/// Appends a client response payload to `out` — the node encodes each
+/// response straight into a leased frame buffer.
 // lint: hot-path
 pub fn encode_response_into(resp: &ClientResponse, out: &mut Vec<u8>) {
     match resp {
@@ -1335,6 +1135,25 @@ mod tests {
     use prcc_graph::topologies;
     use prcc_net::VirtualTime;
 
+    /// Collects what an `_into` encoder appends.
+    fn encoded(encode: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode(&mut out);
+        out
+    }
+
+    fn encode_request(req: &ClientRequest) -> Vec<u8> {
+        encoded(|out| encode_request_into(req, out))
+    }
+
+    fn encode_response(resp: &ClientResponse) -> Vec<u8> {
+        encoded(|out| encode_response_into(resp, out))
+    }
+
+    fn encode_multi_batch<C: WireClock>(sections: &FlushSections<C>, pad: usize) -> Vec<u8> {
+        encoded(|out| encode_multi_batch_into(sections, pad, out))
+    }
+
     #[test]
     fn frame_round_trip_and_eof() {
         let mut buf = Vec::new();
@@ -1365,8 +1184,8 @@ mod tests {
     #[test]
     fn oversized_frame_rejected() {
         // A hostile/corrupt length prefix must be refused with a
-        // descriptive error — by every reader variant, before any
-        // allocation or pool lease is attempted.
+        // descriptive error — by both reader variants, before any
+        // allocation is attempted.
         let huge = (u32::MAX).to_le_bytes();
         let err = read_frame(&mut io::Cursor::new(huge)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
@@ -1376,9 +1195,6 @@ mod tests {
         );
         let mut scratch = Vec::new();
         assert!(read_frame_into(&mut io::Cursor::new(huge), &mut scratch).is_err());
-        let pool = BufPool::new(&prcc_telemetry::Registry::new());
-        assert!(read_frame_pooled(&mut io::Cursor::new(huge), &pool).is_err());
-        assert_eq!(pool.outstanding(), 0, "no lease taken for a refused prefix");
         // The largest acceptable prefix is exactly MAX_FRAME_BYTES; one
         // past it is refused (the boundary, with a short body so the
         // accept case fails on EOF, not the bound).
@@ -1395,11 +1211,10 @@ mod tests {
     }
 
     #[test]
-    fn pooled_and_into_reads_match_the_allocating_reader() {
-        // Property: for arbitrary frame sequences, read_frame_pooled and
-        // read_frame_into return byte-identical payloads to read_frame,
-        // frame by frame, including the clean-EOF boundary.
-        let pool = BufPool::new(&prcc_telemetry::Registry::new());
+    fn into_reads_match_the_allocating_reader() {
+        // Property: for arbitrary frame sequences, read_frame_into returns
+        // byte-identical payloads to read_frame, frame by frame, including
+        // the clean-EOF boundary.
         let mut wire = Vec::new();
         let mut payloads: Vec<Vec<u8>> = Vec::new();
         let mut seed = 0x9e37_79b9_7f4a_7c15u64;
@@ -1413,21 +1228,16 @@ mod tests {
             payloads.push(body);
         }
         let mut a = io::Cursor::new(wire.clone());
-        let mut b = io::Cursor::new(wire.clone());
-        let mut c = io::Cursor::new(wire);
+        let mut b = io::Cursor::new(wire);
         let mut scratch = Vec::new();
         for expect in &payloads {
             let plain = read_frame(&mut a).unwrap().unwrap();
-            let pooled = read_frame_pooled(&mut b, &pool).unwrap().unwrap();
-            let n = read_frame_into(&mut c, &mut scratch).unwrap().unwrap();
+            let n = read_frame_into(&mut b, &mut scratch).unwrap().unwrap();
             assert_eq!(&plain, expect);
-            assert_eq!(&*pooled, expect, "pooled read must equal allocating read");
             assert_eq!(&scratch[..n], &expect[..]);
         }
         assert!(read_frame(&mut a).unwrap().is_none());
-        assert!(read_frame_pooled(&mut b, &pool).unwrap().is_none());
-        assert!(read_frame_into(&mut c, &mut scratch).unwrap().is_none());
-        assert_eq!(pool.outstanding(), 0, "all leases returned");
+        assert!(read_frame_into(&mut b, &mut scratch).unwrap().is_none());
     }
 
     #[test]
@@ -1533,27 +1343,6 @@ mod tests {
         updates
     }
 
-    #[test]
-    fn batch_round_trip_with_padding() {
-        let g = topologies::ring(4);
-        let p = EdgeProtocol::new(g);
-        let updates = sample_updates(&p, 3, 0);
-        for pad in [0usize, 128] {
-            let payload = encode_batch(PartitionId(5), &updates, pad);
-            let (part, back) = decode_batch(&payload, |i| Some(p.new_clock(i))).unwrap();
-            assert_eq!(part, PartitionId(5));
-            assert_eq!(back.len(), 3);
-            for (a, b) in back.iter().zip(&updates) {
-                assert_eq!(a.id, b.id);
-                assert_eq!(a.value, b.value);
-                assert_eq!(a.clock, b.clock);
-            }
-            if pad > 0 {
-                assert!(payload.len() >= 3 * pad);
-            }
-        }
-    }
-
     /// A non-empty checkpoint summary for trace-response round trips.
     fn sealed_checkpoint() -> TraceCheckpoint {
         let mut checkpoint = TraceCheckpoint::new(2, 3);
@@ -1617,98 +1406,55 @@ mod tests {
                     );
                 }
             }
-            // The dispatcher takes both framings to the same section shape;
-            // legacy v2 batches come back with seq 0 (unsequenced).
-            let via_dispatch = decode_peer_batches(&payload, |i| Some(p.new_clock(i))).unwrap();
-            assert_eq!(via_dispatch.len(), 3);
-            let plain: Vec<_> = sections[0].1.iter().map(|(_, u)| u.clone()).collect();
-            let v2 = encode_batch(PartitionId(6), &plain, pad);
-            let legacy = decode_peer_batches(&v2, |i| Some(p.new_clock(i))).unwrap();
-            assert_eq!(legacy.len(), 1);
-            assert_eq!(legacy[0].0, PartitionId(6));
-            assert_eq!(legacy[0].1.len(), 3);
-            assert!(legacy[0].1.iter().all(|(seq, _)| *seq == 0));
-            // Legacy v2 batches carry no issue stamps: unsampled on arrival.
-            assert!(legacy[0]
-                .1
-                .iter()
-                .all(|(_, u)| u.issued_at == VirtualTime::ZERO));
         }
     }
 
     #[test]
-    fn in_place_multi_batch_is_byte_identical_to_the_reference_encoder() {
-        // Property: on arbitrary sections (empty, skipped-empty, unsorted
-        // partitions, mixed sampled/unsampled stamps, varied pads) the
-        // in-place encoder appends exactly the bytes the copy-assemble
-        // reference produces — the interop guarantee for v6 peers.
+    fn unsequenced_and_v2_update_frames_are_refused() {
+        // Both shapes would hand the core an update that bypasses the link
+        // watermark (sequence 0); a re-delivered copy of one pins the
+        // replica's pending buffer forever, so the decoder drops the
+        // connection instead.
         let g = topologies::ring(4);
         let p = EdgeProtocol::new(g);
-        let cases: Vec<FlushSections<prcc_clock::EdgeClock>> = vec![
-            Vec::new(),
-            vec![(PartitionId(0), Vec::new())],
-            vec![(PartitionId(3), with_seqs(1, sample_updates(&p, 1, 0)))],
-            vec![
-                (PartitionId(6), with_seqs(10, sample_updates(&p, 3, 0))),
-                (PartitionId(0), Vec::new()),
-                (PartitionId(1), with_seqs(2, sample_updates(&p, 1, 1))),
-                (PartitionId(4), with_seqs(90, sample_updates(&p, 7, 2))),
-            ],
-        ];
-        for sections in &cases {
-            for pad in [0usize, 1, 64, 1000] {
-                let reference = encode_multi_batch(sections, pad);
-                let mut in_place = b"preexisting".to_vec();
-                encode_multi_batch_into(sections, pad, &mut in_place);
-                assert_eq!(
-                    &in_place[b"preexisting".len()..],
-                    &reference[..],
-                    "in-place encode diverged (sections={}, pad={pad})",
-                    sections.len()
-                );
-            }
+        let updates = sample_updates(&p, 2, 0);
+        let mut sections = vec![(PartitionId(1), with_seqs(1, updates.clone()))];
+        let sound = encode_multi_batch(&sections, 0);
+        assert!(decode_sealed_batches(&sound, |i| Some(p.new_clock(i))).is_ok());
+        sections[0].1[1].0 = 0;
+        let unsequenced = encode_multi_batch(&sections, 0);
+        let err = decode_sealed_batches(&unsequenced, |i| Some(p.new_clock(i))).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("link sequence 0"), "{err}");
+        // The retired v2 single-partition batch (tag 2: partition, count,
+        // bare updates) is no longer a peer frame at all.
+        let mut v2 = vec![2u8];
+        write_varint(&mut v2, 1); // partition
+        write_varint(&mut v2, updates.len() as u64);
+        for u in &updates {
+            u.encode_wire(&mut v2);
+            write_varint(&mut v2, 0); // pad
         }
-    }
-
-    #[test]
-    fn in_place_client_and_ack_encoders_match_their_owned_forms() {
-        // The owned encoders delegate to the _into forms, so equality is
-        // structural — this pins the delegation (and the append-after-
-        // existing-content property) against regressions.
-        let mut out = vec![0xAB];
-        encode_hello_ack_into(12345, &mut out);
-        assert_eq!(&out[1..], &encode_hello_ack(12345)[..]);
-        let mut out = vec![0xAB];
-        encode_peer_ack_into(98765, &mut out);
-        assert_eq!(&out[1..], &encode_peer_ack(98765)[..]);
-        let req = ClientRequest::Write {
-            partition: PartitionId(3),
-            register: RegisterId(7),
-            value: 99,
-            pad: 32,
-        };
-        let mut out = vec![0xAB];
-        encode_request_into(&req, &mut out);
-        assert_eq!(&out[1..], &encode_request(&req)[..]);
-        let resp = ClientResponse::ReadResp {
-            ok: true,
-            value: Some(17),
-        };
-        let mut out = vec![0xAB];
-        encode_response_into(&resp, &mut out);
-        assert_eq!(&out[1..], &encode_response(&resp)[..]);
+        for decoded in [
+            decode_sealed_batches(&v2, |i| Some(p.new_clock(i))).map(|(s, _)| s),
+            decode_multi_batch(&v2, |i| Some(p.new_clock(i))),
+        ] {
+            assert_eq!(decoded.unwrap_err().kind(), io::ErrorKind::InvalidData);
+        }
     }
 
     #[test]
     fn hello_ack_and_peer_ack_round_trip() {
+        let hello_ack = |seq| encoded(|out| encode_hello_ack_into(seq, out));
+        let peer_ack = |seq| encoded(|out| encode_peer_ack_into(seq, out));
         for seq in [0u64, 1, 63, 64, 300, u64::MAX / 3] {
-            assert_eq!(decode_hello_ack(&encode_hello_ack(seq)).unwrap(), seq);
-            assert_eq!(decode_peer_ack(&encode_peer_ack(seq)).unwrap(), seq);
+            assert_eq!(decode_hello_ack(&hello_ack(seq)).unwrap(), seq);
+            assert_eq!(decode_peer_ack(&peer_ack(seq)).unwrap(), seq);
         }
         // Tags are not interchangeable, and truncations error.
-        assert!(decode_hello_ack(&encode_peer_ack(5)).is_err());
-        assert!(decode_peer_ack(&encode_hello_ack(5)).is_err());
-        let payload = encode_hello_ack(1 << 40);
+        assert!(decode_hello_ack(&peer_ack(5)).is_err());
+        assert!(decode_peer_ack(&hello_ack(5)).is_err());
+        let payload = hello_ack(1 << 40);
         for cut in 0..payload.len() {
             assert!(decode_hello_ack(&payload[..cut]).is_err(), "cut at {cut}");
         }

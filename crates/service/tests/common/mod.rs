@@ -11,7 +11,9 @@
 use prcc_chaos::{ChaosConfig, ChaosNemesis, ChaosSchedule};
 use prcc_clock::EdgeProtocol;
 use prcc_graph::{topologies, PartitionMap};
-use prcc_service::wire::{decode_peer_hello, encode_hello_ack, read_frame, write_frame, PeerHello};
+use prcc_service::wire::{
+    decode_peer_hello, encode_hello_ack_into, read_frame, write_frame, PeerHello,
+};
 use prcc_service::{LoopbackCluster, ServiceClient, ServiceConfig};
 use prcc_workloads::ops::{generate_keyed_ops, route_keyed_ops};
 use rand::SeedableRng;
@@ -245,10 +247,17 @@ pub fn read_hello(conn: &mut TcpStream) -> PeerHello {
     decode_peer_hello(&frame).expect("well-formed hello")
 }
 
+/// Answers a hello with the given acknowledged resume offset.
+pub fn write_hello_ack(conn: &mut TcpStream, acked: u64) {
+    let mut payload = Vec::new();
+    encode_hello_ack_into(acked, &mut payload);
+    write_frame(conn, &payload).expect("write hello ack");
+}
+
 /// Completes the acceptor side of the versioned handshake: read the
 /// hello, answer with the given acknowledged resume offset.
 pub fn accept_handshake(conn: &mut TcpStream, acked: u64) -> PeerHello {
     let hello = read_hello(conn);
-    write_frame(conn, &encode_hello_ack(acked)).expect("write hello ack");
+    write_hello_ack(conn, acked);
     hello
 }

@@ -8,8 +8,9 @@
 //! * the stitched (checkpoint + live suffix) oracle verdict is consistent,
 //!   and matches the verdict of the identical seeded workload run without
 //!   compaction;
-//! * snapshots stay O(live state): the last snapshot of a long run is no
-//!   larger than ~2x the first, while the WAL keeps truncating;
+//! * snapshots stay O(live state): the steady part of a long run's final
+//!   snapshot is no larger than 2x its first, its unacknowledged residue
+//!   is a small fraction of the history, and the WAL keeps truncating;
 //! * crash/restart reproduces the compacted state exactly — checkpoint
 //!   summaries included — because seals travel through the same
 //!   append-before-apply WAL path as every other state mutation.
@@ -17,6 +18,8 @@
 mod common;
 
 use common::{drain_and_verify, drive, launch_ring as launch, scratch_dir, DRAIN};
+use prcc_clock::{EdgeProtocol, Protocol};
+use prcc_graph::topologies;
 use prcc_service::ServiceConfig;
 use std::time::Duration;
 
@@ -75,8 +78,18 @@ fn compacted_cluster_verifies_like_a_full_history_one() {
     compacted.shutdown().expect("shutdown");
 }
 
-/// Long-running durable cluster: snapshots stay flat (last ≤ ~2x first)
-/// while the WAL keeps truncating, and the run still verifies.
+/// Long-running durable cluster: snapshots stay flat while the WAL keeps
+/// truncating, and the run still verifies.
+///
+/// A snapshot is a steady part (stores, clocks, checkpoint summaries,
+/// counters) plus a residue that follows *ack timing*, not history: the
+/// resend windows and the live trace tails behind their unacknowledged
+/// issues. Mid-run snapshot sizes therefore wobble with load, so the
+/// flatness bound is stated over the quiescent final snapshot with the
+/// two parts taken apart: the steady part must stay within 2x of the
+/// node's first snapshot, and the residue must stay a small fraction of
+/// the history — O(ops) growth in either (the regression this guards
+/// against) breaks its bound by an order of magnitude.
 #[test]
 fn snapshots_stay_flat_while_the_wal_truncates() {
     let dir = scratch_dir("flat");
@@ -89,10 +102,16 @@ fn snapshots_stay_flat_while_the_wal_truncates() {
         ack_every: 2,
         ..ServiceConfig::default()
     };
+    let ops = 4000usize;
     let cluster = launch(4, 4, &cfg);
-    drive(&cluster, 4000, 17);
+    drive(&cluster, ops, 17);
     drain_and_verify(&cluster, "long durable run");
-    for status in cluster.statuses().expect("statuses") {
+    let statuses = cluster.statuses().expect("statuses");
+    let roles = cluster.map().graph().num_replicas();
+    cluster.shutdown().expect("shutdown");
+
+    let protocol = EdgeProtocol::new(topologies::ring(4));
+    for status in statuses {
         assert!(
             status.snapshots_written >= 2,
             "node {} wrote only {} snapshots",
@@ -100,18 +119,6 @@ fn snapshots_stay_flat_while_the_wal_truncates() {
             status.snapshots_written
         );
         assert!(status.first_snapshot_bytes > 0);
-        // 2x relative plus a small absolute allowance: snapshots embed the
-        // unacked windows, whose size wobbles by a few hundred bytes with
-        // ack timing under load — O(ops) growth (the regression this
-        // guards against) would be tens of kilobytes here.
-        let bound = (2 * status.first_snapshot_bytes).max(status.first_snapshot_bytes + 2048);
-        assert!(
-            status.snapshot_bytes <= bound,
-            "node {}: snapshots grew from {} to {} bytes — no longer O(live state)",
-            status.node,
-            status.first_snapshot_bytes,
-            status.snapshot_bytes
-        );
         // The WAL keeps truncating: whatever is left is less than one full
         // snapshot interval of records (it was reset at the last snapshot).
         assert!(status.wal_appends > 0);
@@ -120,8 +127,43 @@ fn snapshots_stay_flat_while_the_wal_truncates() {
             "node {} never sealed",
             status.node
         );
+
+        // The graceful shutdown left a snapshot taken at quiescence.
+        let path = dir
+            .join(format!("node-{}", status.node))
+            .join("snapshot.bin");
+        let (version, payload) = prcc_storage::read_snapshot(&path)
+            .expect("readable snapshot")
+            .expect("final snapshot present");
+        let mut snap = prcc_storage::decode_snapshot(version, &payload, roles, |k| {
+            (k.index() < roles).then(|| protocol.new_clock(k))
+        })
+        .expect("decodable snapshot");
+        let mut residue = 0usize;
+        for part in snap.partitions.iter_mut().flatten() {
+            assert!(part.state.pending.is_empty(), "quiescent: nothing parked");
+            residue += std::mem::take(&mut part.log).len();
+        }
+        for peer in &mut snap.peers {
+            residue += std::mem::take(&mut peer.window).len();
+        }
+        // Only the last in-flight frames per link can still be unacked at
+        // quiescence; the history holds thousands of events per node.
+        assert!(
+            residue * 8 <= ops,
+            "node {}: {residue} unacknowledged window/trace entries survive a \
+             {ops}-op run — the residue follows history, not ack lag",
+            status.node
+        );
+        let steady = prcc_storage::encode_snapshot(&snap).len() as u64;
+        assert!(
+            steady <= 2 * status.first_snapshot_bytes,
+            "node {}: the steady snapshot grew from at most {} to {steady} bytes — \
+             no longer O(live state)",
+            status.node,
+            status.first_snapshot_bytes
+        );
     }
-    cluster.shutdown().expect("shutdown");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

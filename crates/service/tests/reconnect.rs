@@ -14,11 +14,11 @@
 
 mod common;
 
-use common::{accept_handshake, read_hello};
+use common::{accept_handshake, read_hello, write_hello_ack};
 use prcc_clock::{EdgeProtocol, Protocol};
 use prcc_graph::{topologies, PartitionMap, RegisterId};
 use prcc_service::node::{spawn_node, NodeSeed, ServiceConfig};
-use prcc_service::wire::{decode_peer_batches, encode_hello_ack, read_frame, write_frame};
+use prcc_service::wire::{decode_multi_batch, read_frame};
 use prcc_service::ServiceClient;
 use std::collections::BTreeSet;
 use std::net::TcpListener;
@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 
 /// `(seq, value)` pairs of every update in one decoded flush frame.
 fn frame_updates(payload: &[u8], protocol: &EdgeProtocol) -> Vec<(u64, u64)> {
-    decode_peer_batches(payload, |i| Some(protocol.new_clock(i)))
+    decode_multi_batch(payload, |i| Some(protocol.new_clock(i)))
         .expect("well-formed flush frame")
         .into_iter()
         .flat_map(|(_, updates)| updates.into_iter().map(|(seq, u)| (seq, u.value)))
@@ -116,7 +116,7 @@ fn sender_reconnects_and_resumes_after_acked_offset() {
     thread::spawn(move || {
         let (mut conn, _) = fake_peer.accept().expect("reconnect accept");
         let hello = read_hello(&mut conn);
-        write_frame(&mut conn, &encode_hello_ack(1)).expect("write hello ack");
+        write_hello_ack(&mut conn, 1);
         let payload = read_frame(&mut conn)
             .expect("frame io")
             .expect("post-reconnect update frame");
@@ -178,7 +178,7 @@ fn mid_frame_cut_never_decodes_partially_and_the_window_resends() {
         .expect("update frame");
     for cut in 0..payload.len() {
         assert!(
-            decode_peer_batches(&payload[..cut], |i| Some(rig.protocol.new_clock(i))).is_err(),
+            decode_multi_batch(&payload[..cut], |i| Some(rig.protocol.new_clock(i))).is_err(),
             "a {cut}-byte prefix of a {}-byte frame decoded",
             payload.len()
         );

@@ -1,16 +1,18 @@
 //! Property tests: the wire protocol round-trips clocks, updates, topology
-//! and sharding configurations over random share graphs, and preserves
-//! partition tags on every frame.
+//! and sharding configurations over random share graphs, preserves
+//! partition tags on every frame, and the in-place flush encoder stays
+//! byte-identical to the copy-assemble reference kept here.
 
 use prcc_checker::UpdateId;
+use prcc_clock::encoding::write_varint;
 use prcc_clock::{CompressedProtocol, EdgeProtocol, Protocol, VectorProtocol, WireClock};
 use prcc_core::Update;
 use prcc_graph::{topologies, PartitionId, PartitionMap, RegisterId, ReplicaId, ShareGraph};
 use prcc_net::VirtualTime;
 use prcc_service::wire::{
-    decode_batch, decode_multi_batch, decode_partition_map, decode_peer_batches, decode_peer_hello,
-    decode_share_graph, encode_batch, encode_multi_batch, encode_partition_map, encode_peer_hello,
-    encode_share_graph, PeerHello,
+    decode_multi_batch, decode_partition_map, decode_peer_hello, decode_share_graph,
+    encode_multi_batch_into, encode_partition_map, encode_peer_hello, encode_share_graph,
+    FlushSections, PeerHello,
 };
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -70,6 +72,63 @@ fn build_updates<P: Protocol>(p: &P, g: &ShareGraph, seed: u64) -> Vec<Update<P:
     updates
 }
 
+/// The *reference implementation* of the multi-partition flush frame: a
+/// tag byte (3), the count of non-empty sections, then per section the
+/// partition, the update count, and per update `link seq | issue stamp |
+/// Update::encode_wire | pad length | pad zeros`. Assembled the obvious,
+/// copying way; the hot path encodes with [`encode_multi_batch_into`]
+/// straight into a leased frame buffer, and `in_place_multi_batch_is_byte_
+/// identical_to_the_reference_encoder` holds the two byte-for-byte equal —
+/// the guarantee that peers and existing WAL/snapshot files interoperate
+/// with the in-place encoder unchanged.
+fn encode_multi_batch<C: WireClock>(sections: &FlushSections<C>, pad: usize) -> Vec<u8> {
+    let mut out = vec![3u8];
+    let live: Vec<_> = sections.iter().filter(|(_, u)| !u.is_empty()).collect();
+    write_varint(&mut out, live.len() as u64);
+    for (partition, updates) in live {
+        write_varint(&mut out, u64::from(partition.0));
+        write_varint(&mut out, updates.len() as u64);
+        for (seq, u) in updates {
+            write_varint(&mut out, *seq);
+            write_varint(&mut out, u.issued_at.0);
+            let mut body = Vec::new();
+            u.encode_wire(&mut body);
+            out.extend_from_slice(&body);
+            write_varint(&mut out, pad as u64);
+            out.extend(std::iter::repeat_n(0u8, pad));
+        }
+    }
+    out
+}
+
+/// Random sections over `parts`: one run of updates per entry, sequenced
+/// from `seq_base`, every other update carrying an issue stamp.
+fn build_sections<P: Protocol>(
+    p: &P,
+    g: &ShareGraph,
+    parts: &[u32],
+    seed: u64,
+    seq_base: u64,
+) -> FlushSections<P::Clock> {
+    parts
+        .iter()
+        .enumerate()
+        .map(|(i, &part)| {
+            let updates = build_updates(p, g, seed ^ (i as u64) << 16)
+                .into_iter()
+                .enumerate()
+                .map(|(k, mut u)| {
+                    if k % 2 == 0 {
+                        u.issued_at = VirtualTime(1_700_000_000_000_000 + seed + k as u64);
+                    }
+                    (seq_base + ((i as u64) << 20) + k as u64, u)
+                })
+                .collect();
+            (PartitionId(part), updates)
+        })
+        .collect()
+}
+
 fn batch_round_trip<P: Protocol>(
     p: &P,
     g: &ShareGraph,
@@ -79,18 +138,23 @@ fn batch_round_trip<P: Protocol>(
 ) where
     P::Clock: WireClock,
 {
-    let updates = build_updates(p, g, seed);
-    let payload = encode_batch(partition, &updates, pad);
-    let (tag, decoded) = decode_batch(&payload, |i| {
+    let sections = build_sections(p, g, &[partition.0], seed, 1);
+    let payload = encode_multi_batch(&sections, pad);
+    let decoded = decode_multi_batch(&payload, |i| {
         (i.index() < g.num_replicas()).then(|| p.new_clock(i))
     })
     .expect("well-formed batch");
-    assert_eq!(tag, partition, "partition tag must survive the wire");
-    assert_eq!(decoded.len(), updates.len());
-    for (a, b) in decoded.iter().zip(&updates) {
+    assert_eq!(decoded.len(), 1);
+    assert_eq!(
+        decoded[0].0, partition,
+        "partition tag must survive the wire"
+    );
+    assert_eq!(decoded[0].1.len(), sections[0].1.len());
+    for ((aseq, a), (bseq, b)) in decoded[0].1.iter().zip(&sections[0].1) {
+        assert_eq!(aseq, bseq);
         assert_eq!(
-            (a.id, a.issuer, a.register, a.value),
-            (b.id, b.issuer, b.register, b.value)
+            (a.id, a.issuer, a.register, a.value, a.issued_at),
+            (b.id, b.issuer, b.register, b.value, b.issued_at)
         );
         assert_eq!(a.clock, b.clock);
     }
@@ -132,8 +196,8 @@ proptest! {
         }
     }
 
-    /// Update batches round-trip for all three clock representations and
-    /// any partition tag, with and without value padding.
+    /// Single-section flushes round-trip for all three clock representations
+    /// and any partition tag, with and without value padding.
     #[test]
     fn batches_round_trip_all_protocols(
         g in arb_share_graph(),
@@ -147,32 +211,30 @@ proptest! {
         batch_round_trip(&VectorProtocol::new(g.clone()), &g, partition, seed, pad);
     }
 
-    /// Truncating an encoded batch anywhere never yields a successful parse
-    /// of the full batch (framing keeps byte counts exact).
+    /// The in-place encoder appends exactly the bytes the copy-assemble
+    /// reference produces, after whatever the buffer already holds — on
+    /// arbitrary sections: empty, skipped-empty, unsorted and repeated
+    /// partitions, mixed sampled/unsampled stamps, varied pads.
     #[test]
-    fn truncated_batches_rejected(g in arb_share_graph(), seed in 0u64..100) {
+    fn in_place_multi_batch_is_byte_identical_to_the_reference_encoder(
+        g in arb_share_graph(),
+        parts in proptest::collection::vec((0u32..1000, any::<bool>()), 0..6),
+        seed in 0u64..500,
+        pad in 0usize..1100,
+        seq_base in 1u64..1 << 50,
+    ) {
         let p = EdgeProtocol::new(g.clone());
-        let mut updates = Vec::new();
-        for k in g.replicas().take(2) {
-            let regs: Vec<RegisterId> = g.registers_of(k).iter().collect();
-            prop_assume!(!regs.is_empty());
-            updates.push(Update {
-                id: UpdateId((k.index() as u64) << 40),
-                issuer: k,
-                register: regs[0],
-                value: seed,
-                clock: churn_clock(&p, k, 3, seed),
-                issued_at: VirtualTime::ZERO,
-                received_at: VirtualTime::ZERO,
-            });
+        let tags: Vec<u32> = parts.iter().map(|&(part, _)| part).collect();
+        let mut sections = build_sections(&p, &g, &tags, seed, seq_base);
+        for (section, &(_, live)) in sections.iter_mut().zip(&parts) {
+            if !live {
+                section.1.clear();
+            }
         }
-        let payload = encode_batch(PartitionId(3), &updates, 8);
-        for cut in 1..payload.len() {
-            prop_assert!(
-                decode_batch::<_, _>(&payload[..cut], |i| Some(p.new_clock(i))).is_err(),
-                "truncation at {} parsed", cut
-            );
-        }
+        let reference = encode_multi_batch(&sections, pad);
+        let mut in_place = b"preexisting".to_vec();
+        encode_multi_batch_into(&sections, pad, &mut in_place);
+        prop_assert_eq!(&in_place[b"preexisting".len()..], &reference[..]);
     }
 
     /// A whole flush — sections for several partitions — survives the wire
@@ -185,21 +247,10 @@ proptest! {
         parts in proptest::collection::vec(0u32..1000, 1..6),
         seed in 0u64..500,
         pad in 0usize..64,
-        seq_base in 0u64..1 << 50,
+        seq_base in 1u64..1 << 50,
     ) {
         let p = EdgeProtocol::new(g.clone());
-        let sections: Vec<(PartitionId, Vec<(u64, Update<_>)>)> = parts
-            .iter()
-            .enumerate()
-            .map(|(i, &part)| {
-                let updates = build_updates(&p, &g, seed ^ (i as u64) << 16)
-                    .into_iter()
-                    .enumerate()
-                    .map(|(k, u)| (seq_base + ((i as u64) << 20) + k as u64, u))
-                    .collect();
-                (PartitionId(part), updates)
-            })
-            .collect();
+        let sections = build_sections(&p, &g, &parts, seed, seq_base);
         prop_assume!(sections.iter().all(|(_, u)| !u.is_empty()));
         let payload = encode_multi_batch(&sections, pad);
         let back = decode_multi_batch(&payload, |i| {
@@ -218,11 +269,6 @@ proptest! {
                 prop_assert_eq!(&a.clock, &b.clock);
             }
         }
-        // The reader-side dispatcher accepts both framings.
-        let dispatched = decode_peer_batches(&payload, |i| {
-            (i.index() < g.num_replicas()).then(|| p.new_clock(i))
-        }).expect("dispatch");
-        prop_assert_eq!(dispatched.len(), sections.len());
     }
 
     /// Empty sections never reach the wire: the encoder drops them, and a

@@ -45,7 +45,6 @@ pub use record::{
 pub use snapshot::{
     decode_snapshot, decode_trace_checkpoint, encode_snapshot, encode_trace_checkpoint,
     read_snapshot, write_snapshot, NodeSnapshot, PartitionSnapshot, PeerSnapshot, SNAPSHOT_MAGIC,
-    SNAPSHOT_MAGIC_V1,
 };
 pub use wal::{
     scan_wal, scan_wal_spans, Wal, WalRecovery, WalScan, WalScanSpans, MAX_WAL_RECORD, WAL_MAGIC,

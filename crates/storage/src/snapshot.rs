@@ -22,10 +22,9 @@
 //! * trace logs are a [`TraceCheckpoint`] summary of the sealed
 //!   (verified-and-discarded) prefix plus only the live suffix.
 //!
-//! v1 snapshots remain **readable** (the legacy path converts them:
-//! dedup sets are dropped in favor of the recorded receive high-waters,
-//! full logs become the live suffix of an empty checkpoint), so a node can
-//! restart across the format change; writes always emit v2.
+//! No v1 file exists outside this repository's early history, so the v1
+//! reader is gone: any magic other than `PRCCSNP2` — v1 included — is
+//! refused with `InvalidData`.
 //!
 //! The encoding is **deterministic**: every collection is serialized in
 //! its stored order, so two nodes that processed the same inputs produce
@@ -38,7 +37,7 @@
 
 use crate::crc32::crc32;
 use prcc_checker::trace::TraceEvent;
-use prcc_checker::{TraceCheckpoint, UpdateId};
+use prcc_checker::TraceCheckpoint;
 use prcc_clock::encoding::{read_varint_at as get_varint, write_varint};
 use prcc_clock::WireClock;
 use prcc_core::{ReplicaState, Update};
@@ -49,10 +48,6 @@ use std::path::Path;
 
 /// The 8-byte magic opening every v2 snapshot file.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"PRCCSNP2";
-
-/// The v1 magic, still accepted by [`read_snapshot`] for the legacy
-/// decode path.
-pub const SNAPSHOT_MAGIC_V1: &[u8; 8] = b"PRCCSNP1";
 
 /// One hosted partition's durable state.
 #[derive(Debug, Clone, PartialEq)]
@@ -360,17 +355,10 @@ where
     Ok(window)
 }
 
-/// Decodes a snapshot payload of the given `version` (1 or 2, from
-/// [`read_snapshot`]). `make_clock` maps a replica role to a template
-/// clock; `roles` is the share graph's replica count (sizes the empty
-/// checkpoints synthesized for legacy v1 payloads).
-///
-/// A v1 payload is converted on the fly: its historical dedup sets are
-/// dropped (the recorded receive high-waters carry the exact same
-/// duplicate-suppression information at the link level), its full trace
-/// logs become the live suffix over an empty checkpoint, and its
-/// acknowledged offsets are recovered from the window fronts (everything
-/// before a window was acknowledged, or it would still be parked there).
+/// Decodes a snapshot payload of the given codec `version` (as returned by
+/// [`read_snapshot`]; only 2 exists). `make_clock` maps a replica role to a
+/// template clock; `roles` is the share graph's replica count, bounding the
+/// roles a hosted partition may claim.
 ///
 /// # Errors
 ///
@@ -386,7 +374,7 @@ where
     C: WireClock,
     F: FnMut(ReplicaId) -> Option<C>,
 {
-    if version != 1 && version != 2 {
+    if version != 2 {
         return Err(bad(&format!("unknown codec version {version}")));
     }
     let mut at = 0;
@@ -396,11 +384,7 @@ where
     let sent = get_varint(payload, &mut at)?;
     let received = get_varint(payload, &mut at)?;
     let dropped_misrouted = get_varint(payload, &mut at)?;
-    let mut duplicates_dropped = if version >= 2 {
-        get_varint(payload, &mut at)?
-    } else {
-        0
-    };
+    let duplicates_dropped = get_varint(payload, &mut at)?;
     let parts = get_varint(payload, &mut at)? as usize;
     if parts > 1 << 20 {
         return Err(bad("absurd partition count"));
@@ -414,6 +398,9 @@ where
             continue;
         }
         let role = ReplicaId(get_varint(payload, &mut at)? as usize);
+        if role.index() >= roles {
+            return Err(bad("role out of range"));
+        }
         let part_issued = get_varint(payload, &mut at)?;
         let store = decode_store(payload, &mut at)?;
         let mut clock = make_clock(role).ok_or_else(|| bad("role out of range"))?;
@@ -424,22 +411,7 @@ where
         let applies = get_varint(payload, &mut at)?;
         let buffered_applies = get_varint(payload, &mut at)?;
         let max_pending = get_varint(payload, &mut at)? as usize;
-        let checkpoint = if version >= 2 {
-            decode_trace_checkpoint(payload, &mut at)?
-        } else {
-            // v1: historical dedup set — parse and discard (the link
-            // watermarks supersede it), then synthesize an empty
-            // checkpoint (the full log below becomes the live suffix).
-            duplicates_dropped += get_varint(payload, &mut at)?;
-            let seen_len = get_varint(payload, &mut at)? as usize;
-            if seen_len > 1 << 28 {
-                return Err(bad("absurd dedup set size"));
-            }
-            for _ in 0..seen_len {
-                let _ = UpdateId(get_varint(payload, &mut at)?);
-            }
-            TraceCheckpoint::new(roles, store.len())
-        };
+        let checkpoint = decode_trace_checkpoint(payload, &mut at)?;
         let log = decode_log(payload, &mut at)?;
         partitions.push(Some(PartitionSnapshot {
             state: ReplicaState {
@@ -463,34 +435,17 @@ where
     let mut peers = Vec::with_capacity(peer_count.min(1 << 10));
     for _ in 0..peer_count {
         let next_seq = get_varint(payload, &mut at)?;
-        let (acked_high, recv_high, recv_residue) = if version >= 2 {
-            let acked_high = get_varint(payload, &mut at)?;
-            let recv_high = get_varint(payload, &mut at)?;
-            let residue_len = get_varint(payload, &mut at)? as usize;
-            if residue_len > 1 << 24 {
-                return Err(bad("absurd residue size"));
-            }
-            let mut residue = Vec::with_capacity(residue_len.min(1 << 16));
-            for _ in 0..residue_len {
-                residue.push(get_varint(payload, &mut at)?);
-            }
-            (acked_high, recv_high, residue)
-        } else {
-            (0, get_varint(payload, &mut at)?, Vec::new())
-        };
+        let acked_high = get_varint(payload, &mut at)?;
+        let recv_high = get_varint(payload, &mut at)?;
+        let residue_len = get_varint(payload, &mut at)? as usize;
+        if residue_len > 1 << 24 {
+            return Err(bad("absurd residue size"));
+        }
+        let mut recv_residue = Vec::with_capacity(residue_len.min(1 << 16));
+        for _ in 0..residue_len {
+            recv_residue.push(get_varint(payload, &mut at)?);
+        }
         let window = decode_window(payload, &mut at, &mut make_clock)?;
-        let acked_high = if version >= 2 {
-            acked_high
-        } else {
-            // v1 recorded no acknowledged offset, but the window implies
-            // it: every sequence before the window's front was pruned by
-            // an acknowledgement.
-            window
-                .first()
-                .map_or(next_seq.saturating_sub(1), |(seq, _, _)| {
-                    seq.saturating_sub(1)
-                })
-        };
         peers.push(PeerSnapshot {
             next_seq,
             acked_high,
@@ -549,8 +504,8 @@ pub fn write_snapshot(path: &Path, payload: &[u8], sync: bool) -> io::Result<()>
 }
 
 /// Reads snapshot payload bytes from `path`, returning the codec version
-/// (1 for legacy `PRCCSNP1` files, 2 for current ones) alongside them;
-/// `Ok(None)` when no snapshot exists yet.
+/// the file's magic names (2) alongside them; `Ok(None)` when no snapshot
+/// exists yet.
 ///
 /// # Errors
 ///
@@ -566,13 +521,9 @@ pub fn read_snapshot(path: &Path) -> io::Result<Option<(u32, Vec<u8>)>> {
     if bytes.len() < 12 {
         return Err(bad("file too short for a prcc snapshot"));
     }
-    let version = if &bytes[..8] == SNAPSHOT_MAGIC {
-        2
-    } else if &bytes[..8] == SNAPSHOT_MAGIC_V1 {
-        1
-    } else {
-        return Err(bad("bad file magic (not a prcc snapshot)"));
-    };
+    if &bytes[..8] != SNAPSHOT_MAGIC {
+        return Err(bad("bad file magic (not a v2 prcc snapshot)"));
+    }
     // lint: allow(unwrap) infallible: a 4-byte slice into a 4-byte array
     let stored = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
     let payload = &bytes[12..];
@@ -582,139 +533,28 @@ pub fn read_snapshot(path: &Path) -> io::Result<Option<(u32, Vec<u8>)>> {
             "checksum mismatch (stored {stored:#010x}, computed {actual:#010x})"
         )));
     }
-    Ok(Some((version, payload.to_vec())))
+    Ok(Some((2, payload.to_vec())))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prcc_clock::{EdgeProtocol, Protocol};
-    use prcc_graph::topologies;
-    use prcc_net::VirtualTime;
-
-    /// Hand-encodes a v1 payload (the retired codec) so the legacy read
-    /// path stays covered even though nothing writes v1 anymore.
-    fn encode_v1_payload(g: &prcc_graph::ShareGraph, p: &EdgeProtocol) -> Vec<u8> {
-        let role = ReplicaId(0);
-        let mut clock = p.new_clock(role);
-        p.advance(role, &mut clock, RegisterId(0));
-        let pending = Update {
-            id: UpdateId((1u64 << 40) | 9),
-            issuer: ReplicaId(1),
-            register: RegisterId(0),
-            value: 77,
-            clock: p.new_clock(ReplicaId(1)),
-            issued_at: VirtualTime::ZERO,
-            received_at: VirtualTime::ZERO,
-        };
-        let window_update = Update {
-            id: UpdateId(3),
-            issuer: role,
-            register: RegisterId(0),
-            value: 5,
-            clock: clock.clone(),
-            issued_at: VirtualTime::ZERO,
-            received_at: VirtualTime::ZERO,
-        };
-        let mut out = Vec::new();
-        write_varint(&mut out, 12); // wal_high
-        write_varint(&mut out, 40); // seq
-        write_varint(&mut out, 7); // issued
-        write_varint(&mut out, 9); // sent
-        write_varint(&mut out, 8); // received
-        write_varint(&mut out, 0); // dropped_misrouted
-        write_varint(&mut out, 2); // partitions
-        out.push(0); // partition 0 unhosted
-        out.push(1); // partition 1 hosted
-        write_varint(&mut out, role.index() as u64);
-        write_varint(&mut out, 7); // part issued
-        write_varint(&mut out, g.num_registers() as u64);
-        for i in 0..g.num_registers() {
-            if i == 0 {
-                out.push(1);
-                write_varint(&mut out, 41);
-            } else {
-                out.push(0);
-            }
-        }
-        clock.encode_wire(&mut out);
-        write_varint(&mut out, 1); // pending len
-        pending.encode_wire(&mut out);
-        write_varint(&mut out, 4); // applies
-        write_varint(&mut out, 1); // buffered_applies
-        write_varint(&mut out, 3); // max_pending
-        write_varint(&mut out, 2); // dropped_duplicates (v1, per replica)
-        write_varint(&mut out, 3); // seen len (v1 dedup set)
-        for id in [3u64, 5, (1 << 40) | 9] {
-            write_varint(&mut out, id);
-        }
-        write_varint(&mut out, 2); // log len
-        out.push(0); // Issue
-        write_varint(&mut out, role.index() as u64);
-        write_varint(&mut out, 0);
-        write_varint(&mut out, 3);
-        out.push(1); // Apply
-        write_varint(&mut out, role.index() as u64);
-        write_varint(&mut out, (1 << 40) | 7);
-        write_varint(&mut out, 2); // peers
-        write_varint(&mut out, 9); // peer 0 next_seq
-        write_varint(&mut out, 4); // recv_high
-        write_varint(&mut out, 1); // window len
-        write_varint(&mut out, 6); // entry seq (so acked_high converts to 5)
-        write_varint(&mut out, 1); // entry partition
-        window_update.encode_wire(&mut out);
-        write_varint(&mut out, 1); // peer 1 next_seq
-        write_varint(&mut out, 0); // recv_high
-        write_varint(&mut out, 0); // window len
-        out
-    }
 
     #[test]
-    fn legacy_v1_payloads_convert_to_bounded_state() {
-        let g = topologies::line(2);
-        let p = EdgeProtocol::new(g.clone());
-        let payload = encode_v1_payload(&g, &p);
-        let snap = decode_snapshot::<prcc_clock::EdgeClock, _>(1, &payload, 2, |k| {
-            (k.index() < 2).then(|| p.new_clock(k))
-        })
-        .expect("legacy decode");
-        assert_eq!(snap.wal_high, 12);
-        // The v1 per-replica duplicate counter folds into the node total.
-        assert_eq!(snap.duplicates_dropped, 2);
-        let part = snap.partitions[1].as_ref().expect("hosted");
-        // The historical dedup set is gone; the full log became the live
-        // suffix over an empty checkpoint.
-        assert!(part.checkpoint.is_empty());
-        assert_eq!(part.log.len(), 2);
-        assert_eq!(part.state.pending.len(), 1);
-        // Acked offsets are recovered from the window fronts.
-        assert_eq!(snap.peers[0].acked_high, 5);
-        assert_eq!(snap.peers[0].recv_high, 4);
-        assert_eq!(snap.peers[1].acked_high, 0);
-        // Converted snapshots re-encode as v2 and round-trip.
-        let v2 = encode_snapshot(&snap);
-        let back = decode_snapshot::<prcc_clock::EdgeClock, _>(2, &v2, 2, |k| {
-            (k.index() < 2).then(|| p.new_clock(k))
-        })
-        .expect("v2 decode");
-        assert_eq!(back, snap);
-    }
-
-    #[test]
-    fn legacy_file_magic_is_recognized() {
-        let g = topologies::line(2);
-        let p = EdgeProtocol::new(g.clone());
-        let payload = encode_v1_payload(&g, &p);
-        let dir = std::env::temp_dir().join(format!("prcc-snap-v1-{}", std::process::id()));
+    fn foreign_magics_are_refused_v1_included() {
+        let dir = std::env::temp_dir().join(format!("prcc-snap-magic-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("snapshot.bin");
-        let mut bytes = SNAPSHOT_MAGIC_V1.to_vec();
-        bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        std::fs::write(&path, &bytes).expect("write v1 file");
-        let (version, read) = read_snapshot(&path).expect("read").expect("present");
-        assert_eq!(version, 1);
-        assert_eq!(read, payload);
-        std::fs::remove_file(&path).ok();
+        for magic in [b"PRCCSNP1", b"PRCCSNP3", b"NOTASNAP"] {
+            let payload = b"payload";
+            let mut bytes = magic.to_vec();
+            bytes.extend_from_slice(&crc32(payload).to_le_bytes());
+            bytes.extend_from_slice(payload);
+            std::fs::write(&path, &bytes).expect("write file");
+            let err = read_snapshot(&path).expect_err("foreign magic must refuse");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("magic"), "{err}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

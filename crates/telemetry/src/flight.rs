@@ -17,7 +17,7 @@ use std::collections::VecDeque;
 use std::io::{self, Write};
 use std::path::Path;
 
-/// One recorded event: a wall-clock micros timestamp, a static code, and
+/// One recorded event: a micros timestamp, a static code, and
 /// up to a handful of integer fields.
 #[derive(Debug, Clone)]
 pub struct FlightEvent {
@@ -47,8 +47,16 @@ impl FlightRecorder {
         }
     }
 
-    /// Records an event, evicting the oldest if the ring is full.
-    pub fn record(&mut self, what: &'static str, fields: &[(&'static str, u64)]) {
+    /// Records an event, evicting the oldest if the ring is full. The
+    /// timestamp comes from the caller's clock `at_us` (the recorder's
+    /// owner may be a sans-I/O state machine running on injected time),
+    /// read only when the recorder is enabled.
+    pub fn record(
+        &mut self,
+        at_us: impl FnOnce() -> u64,
+        what: &'static str,
+        fields: &[(&'static str, u64)],
+    ) {
         if self.cap == 0 {
             return;
         }
@@ -57,7 +65,7 @@ impl FlightRecorder {
             self.dropped += 1;
         }
         self.ring.push_back(FlightEvent {
-            at_us: crate::wall_us(),
+            at_us: at_us(),
             what,
             fields: fields.to_vec(),
         });
@@ -105,7 +113,7 @@ mod tests {
     fn ring_keeps_only_the_newest() {
         let mut fr = FlightRecorder::new(3);
         for i in 0..5u64 {
-            fr.record("tick", &[("i", i)]);
+            fr.record(crate::wall_us, "tick", &[("i", i)]);
         }
         let kept: Vec<u64> = fr.events().map(|e| e.fields[0].1).collect();
         assert_eq!(kept, vec![2, 3, 4]);
@@ -117,19 +125,19 @@ mod tests {
     #[test]
     fn zero_capacity_disables_recording() {
         let mut fr = FlightRecorder::new(0);
-        fr.record("tick", &[]);
+        fr.record(crate::wall_us, "tick", &[]);
         assert_eq!(fr.events().count(), 0);
     }
 
     #[test]
     fn dump_writes_the_rendered_text() {
         let mut fr = FlightRecorder::new(8);
-        fr.record("crash", &[("node", 2)]);
+        fr.record(|| 42, "crash", &[("node", 2)]);
         let path =
             std::env::temp_dir().join(format!("prcc-flight-test-{}.log", std::process::id()));
         fr.dump_to(&path).expect("dump");
         let text = std::fs::read_to_string(&path).expect("read back");
-        assert!(text.contains("crash node=2"));
+        assert!(text.contains("@42 crash node=2"));
         std::fs::remove_file(&path).ok();
     }
 }

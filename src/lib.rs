@@ -17,7 +17,6 @@
 //! * [`lowerbound`] — conflict graphs and timestamp-space lower bounds
 //!   (Section 4).
 //! * [`workloads`] — topology/workload generators and the metric runner.
-//! * [`runtime`] — a threaded in-process deployment.
 //! * [`service`] — the networked TCP deployment: partition-tagged wire
 //!   protocol, partition-routing nodes with update batching, single-node
 //!   and key-routed client libraries, and the `prcc-serve`/`prcc-load`
@@ -36,7 +35,6 @@ pub use prcc_core as core;
 pub use prcc_graph as graph;
 pub use prcc_lowerbound as lowerbound;
 pub use prcc_net as net;
-pub use prcc_runtime as runtime;
 pub use prcc_service as service;
 pub use prcc_telemetry as telemetry;
 pub use prcc_workloads as workloads;

@@ -1,13 +1,12 @@
 //! End-to-end integration: every protocol on every topology stays causally
-//! consistent under randomized asynchronous delivery, in both the
-//! discrete-event simulator and the threaded runtime.
+//! consistent under randomized asynchronous delivery in the discrete-event
+//! simulator.
 
 use prcc::baselines::{edge_sets, DummyProtocol};
 use prcc::clock::{CompressedProtocol, EdgeProtocol, VectorProtocol};
 use prcc::graph::{topologies, RegisterId, ReplicaId, ShareGraph};
 use prcc::net::UniformDelay;
 use prcc::workloads::{run_workload, WorkloadConfig};
-use std::sync::Arc;
 
 fn all_topologies() -> Vec<(&'static str, ShareGraph)> {
     use rand::SeedableRng;
@@ -109,36 +108,6 @@ fn metadata_ordering_ours_at_most_baselines() {
             assert!(h <= n, "{name} {i}: hoop {h} > all-edges {n}");
         }
     }
-}
-
-#[test]
-fn threaded_runtime_agrees_with_simulator() {
-    let g = topologies::figure5();
-    // Same ops in both worlds; both must be causally consistent.
-    let ops: Vec<(ReplicaId, RegisterId, u64)> = (0..60u64)
-        .map(|v| {
-            let i = ReplicaId((v % 4) as usize);
-            let regs: Vec<RegisterId> = g.registers_of(i).iter().collect();
-            (i, regs[(v as usize) % regs.len()], v)
-        })
-        .collect();
-    let report = prcc::runtime::run_threaded(
-        Arc::new(EdgeProtocol::new(g.clone())),
-        ops.clone(),
-        4,
-        200,
-        11,
-    );
-    assert!(report.verdict.is_consistent(), "{:?}", report.verdict);
-
-    let mut cluster =
-        prcc::core::Cluster::new(EdgeProtocol::new(g), Box::new(UniformDelay::new(11, 1, 40)));
-    for (i, x, v) in ops {
-        cluster.write(i, x, v).unwrap();
-        cluster.step();
-    }
-    cluster.run_to_quiescence();
-    assert!(cluster.verdict().is_consistent());
 }
 
 #[test]
