@@ -8,9 +8,11 @@
 //! reorder, duplication, silent drops, connection cuts at and inside
 //! frame boundaries, and rotating split-brain partitions — where every
 //! decision is drawn from a [`ChaosSchedule`] that is a pure function of
-//! `(seed, link, frame index)`. A failing run therefore replays exactly
-//! from its seed, and the realized decision log can be checked
-//! bit-for-bit against [`ChaosSchedule::replay_link`].
+//! `(seed, link, frame index)`. The function itself — fault stream plus
+//! partition windows — is `prcc_net::chaos::LinkSchedule`; this crate
+//! only logs its decisions and applies them to sockets. A failing run
+//! therefore replays exactly from its seed, and the realized decision log
+//! can be checked bit-for-bit against [`ChaosSchedule::replay_link`].
 //!
 //! Fault semantics lean on the service's own recovery machinery rather
 //! than faking reliability inside the proxy:
@@ -37,8 +39,8 @@
 #![warn(missing_docs)]
 
 use parking_lot::Mutex;
-use prcc_net::chaos::mix64;
-pub use prcc_net::chaos::{FaultOp, FaultProfile, LinkFaultStream};
+use prcc_net::chaos::LinkSchedule;
+pub use prcc_net::chaos::{FaultOp, FaultProfile, LinkDecision, LinkFaultStream};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -80,18 +82,19 @@ impl ChaosConfig {
             protect_tags: Vec::new(),
         }
     }
-}
 
-/// One realized (or replayed) decision on a directed link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LinkDecision {
-    /// Data-frame index on the link this decision applied to.
-    pub index: u64,
-    /// The fault applied. Partition swallows log as [`FaultOp::Drop`].
-    pub op: FaultOp,
-    /// True when the op was forced by an active partition window rather
-    /// than drawn from the link's fault stream.
-    pub partition: bool,
+    /// The pure decision stream of `src → dst` in an `n`-node topology.
+    fn link_schedule(&self, n: usize, src: usize, dst: usize) -> LinkSchedule {
+        LinkSchedule::new(
+            self.seed,
+            src,
+            dst,
+            self.profile,
+            n,
+            self.partition_every,
+            self.partition_len,
+        )
+    }
 }
 
 /// Aggregate counts over a schedule's realized decisions.
@@ -145,8 +148,7 @@ impl FaultCounts {
 }
 
 struct LinkState {
-    stream: LinkFaultStream,
-    frames: u64,
+    schedule: LinkSchedule,
     log: Vec<LinkDecision>,
 }
 
@@ -184,26 +186,10 @@ impl ChaosSchedule {
     pub fn decide(&self, src: usize, dst: usize) -> LinkDecision {
         let mut links = self.links.lock();
         let st = links.entry((src, dst)).or_insert_with(|| LinkState {
-            stream: LinkFaultStream::new(self.cfg.seed, src, dst, self.cfg.profile),
-            frames: 0,
+            schedule: self.cfg.link_schedule(self.n, src, dst),
             log: Vec::new(),
         });
-        let index = st.frames;
-        st.frames += 1;
-        let d = if partition_active(&self.cfg, self.n, src, dst, index) {
-            LinkDecision {
-                index,
-                op: FaultOp::Drop,
-                partition: true,
-            }
-        } else {
-            let (_, op) = st.stream.next_op();
-            LinkDecision {
-                index,
-                op,
-                partition: false,
-            }
-        };
+        let d = st.schedule.next().expect("a link schedule never ends");
         st.log.push(d);
         d
     }
@@ -249,44 +235,16 @@ impl ChaosSchedule {
         dst: usize,
         count: u64,
     ) -> Vec<LinkDecision> {
-        let mut stream = LinkFaultStream::new(cfg.seed, src, dst, cfg.profile);
-        (0..count)
-            .map(|index| {
-                if partition_active(cfg, n, src, dst, index) {
-                    LinkDecision {
-                        index,
-                        op: FaultOp::Drop,
-                        partition: true,
-                    }
-                } else {
-                    let (_, op) = stream.next_op();
-                    LinkDecision {
-                        index,
-                        op,
-                        partition: false,
-                    }
-                }
-            })
+        cfg.link_schedule(n, src, dst)
+            .take(count as usize)
             .collect()
     }
 
-    /// The node isolated by partition window `w` (all its links swallow
-    /// frames while the window is active on them).
+    /// The node isolated by partition window `window` (all its links
+    /// swallow frames while the window is active on them).
     pub fn isolated_node(cfg: &ChaosConfig, n: usize, window: u64) -> usize {
-        (mix64(cfg.seed ^ window.wrapping_mul(0x9e37_79b9_7f4a_7c15)) % n.max(1) as u64) as usize
+        prcc_net::chaos::isolated_node(cfg.seed, n, window)
     }
-}
-
-fn partition_active(cfg: &ChaosConfig, n: usize, src: usize, dst: usize, index: u64) -> bool {
-    if cfg.partition_every == 0 || cfg.partition_len == 0 {
-        return false;
-    }
-    let window = index / cfg.partition_every;
-    if index % cfg.partition_every >= cfg.partition_len {
-        return false;
-    }
-    let iso = ChaosSchedule::isolated_node(cfg, n, window);
-    iso == src || iso == dst
 }
 
 /// The running nemesis: one TCP proxy per directed peer link.
@@ -631,23 +589,28 @@ mod tests {
         cfg.partition_every = 100;
         cfg.partition_len = 25;
         let n = 4;
-        for window in 0..8u64 {
-            let iso = ChaosSchedule::isolated_node(&cfg, n, window);
-            assert!(iso < n);
-            for src in 0..n {
-                for dst in 0..n {
-                    if src == dst {
-                        continue;
-                    }
-                    let idx = window * 100 + 10; // inside the window
+        for src in 0..n {
+            for dst in (0..n).filter(|&dst| dst != src) {
+                let decisions = ChaosSchedule::replay_link(&cfg, n, src, dst, 800);
+                for window in 0..8u64 {
+                    let iso = ChaosSchedule::isolated_node(&cfg, n, window);
+                    assert!(iso < n);
                     let touches = src == iso || dst == iso;
+                    let inside = decisions[(window * 100 + 10) as usize];
                     assert_eq!(
-                        partition_active(&cfg, n, src, dst, idx),
-                        touches,
+                        (inside.partition, inside.op),
+                        (
+                            touches,
+                            if touches {
+                                FaultOp::Drop
+                            } else {
+                                FaultOp::Deliver
+                            }
+                        ),
                         "window {window} iso {iso} link {src}->{dst}"
                     );
-                    let idx = window * 100 + 25; // just past it
-                    assert!(!partition_active(&cfg, n, src, dst, idx));
+                    let just_past = decisions[(window * 100 + 25) as usize];
+                    assert!(!just_past.partition);
                 }
             }
         }

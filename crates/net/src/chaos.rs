@@ -1,14 +1,15 @@
-//! Seeded per-link fault streams — the reusable half of the chaos nemesis.
+//! Seeded per-link fault schedules — the pure half of the chaos nemesis.
 //!
 //! The simulator's [`DeliveryPolicy`] implementations randomize *delay*;
-//! a real nemesis also reorders, duplicates, drops, and severs. This
-//! module factors the *decision* out of both worlds: a
-//! [`LinkFaultStream`] is a pure function from `(seed, src, dst, index)`
-//! to a [`FaultOp`], so the TCP proxy in `prcc-chaos` and the simulator
-//! (via [`ChaosPolicy`]) draw from the identical schedule. Determinism is
-//! the contract: two streams built from the same arguments yield the
-//! same ops in the same order, which is what makes a failing chaos run
-//! replayable from nothing but its seed.
+//! a real nemesis also reorders, duplicates, drops, severs and
+//! partitions. This module is the whole *decision*: a [`LinkFaultStream`]
+//! is a pure function from `(seed, src, dst, index)` to a [`FaultOp`],
+//! and a [`LinkSchedule`] lays the rotating partition windows over it, so
+//! the TCP proxy in `prcc-chaos` (sockets only), its offline replay and
+//! the simulator (via [`ChaosPolicy`]) draw from the identical schedule.
+//! Determinism is the contract: two schedules built from the same
+//! arguments yield the same decisions in the same order, which is what
+//! makes a failing chaos run replayable from nothing but its seed.
 
 use crate::{DeliveryPolicy, NodeIndex, VirtualTime};
 use rand::Rng;
@@ -116,8 +117,7 @@ impl FaultProfile {
 /// 64-bit mix (splitmix64 finalizer) used to derive independent per-link
 /// seeds from one schedule seed. Identical links must not share a
 /// stream, or faults would correlate across the topology. Public because
-/// the nemesis derives partition rotations — and the service its backoff
-/// jitter — from the same mix.
+/// the service derives its backoff jitter from the same mix.
 pub fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -205,6 +205,105 @@ impl fmt::Debug for LinkFaultStream {
             .field("profile", &self.profile)
             .field("index", &self.index)
             .finish()
+    }
+}
+
+/// One decision of a link's schedule, realized by a proxy or replayed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LinkDecision {
+    /// Data-frame index on the link this decision applied to.
+    pub index: u64,
+    /// The fault applied. Partition swallows log as [`FaultOp::Drop`].
+    pub op: FaultOp,
+    /// True when the op was forced by an active partition window rather
+    /// than drawn from the link's fault stream.
+    pub partition: bool,
+}
+
+/// The node isolated by partition window `window` of an `n`-node
+/// topology under `seed`: all its links swallow frames while the window
+/// is active on them.
+pub fn isolated_node(seed: u64, n: usize, window: u64) -> usize {
+    (mix64(seed ^ window.wrapping_mul(0x9e37_79b9_7f4a_7c15)) % n.max(1) as u64) as usize
+}
+
+/// The complete schedule of one directed link, as an endless iterator of
+/// [`LinkDecision`]s. Out of every `partition_every` data frames the
+/// leading `partition_len` fall in a partition window (either at `0`
+/// disables windows); while a window is active on a link touching its
+/// [`isolated_node`] the decision is a forced `Drop` that consumes *no*
+/// draw, otherwise it is the next op of the link's [`LinkFaultStream`].
+/// This is the one statement of that rule: the TCP nemesis pulls its live
+/// decisions from it and replays recompute them from it, so a realized
+/// log is prefix-equal to a fresh `LinkSchedule` of the same arguments.
+#[derive(Debug)]
+pub struct LinkSchedule {
+    stream: LinkFaultStream,
+    seed: u64,
+    link: (NodeIndex, NodeIndex),
+    n: usize,
+    partition_every: u64,
+    partition_len: u64,
+    index: u64,
+}
+
+impl LinkSchedule {
+    /// Builds the schedule of `src → dst` in an `n`-node topology.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the profile's rates sum past 1000‰.
+    pub fn new(
+        seed: u64,
+        src: NodeIndex,
+        dst: NodeIndex,
+        profile: FaultProfile,
+        n: usize,
+        partition_every: u64,
+        partition_len: u64,
+    ) -> Self {
+        LinkSchedule {
+            stream: LinkFaultStream::new(seed, src, dst, profile),
+            seed,
+            link: (src, dst),
+            n,
+            partition_every,
+            partition_len,
+            index: 0,
+        }
+    }
+
+    fn partition_active(&self, index: u64) -> bool {
+        if self.partition_every == 0
+            || self.partition_len == 0
+            || index % self.partition_every >= self.partition_len
+        {
+            return false;
+        }
+        let iso = isolated_node(self.seed, self.n, index / self.partition_every);
+        iso == self.link.0 || iso == self.link.1
+    }
+}
+
+impl Iterator for LinkSchedule {
+    type Item = LinkDecision;
+
+    /// Draws the decision for the next data frame on the link; never
+    /// `None`.
+    fn next(&mut self) -> Option<LinkDecision> {
+        let index = self.index;
+        self.index += 1;
+        let partition = self.partition_active(index);
+        let op = if partition {
+            FaultOp::Drop
+        } else {
+            self.stream.next_op().1
+        };
+        Some(LinkDecision {
+            index,
+            op,
+            partition,
+        })
     }
 }
 

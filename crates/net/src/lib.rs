@@ -22,8 +22,9 @@
 //! * [`NetStats`] — message and byte accounting for metadata-overhead
 //!   experiments.
 //! * [`chaos`] — seeded per-link fault schedules ([`LinkFaultStream`],
-//!   [`FaultProfile`]) shared between the simulator (via [`ChaosPolicy`])
-//!   and the TCP nemesis proxy in `prcc-chaos`.
+//!   [`FaultProfile`], and [`chaos::LinkSchedule`] with its rotating
+//!   partition windows) shared between the simulator (via
+//!   [`ChaosPolicy`]) and the TCP nemesis proxy in `prcc-chaos`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -16,8 +16,32 @@ use std::process::exit;
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Flags that take a value.
+const VALUED: &[&str] = &[
+    "--nodes",
+    "--topology",
+    "--partitions",
+    "--seed",
+    "--base-port",
+    "--batch",
+    "--flush-us",
+    "--value-bytes",
+    "--data-dir",
+    "--snapshot-every",
+    "--fsync-every",
+    "--compact-at",
+    "--sample-every",
+    "--metrics-every",
+    "--duration",
+];
+/// Flags that take none.
+const SWITCHES: &[&str] = &["--help", "--fsync"];
+
 fn run() -> Result<(), String> {
     let args = Args::from_env();
+    // Refused up front: a misspelled or value-less durability flag would
+    // otherwise serve a volatile cluster and exit 0.
+    args.check(VALUED, SWITCHES)?;
     if args.has("--help") {
         println!(
             "prcc-serve: stand up a loopback prcc cluster\n\n\
@@ -71,6 +95,12 @@ fn run() -> Result<(), String> {
         ..ServiceConfig::default()
     };
     let metrics_every = args.parse_or("--metrics-every", 0u64)?;
+    let durability = match (&cfg.data_dir, cfg.fsync_every) {
+        (None, 0) => "volatile".to_string(),
+        (None, _) => return Err("--fsync / --fsync-every need --data-dir".into()),
+        (Some(_), 0) => "durable (never fsynced)".to_string(),
+        (Some(_), every) => format!("durable (fsync every {every})"),
+    };
 
     let graph = build_topology(&topology, nodes, seed)?;
     let map = PartitionMap::rotated(graph.clone(), partitions, graph.num_replicas())
@@ -80,7 +110,7 @@ fn run() -> Result<(), String> {
         .map_err(|e| format!("launch failed: {e}"))?;
 
     println!(
-        "prcc-serve: {} nodes on topology '{topology}' ({} partitions x {} registers, {} keys)",
+        "prcc-serve: {} nodes on topology '{topology}' ({} partitions x {} registers, {} keys), {durability}",
         cluster.len(),
         partitions,
         graph.num_registers(),

@@ -87,6 +87,34 @@ impl Args {
             .map(String::as_str)
     }
 
+    /// Refuses what the other methods would silently skip: an argument
+    /// that is neither one of `valued` (flags that take a value) nor one
+    /// of `switches` (flags that take none), a valued flag at the end of
+    /// the list, and a valued flag followed by another `--flag`.
+    ///
+    /// # Errors
+    ///
+    /// Names the offending argument.
+    pub fn check(&self, valued: &[&str], switches: &[&str]) -> Result<(), String> {
+        let mut rest = self.raw.iter().map(String::as_str);
+        while let Some(arg) = rest.next() {
+            if switches.contains(&arg) {
+                continue;
+            }
+            if !valued.contains(&arg) {
+                return Err(format!("unrecognised argument '{arg}'"));
+            }
+            match rest.next() {
+                None => return Err(format!("{arg} needs a value")),
+                Some(value) if value.starts_with("--") => {
+                    return Err(format!("{arg} needs a value, but '{value}' follows it"))
+                }
+                Some(_) => {}
+            }
+        }
+        Ok(())
+    }
+
     /// Parses the value of `--flag`, falling back to `default`.
     ///
     /// # Errors
@@ -130,5 +158,40 @@ mod tests {
         assert!((args.parse_or("--hotspot", 0.0f64).unwrap() - 0.3).abs() < 1e-9);
         assert!(args.has("--quiet"));
         assert!(args.parse_or("--hotspot", 0usize).is_err());
+    }
+
+    fn check(raw: &[&str]) -> Result<(), String> {
+        Args::from_vec(raw.iter().map(|s| s.to_string()).collect())
+            .check(&["--nodes", "--data-dir", "--fsync-every"], &["--fsync"])
+    }
+
+    #[test]
+    fn check_accepts_exactly_the_declared_flags() {
+        assert_eq!(check(&[]), Ok(()));
+        assert_eq!(
+            check(&["--nodes", "4", "--fsync", "--data-dir", "/tmp/x"]),
+            Ok(())
+        );
+        // A value may look like anything but a flag.
+        assert_eq!(check(&["--data-dir", "-x", "--nodes", "nodes"]), Ok(()));
+    }
+
+    #[test]
+    fn check_names_what_it_refuses() {
+        let refused = |raw: &[&str], needle: &str| {
+            let message = check(raw).expect_err("must be refused");
+            assert!(message.contains(needle), "{raw:?}: {message}");
+        };
+        // A misspelled flag, anywhere in the list.
+        refused(&["--nodes", "4", "--fsync-evry", "1"], "'--fsync-evry'");
+        // A stray positional argument.
+        refused(&["4"], "'4'");
+        // A valued flag with nothing after it.
+        refused(&["--nodes", "4", "--data-dir"], "--data-dir needs a value");
+        // A valued flag that would swallow the next flag as its value.
+        refused(&["--data-dir", "--fsync"], "--data-dir needs a value");
+        refused(&["--data-dir", "--fsync"], "'--fsync'");
+        // A switch is not a value-taker: its "value" is a stray argument.
+        refused(&["--fsync", "1"], "'1'");
     }
 }

@@ -66,9 +66,10 @@ pub(crate) enum PeerCmd<C> {
     /// A consistent-cut marker: written to the peer at exactly the command
     /// position it was enqueued at (after every update queued before it,
     /// before every update queued after it) — the Chandy–Lamport discipline
-    /// the cut audit's closure check relies on. Markers are fire-and-forget:
-    /// they never enter the resend window, so a link loss loses them and the
-    /// audit reports the cut incomplete rather than wrong.
+    /// the cut audit's closure check relies on. A marker issued while the
+    /// link is mid-handshake parks in the backlog and keeps that position
+    /// across the resume; otherwise markers are fire-and-forget: they never
+    /// enter the resend window, so a connection dying under one loses it.
     Marker(u64),
     /// The core's reply to a [`CoreMsg::PeerResume`]: the window suffix to
     /// resend plus the link's current seal barrier.
@@ -268,8 +269,9 @@ impl<C: WireClock> PeerOut<C> {
             // `flushes` counts drain cycles at the moment a flush exists —
             // deliberately NOT at the same site as `frames_sent`, which counts
             // frame enqueues. Keeping the two sites apart is what makes
-            // `frames_per_flush` a binding regression signal for the
-            // prcc-load `--max-frames-per-flush` gate.
+            // `frames_per_flush` a binding regression signal
+            // (`flushes_pack_multiple_partitions_into_one_frame`, and the
+            // `node.frames_per_flush` metric of `prcc-perf`).
             self.hub.counters.flushes.add(1);
             let mut frame = ctx.pool().lease(256);
             if append_frame(&mut frame, |out| {
@@ -368,8 +370,8 @@ impl<C: WireClock> PeerOut<C> {
     }
 
     /// Writes a cut marker frame. A failure loses it (markers are not
-    /// windowed) — the audit then reports the cut incomplete, never a
-    /// wrong verdict.
+    /// windowed); a node no marker reaches never reports, and the audit
+    /// calls the cut incomplete.
     fn write_marker(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         let mut frame = ctx.pool().lease(16);
         if append_frame(&mut frame, |out| {
@@ -383,7 +385,8 @@ impl<C: WireClock> PeerOut<C> {
     }
 
     /// The core answered the handshake with the resume window: retransmit
-    /// it, mark the link established, and replay the command backlog.
+    /// it, mark the link established, and replay the command backlog, with
+    /// every parked marker at its command position.
     fn finish_resume(&mut self, ctx: &mut Ctx<'_>, window: Vec<Sequenced<C>>, barrier: u64) {
         self.barrier = self.barrier.max(barrier);
         // Everything up to the window's tail is covered by this resume:
@@ -400,12 +403,28 @@ impl<C: WireClock> PeerOut<C> {
         } else {
             0
         };
-        self.transmit(ctx, &window, false);
         self.hub.counters.resent.add(resent);
         self.state = OutState::Established;
+        // The window also covers the updates parked *behind* a parked
+        // marker, so it ships in slices: ahead of each marker only the
+        // entries queued before it — everything below the first update
+        // still parked after it.
+        let mut unsent = window.as_slice();
         while let Some(cmd) = self.pending.pop_front() {
+            if matches!(cmd, PeerCmd::Marker(_)) {
+                let queued_after = self.pending.iter().find_map(|cmd| match cmd {
+                    PeerCmd::Update((seq, ..)) => Some(*seq),
+                    _ => None,
+                });
+                let ahead = queued_after.map_or(unsent.len(), |next| {
+                    unsent.partition_point(|&(seq, ..)| seq < next)
+                });
+                self.transmit(ctx, &unsent[..ahead], false);
+                unsent = &unsent[ahead..];
+            }
             self.apply_cmd(ctx, cmd);
         }
+        self.transmit(ctx, unsent, false);
     }
 }
 
@@ -490,9 +509,9 @@ impl<C: WireClock> Driver for PeerOut<C> {
                     self.apply_cmd(ctx, cmd);
                 } else {
                     // Mid-handshake (or mid-backoff): park the command.
-                    // Updates in it are also parked in the core's window,
-                    // but replaying the backlog in order after the resume
-                    // keeps markers at their command positions.
+                    // Updates in it are also parked in the core's window;
+                    // the backlog's order is what lets the resume put
+                    // markers back at their command positions.
                     self.pending.push_back(cmd);
                 }
             }

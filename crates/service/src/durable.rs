@@ -291,35 +291,96 @@ where
 mod tests {
     use super::*;
     use prcc_clock::EdgeProtocol;
-    use prcc_graph::topologies;
+    use prcc_graph::{topologies, PartitionId, RegisterId};
     use std::sync::Arc;
+
+    fn scratch(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("prcc-durable-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(dir.join("node-0")).expect("mkdir");
+        dir
+    }
+
+    fn ring3() -> (EdgeProtocol, PartitionMap) {
+        let graph = topologies::ring(3);
+        let map = PartitionMap::rotated(graph.clone(), 1, 3).expect("valid map");
+        (EdgeProtocol::new(graph), map)
+    }
+
+    /// Boots node 0 of [`ring3`] from `dir`.
+    fn boot(
+        protocol: &EdgeProtocol,
+        map: &PartitionMap,
+        dir: &Path,
+        cfg: &ServiceConfig,
+    ) -> io::Result<(Core<EdgeProtocol>, Durable)> {
+        let registry = Arc::new(Registry::new());
+        let tel = CoreTelemetry::new(Arc::clone(&registry), cfg);
+        recover(protocol, map, 0, dir, cfg, tel, &BufPool::new(&registry))
+    }
 
     /// A data dir holding a retired-format (`PRCCSNP1`) snapshot must stop
     /// the boot loudly — the v1 reader is gone, and starting empty next to
     /// a snapshot the node cannot read would silently forget its state.
     #[test]
     fn v1_snapshot_magic_refuses_to_boot() {
-        let dir = std::env::temp_dir().join(format!("prcc-durable-v1-{}", std::process::id()));
-        let node_dir = dir.join("node-0");
-        std::fs::create_dir_all(&node_dir).expect("mkdir");
+        let dir = scratch("v1");
         let payload = b"anything";
         let mut file = b"PRCCSNP1".to_vec();
         file.extend_from_slice(&prcc_storage::crc32(payload).to_le_bytes());
         file.extend_from_slice(payload);
-        std::fs::write(node_dir.join("snapshot.bin"), &file).expect("write v1 file");
+        std::fs::write(dir.join("node-0/snapshot.bin"), &file).expect("write v1 file");
 
-        let graph = topologies::ring(3);
-        let map = PartitionMap::rotated(graph.clone(), 1, 3).expect("valid map");
-        let protocol = EdgeProtocol::new(graph);
-        let cfg = ServiceConfig::default();
-        let registry = Arc::new(Registry::new());
-        let tel = CoreTelemetry::new(Arc::clone(&registry), &cfg);
-        let pool = BufPool::new(&registry);
-        let Err(err) = recover(&protocol, &map, 0, &dir, &cfg, tel, &pool) else {
+        let (protocol, map) = ring3();
+        let Err(err) = boot(&protocol, &map, &dir, &ServiceConfig::default()) else {
             panic!("a v1 snapshot booted");
         };
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("magic"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The sweep-scoped group commit, stated as counts: however many
+    /// records a sweep stages through `Core::apply`, one `commit` is one
+    /// physical WAL write, and a reopened log holds every one of them. A
+    /// per-record commit would report `wal_writes == staged` here.
+    #[test]
+    fn one_commit_writes_every_staged_record_in_one_write() {
+        let dir = scratch("group-commit");
+        let (protocol, map) = ring3();
+        let cfg = ServiceConfig::default();
+        let (mut core, mut durable) = boot(&protocol, &map, &dir, &cfg).expect("fresh boot");
+        let env = Env::new(&protocol, &map, &cfg);
+        let mut out = Vec::new();
+        let mut staged = 0u64;
+        for value in 0..3 {
+            for r in 0..map.graph().num_registers() {
+                let record = WalRecord::Issue {
+                    partition: PartitionId(0),
+                    register: RegisterId(r as u32),
+                    value,
+                    wire_id: staged + 1,
+                };
+                // A register this role does not store is refused before
+                // it is staged.
+                let applied = core.apply(&env, record, &|| 0, Some(&mut durable.stage), &mut out);
+                staged += u64::from(applied.is_ok());
+            }
+        }
+        assert!(staged >= 3, "only {staged} records staged");
+        assert_eq!(durable.wal_writes, 0, "staging does no I/O");
+
+        durable.commit().expect("commit");
+        assert_eq!((durable.wal_writes, durable.stage.appends), (1, staged));
+        durable.commit().expect("empty commit");
+        assert_eq!(durable.wal_writes, 1, "an empty stage writes nothing");
+
+        drop(durable);
+        let (_, reopened) = Wal::open(&dir.join("node-0/wal.bin")).expect("reopen");
+        assert_eq!(
+            (reopened.records.len() as u64, reopened.torn_bytes),
+            (staged, 0)
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -41,12 +41,8 @@
 //!   trace collection, post-hoc per-partition [`prcc_checker`] oracle
 //!   verification, and crash/restart fault injection
 //!   (`crash_node`/`restart_node`).
-//! * [`report`] — the `prcc-load` benchmark report (`BENCH_service.json`),
-//!   including the server-side update-lifecycle stage histograms
-//!   (visibility latency, pending stall, WAL append, first send) absorbed
-//!   from the cluster's merged metrics snapshot.
-//! * [`config`] — topology selection shared by the `prcc-serve` /
-//!   `prcc-load` binaries.
+//! * [`config`] — topology selection and argument scanning for the
+//!   `prcc-serve` and `prcc-perf` binaries.
 //!
 //! The deployment is event-loop I/O without an async runtime: the hermetic
 //! build environment has no tokio, so sockets are multiplexed onto a fixed
@@ -66,13 +62,11 @@ mod core;
 mod drivers;
 mod durable;
 pub mod node;
-pub mod report;
 pub mod wire;
 
 pub use client::{RoutedClient, ServiceClient};
 pub use cluster::LoopbackCluster;
 pub use node::{spawn_node, NodeHandle, NodeSeed, ServiceConfig};
-pub use report::{BenchReport, LatencySummary, PartitionBench};
 pub use wire::{NodeStatus, PartitionCounters, WIRE_VERSION};
 
 pub use prcc_telemetry::MetricsSnapshot;

@@ -165,7 +165,7 @@ impl NodeHandle {
     }
 
     /// Kills the node *without* graceful shutdown — fault injection for
-    /// the recovery tests and `prcc-load --crash-restart`. The core stops
+    /// the recovery and chaos suites and `prcc-perf`. The core stops
     /// mid-stream (no final snapshot, no drain), every peer connection is
     /// severed, and in-flight client requests see their connections drop.
     /// A node with a data dir can then be respawned on the same directory

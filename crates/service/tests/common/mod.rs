@@ -15,7 +15,7 @@ use prcc_service::wire::{
     decode_peer_hello, encode_hello_ack_into, read_frame, write_frame, PeerHello,
 };
 use prcc_service::{LoopbackCluster, ServiceClient, ServiceConfig};
-use prcc_workloads::ops::{generate_keyed_ops, route_keyed_ops};
+use prcc_workloads::ops::{generate_keyed_ops, route_keyed_ops, RoutedOp};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::cell::RefCell;
@@ -68,16 +68,27 @@ pub fn launch_ring(partitions: u32, nodes: usize, cfg: &ServiceConfig) -> Loopba
 
 /// Drives `ops` seeded keyed writes through per-node clients in parallel.
 pub fn drive(cluster: &LoopbackCluster, ops: usize, seed: u64) {
-    let map = cluster.map().clone();
+    drive_over(cluster, ops, seed, 1);
+}
+
+/// `ops` seeded keyed writes, routed into one script per node.
+pub fn keyed_scripts(cluster: &LoopbackCluster, ops: usize, seed: u64) -> Vec<Vec<RoutedOp>> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let keyed = generate_keyed_ops(&map, ops, None, &mut rng);
-    let scripts = route_keyed_ops(&map, &keyed);
+    let keyed = generate_keyed_ops(cluster.map(), ops, None, &mut rng);
+    route_keyed_ops(cluster.map(), &keyed)
+}
+
+/// [`drive`] with each node's script striped round-robin across `conns`
+/// live connections to that node (`conns × nodes` sockets cluster-wide).
+pub fn drive_over(cluster: &LoopbackCluster, ops: usize, seed: u64, conns: usize) {
     let mut drivers = Vec::new();
-    for (node, script) in scripts.into_iter().enumerate() {
-        let mut client = cluster.client(node).expect("client");
+    for (node, script) in keyed_scripts(cluster, ops, seed).into_iter().enumerate() {
+        let mut clients: Vec<ServiceClient> = (0..conns)
+            .map(|_| cluster.client(node).expect("client"))
+            .collect();
         drivers.push(thread::spawn(move || {
-            for (partition, register, value) in script {
-                assert!(client
+            for (i, (partition, register, value)) in script.into_iter().enumerate() {
+                assert!(clients[i % conns]
                     .write_in(partition, register, value)
                     .expect("write io"));
             }
@@ -156,11 +167,7 @@ pub fn spawn_redial_drivers(
     seed: u64,
     progress: &Arc<AtomicUsize>,
 ) -> Vec<thread::JoinHandle<()>> {
-    let map = cluster.map().clone();
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let keyed = generate_keyed_ops(&map, ops, None, &mut rng);
-    let scripts = route_keyed_ops(&map, &keyed);
-    scripts
+    keyed_scripts(cluster, ops, seed)
         .into_iter()
         .enumerate()
         .map(|(node, script)| {

@@ -239,6 +239,21 @@ fn fsync_group_commit_runs_clean() {
     for status in cluster.statuses().expect("statuses") {
         assert!(status.wal_appends > 0);
     }
+    // Write accounting through the metrics path: records moved, so write
+    // syscalls were counted, and group commit can only coalesce.
+    for (node, snap) in cluster
+        .metrics_per_node()
+        .expect("metrics")
+        .iter()
+        .enumerate()
+    {
+        let appends = snap.gauge("wal_appends").expect("wal_appends gauge");
+        let writes = snap.gauge("wal_writes").expect("wal_writes gauge");
+        assert!(
+            0 < writes && writes <= appends,
+            "node {node}: {writes} WAL writes for {appends} appends"
+        );
+    }
     cluster.shutdown().expect("shutdown");
     let _ = std::fs::remove_dir_all(&dir);
 }

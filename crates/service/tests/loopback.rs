@@ -2,13 +2,17 @@
 
 mod common;
 
-use common::{quick_cfg, DRAIN};
+use common::{
+    drain_and_verify, drive_over, launch_ring, quick_cfg, spawn_redial_drivers, wait_progress,
+    DRAIN,
+};
 use prcc_clock::EdgeProtocol;
 use prcc_graph::{topologies, RegisterId};
 use prcc_service::{LoopbackCluster, ServiceConfig};
 use prcc_workloads::ops::{generate_ops, partition_by_replica};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -296,5 +300,71 @@ fn live_metrics_expose_stage_histograms() {
         "2 remote recipients x 100 sampled updates"
     );
     assert_eq!(merged.gauge("core_window_evicted"), Some(0));
+    cluster.shutdown().expect("shutdown");
+}
+
+/// The zero-copy hot path's steady state allocates nothing: once a warm-up
+/// has stocked the pool's shelves, frames, batches and replies are served
+/// from recycled buffers. Measured as the *delta* of the pool counters
+/// over a second drive, so the cold-shelf misses of boot and warm-up do
+/// not dilute (or excuse) the share — once with a connection per node,
+/// once over 256 connections, where an idle client holding a lease would
+/// drain the shelves.
+#[test]
+fn pool_serves_the_steady_state_from_recycled_buffers() {
+    for conns_per_node in [1, 64] {
+        let cluster = launch_ring(8, 4, &quick_cfg());
+        drive_over(&cluster, 500, 7, conns_per_node);
+        let warm = cluster.metrics().expect("warm metrics");
+        drive_over(&cluster, 4000, 8, conns_per_node);
+        let done = cluster.metrics().expect("final metrics");
+        let delta = |name: &str| done.counter(name).expect(name) - warm.counter(name).expect(name);
+        let (hits, misses) = (delta("pool_hits"), delta("pool_misses"));
+        let leases = hits + misses;
+        assert!(
+            leases >= 4000,
+            "{conns_per_node} conns/node: {leases} leases counted for 4000 writes — \
+             the hot path is not pooling its buffers"
+        );
+        assert!(
+            misses * 20 < leases,
+            "{conns_per_node} conns/node: {misses} of {leases} steady-state leases \
+             allocated (>= 5%)"
+        );
+        drain_and_verify(&cluster, "pool steady state");
+        cluster.shutdown().expect("shutdown");
+    }
+}
+
+/// The metrics frame round-trips while the hot path is hot: a scrape of
+/// node 0 over the client wire, taken with the drive a quarter in and
+/// still running when the reply arrives, decodes and carries the
+/// `pending_stall_us` stage histogram and the core gauges.
+#[test]
+fn metrics_scrape_mid_drive_carries_the_stage_histograms() {
+    let ops = 8000;
+    let cluster = launch_ring(8, 4, &quick_cfg());
+    let progress = Arc::new(AtomicUsize::new(0));
+    let drivers = spawn_redial_drivers(&cluster, ops, 7, &progress);
+    wait_progress(&progress, ops / 4);
+    let snap = cluster
+        .client(0)
+        .expect("dial node 0")
+        .metrics()
+        .expect("mid-drive metrics frame");
+    let landed = progress.load(Ordering::Relaxed);
+    assert!(
+        landed < ops,
+        "the drive finished before the scrape returned"
+    );
+    assert!(
+        snap.hist_summary("pending_stall_us").is_some(),
+        "mid-drive metrics frame decoded without a pending_stall_us histogram"
+    );
+    assert!(snap.gauge("core_issued").expect("core_issued gauge") > 0);
+    for driver in drivers {
+        driver.join().expect("driver");
+    }
+    drain_and_verify(&cluster, "mid-drive scrape");
     cluster.shutdown().expect("shutdown");
 }

@@ -18,7 +18,7 @@ use common::{accept_handshake, read_hello, write_hello_ack};
 use prcc_clock::{EdgeProtocol, Protocol};
 use prcc_graph::{topologies, PartitionMap, RegisterId};
 use prcc_service::node::{spawn_node, NodeSeed, ServiceConfig};
-use prcc_service::wire::{decode_multi_batch, read_frame};
+use prcc_service::wire::{decode_cut_marker, decode_multi_batch, read_frame, TAG_CUT_MARKER};
 use prcc_service::ServiceClient;
 use std::collections::BTreeSet;
 use std::net::TcpListener;
@@ -274,6 +274,45 @@ fn no_update_loss_when_link_dies_mid_flush() {
         (1..=8).collect::<Vec<_>>(),
         "link seqs must be contiguous from the acknowledged offset"
     );
+
+    rig.client.shutdown().expect("shutdown");
+    rig.node.join();
+}
+
+/// A cut marker issued while the link is mid-handshake keeps its channel
+/// position across the resume: it reaches the peer after the update
+/// written before it and before the update written after it, although
+/// the resume window covers both. (Shipping the whole window first put
+/// post-cut updates ahead of the marker — the receiver then applied them
+/// inside a cut their issuer had already left, and the online audit
+/// reported a closure violation that never happened.)
+#[test]
+fn marker_parked_across_a_resume_keeps_its_channel_position() {
+    let mut rig = rig();
+    let (mut conn, _) = rig.fake_peer.accept().expect("first accept");
+    accept_handshake(&mut conn, 0);
+    drop(conn);
+
+    // Hold the redial mid-handshake: hello read, hello-ack withheld, so
+    // everything the node sends this link now parks in its backlog.
+    let (mut conn, _) = rig.fake_peer.accept().expect("reconnect accept");
+    read_hello(&mut conn);
+    assert!(rig.client.write(RegisterId(0), 1).expect("write before"));
+    rig.client.cut_start(77).expect("start cut");
+    assert!(rig.client.write(RegisterId(0), 2).expect("write after"));
+    write_hello_ack(&mut conn, 0);
+
+    let mut arrivals = Vec::new();
+    while arrivals.len() < 3 {
+        let payload = read_frame(&mut conn).expect("frame io").expect("frame");
+        if payload[0] == TAG_CUT_MARKER {
+            assert_eq!(decode_cut_marker(&payload).expect("marker"), 77);
+            arrivals.push(0);
+        } else {
+            arrivals.extend(frame_updates(&payload, &rig.protocol).iter().map(|u| u.1));
+        }
+    }
+    assert_eq!(arrivals, [1, 0, 2], "values in wire order, 0 = the marker");
 
     rig.client.shutdown().expect("shutdown");
     rig.node.join();

@@ -367,6 +367,9 @@ mod tests {
         assert_eq!(exact_percentile(&v, 1.0), 100);
         assert_eq!(exact_percentile(&[7], 0.5), 7);
         assert_eq!(exact_percentile(&[], 0.5), 0);
+        // A truncating rank would report the median as p99 here.
+        assert_eq!(exact_percentile(&[1, 2, 3], 0.50), 2);
+        assert_eq!(exact_percentile(&[1, 2, 3], 0.99), 3);
         let odd: Vec<u64> = (1..=101).collect();
         assert_eq!(exact_percentile(&odd, 0.50), 51);
         assert_eq!(exact_percentile(&odd, 0.99), 100);

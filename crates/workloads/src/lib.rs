@@ -14,5 +14,5 @@ pub mod ops;
 mod report;
 mod runner;
 
-pub use report::{LatencySummary, RunReport, VerdictSummary};
+pub use report::{RunReport, VerdictSummary};
 pub use runner::{run_partitioned_workload, run_workload, violation_rate, WorkloadConfig};

@@ -1,5 +1,5 @@
-//! Op-stream generation shared by the simulator runner and the networked
-//! load driver (`prcc-load`).
+//! Op-stream generation shared by the simulator runner and the drivers of
+//! the TCP deployment (the service test suites and `prcc-perf`).
 //!
 //! Keeping the generator in one place means the TCP deployment and the
 //! discrete-event simulator can be driven with *the same* seeded workload,

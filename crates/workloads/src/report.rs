@@ -1,55 +1,9 @@
-//! Run reports, and the measurement summaries shared by every harness.
-//!
-//! This is the one home for the small summary structs that both the
-//! discrete-event simulator ([`RunReport`]) and the networked load driver
-//! (`prcc_service::BenchReport`) embed: [`LatencySummary`] for percentile
-//! distributions and [`VerdictSummary`] for oracle outcomes. Keeping them
-//! here means the two report schemas cannot drift apart.
+//! Run reports of the discrete-event simulator: [`RunReport`] and the
+//! [`VerdictSummary`] of oracle outcomes it embeds.
 
 use prcc_checker::Verdict;
 use prcc_core::ClusterStats;
-use prcc_telemetry::exact_percentile;
 use serde::{Deserialize, Serialize};
-
-/// Latency distribution in microseconds.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct LatencySummary {
-    /// Mean latency.
-    pub mean_us: f64,
-    /// Median.
-    pub p50_us: u64,
-    /// 99th percentile.
-    pub p99_us: u64,
-    /// 99.9th percentile — where per-op client latencies hide fsync and
-    /// pending-stall spikes that p99 averages away.
-    pub p999_us: u64,
-    /// Worst observed.
-    pub max_us: u64,
-}
-
-impl LatencySummary {
-    /// Summarizes a set of per-op latencies (sorted in place).
-    ///
-    /// Percentiles are [`prcc_telemetry::exact_percentile`] — ceil-based
-    /// nearest-rank: `P(q)` is the smallest sample with at least a `q`
-    /// fraction of the distribution at or below it. One shared definition
-    /// keeps these client-side summaries comparable to the server-side
-    /// histogram percentiles reported next to them.
-    pub fn from_latencies(latencies: &mut [u64]) -> Self {
-        if latencies.is_empty() {
-            return LatencySummary::default();
-        }
-        latencies.sort_unstable();
-        let total: u64 = latencies.iter().sum();
-        LatencySummary {
-            mean_us: total as f64 / latencies.len() as f64,
-            p50_us: exact_percentile(latencies, 0.50),
-            p99_us: exact_percentile(latencies, 0.99),
-            p999_us: exact_percentile(latencies, 0.999),
-            max_us: *latencies.last().expect("non-empty"),
-        }
-    }
-}
 
 /// Outcome of an oracle check, reduced to what reports track.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -131,47 +85,6 @@ mod tests {
             ..r
         };
         assert_eq!(zero.throughput(), 0.0);
-    }
-
-    #[test]
-    fn latency_summary_percentiles() {
-        let mut latencies: Vec<u64> = (1..=100).collect();
-        let summary = LatencySummary::from_latencies(&mut latencies);
-        assert_eq!(summary.p50_us, 50);
-        assert_eq!(summary.p99_us, 99);
-        assert_eq!(summary.p999_us, 100);
-        assert_eq!(summary.max_us, 100);
-        assert!((summary.mean_us - 50.5).abs() < 1e-9);
-        assert_eq!(
-            LatencySummary::from_latencies(&mut []),
-            LatencySummary::default()
-        );
-    }
-
-    #[test]
-    fn latency_summary_percentiles_non_round_counts() {
-        // One sample: every percentile is that sample.
-        let one = LatencySummary::from_latencies(&mut [7]);
-        assert_eq!(
-            (one.p50_us, one.p99_us, one.p999_us, one.max_us),
-            (7, 7, 7, 7)
-        );
-
-        // Three samples: the truncating rank used to report p99 = 2 (the
-        // median!); ceil-based nearest-rank reports the top sample.
-        let three = LatencySummary::from_latencies(&mut [1, 2, 3]);
-        assert_eq!(three.p50_us, 2);
-        assert_eq!(three.p99_us, 3);
-        assert_eq!(three.max_us, 3);
-
-        // 101 samples: p50 is the 51st order statistic (ceil(50.5)), p99
-        // the 100th (ceil(99.99)), p999 the 101st (ceil(100.899)).
-        let mut odd: Vec<u64> = (1..=101).collect();
-        let summary = LatencySummary::from_latencies(&mut odd);
-        assert_eq!(summary.p50_us, 51);
-        assert_eq!(summary.p99_us, 100);
-        assert_eq!(summary.p999_us, 101);
-        assert_eq!(summary.max_us, 101);
     }
 
     #[test]

@@ -72,9 +72,10 @@ pub fn run_workload<P: Protocol>(
 /// affinity as the networked deployment), and each partition is driven,
 /// drained and verified on its own — one [`RunReport`] per partition.
 ///
-/// This is the simulator-side twin of `prcc-load --partitions N`: the same
-/// seed yields the same key stream there, so oracle outcomes are
-/// comparable across the two harnesses.
+/// This is the simulator-side twin of a sharded `LoopbackCluster` drive
+/// (the service suites' `common::drive`, `prcc-perf`): the same seed
+/// yields the same key stream there, so oracle outcomes are comparable
+/// across the two harnesses.
 pub fn run_partitioned_workload<P, F, G>(
     mut make_protocol: F,
     mut make_policy: G,

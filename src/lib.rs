@@ -19,8 +19,7 @@
 //! * [`workloads`] — topology/workload generators and the metric runner.
 //! * [`service`] — the networked TCP deployment: partition-tagged wire
 //!   protocol, partition-routing nodes with update batching, single-node
-//!   and key-routed client libraries, and the `prcc-serve`/`prcc-load`
-//!   binaries.
+//!   and key-routed client libraries, and the `prcc-serve` binary.
 //! * [`telemetry`] — sharded metric registry (counters, gauges,
 //!   mergeable log-bucketed histograms), update-lifecycle stage timing,
 //!   and the crash flight recorder.
