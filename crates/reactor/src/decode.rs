@@ -24,6 +24,32 @@
 //! prefix arrives — an idle connection between frames holds zero
 //! buffers, which keeps RSS bounded under thousands of mostly-idle
 //! connections.
+//!
+//! ## Read-ahead
+//!
+//! The decoder does not ask the socket for a prefix and then for a
+//! payload: at a frame boundary it reads whatever is there — up to
+//! [`READ_AHEAD`] bytes — into a pooled read-ahead buffer and carves every
+//! complete frame out of it, so a burst of small frames costs one `read`
+//! instead of two per frame. The buffer is leased for the read and
+//! returned the moment its last byte is consumed; only a frame cut
+//! mid-prefix parks (at most three) bytes in it across events. A frame
+//! that does not fit the bytes already buffered gets its own lease sized
+//! to the frame, and the rest of it is read straight into that lease —
+//! large frames are never staged.
+//!
+//! ## The short-read rule
+//!
+//! A `read` that returns fewer bytes than it had room for has emptied the
+//! socket's receive queue. [`FrameDecoder::drained`] reports exactly that
+//! (and that no complete frame is left buffered), and the event loop uses
+//! it to skip the read whose only possible answer is `WouldBlock`. This is
+//! safe *because the poll is level-triggered*: bytes that arrive after the
+//! short read — or a peer close, which is readable too — make the socket
+//! report readable again on the next `epoll_wait`, so nothing is lost by
+//! not probing; under an edge-triggered poll the skipped read would be the
+//! one that re-arms the edge. [`FrameDecoder::next`] itself never guesses:
+//! it returns [`Decoded::Pending`] only when the reader said `WouldBlock`.
 
 use crate::bufpool::{BufPool, Lease};
 use std::io::{self, Read};
@@ -34,6 +60,14 @@ use std::io::{self, Read};
 /// module, which re-exports it: the incremental decoder is now the
 /// lowest layer that enforces it.)
 pub const MAX_FRAME_BYTES: usize = 64 << 20;
+
+/// Bytes one boundary read asks the socket for. Sized to the traffic: a
+/// client request is ~10 B, a peer flush frame 30–300 B, so one pooled
+/// 4 KiB buffer swallows a whole tick's burst on a connection.
+const READ_AHEAD: usize = 4096;
+
+/// Length of the little-endian frame length prefix.
+const PREFIX: usize = 4;
 
 /// One step of incremental decoding.
 #[derive(Debug)]
@@ -47,93 +81,183 @@ pub enum Decoded {
     Pending,
 }
 
+/// The read-ahead buffer: a pooled `READ_AHEAD`-byte lease of which
+/// `buf[start..end]` is read but not yet consumed.
+struct Ahead {
+    buf: Lease,
+    start: usize,
+    end: usize,
+}
+
 /// Resumable decoder state for one connection. See the module docs for
 /// the exact semantics contract.
 pub struct FrameDecoder {
-    prefix: [u8; 4],
-    prefix_got: usize,
-    /// The payload in flight: the lease is pre-sized to the frame length,
-    /// `filled` tracks how much of it has arrived.
+    /// Bytes read past the last frame handed out; `None` whenever nothing
+    /// is buffered, so a connection idle at a boundary holds no lease.
+    ahead: Option<Ahead>,
+    /// The payload in flight — a frame the buffered bytes did not cover:
+    /// the lease is pre-sized to the frame length, `filled` tracks how
+    /// much of it has arrived.
     payload: Option<(Lease, usize)>,
+    /// Whether the last `read` came back with room to spare (the short-read
+    /// rule; see [`FrameDecoder::drained`]).
+    short: bool,
 }
 
 impl FrameDecoder {
     /// A decoder at a frame boundary.
     pub fn new() -> FrameDecoder {
         FrameDecoder {
-            prefix: [0; 4],
-            prefix_got: 0,
+            ahead: None,
             payload: None,
+            short: false,
         }
     }
 
     /// Drops any partial frame (used when a connection is torn down and
     /// its decoder will be reused for the replacement socket).
     pub fn reset(&mut self) {
-        self.prefix_got = 0;
+        self.ahead = None;
         self.payload = None;
+        self.short = false;
     }
 
     /// Whether the decoder sits at a frame boundary (no partial frame).
     pub fn at_boundary(&self) -> bool {
-        self.prefix_got == 0 && self.payload.is_none()
+        self.ahead.is_none() && self.payload.is_none()
+    }
+
+    // lint: hot-path
+    /// The bytes read ahead and not yet consumed.
+    fn buffered(&self) -> &[u8] {
+        self.ahead.as_ref().map_or(&[], |a| &a.buf[a.start..a.end])
+    }
+
+    /// The length a buffered prefix announces, once all of it is buffered.
+    fn buffered_len(&self) -> Option<usize> {
+        let prefix = self.buffered().first_chunk::<PREFIX>()?;
+        Some(u32::from_le_bytes(*prefix) as usize)
+    }
+
+    /// Whether the socket is known to be empty: the last read was short
+    /// and no complete frame (or refusable prefix) is left buffered, so the
+    /// next [`FrameDecoder::next`] could only probe for `WouldBlock`. The
+    /// event loop asks after each frame and waits for the next readable
+    /// event instead — sound under a level-triggered poll only (module
+    /// docs). A fact about the *last* read: stale by the next event.
+    pub fn drained(&self) -> bool {
+        self.short
+            && self
+                .buffered_len()
+                .is_none_or(|len| len <= MAX_FRAME_BYTES && self.buffered().len() - PREFIX < len)
     }
 
     /// Pulls bytes from `r` until a frame completes, the socket runs dry,
     /// or the stream ends. Call in a loop on each readable event until it
-    /// returns [`Decoded::Pending`].
-    // lint: hot-path
+    /// returns [`Decoded::Pending`] (or [`FrameDecoder::drained`] says the
+    /// next call would).
     pub fn next<R: Read>(&mut self, r: &mut R, pool: &BufPool) -> io::Result<Decoded> {
-        if self.payload.is_none() {
-            // Accumulate the 4-byte length prefix.
-            while self.prefix_got < self.prefix.len() {
-                match r.read(&mut self.prefix[self.prefix_got..]) {
-                    Ok(0) if self.prefix_got == 0 => return Ok(Decoded::Eof),
-                    Ok(0) => {
-                        let got = self.prefix_got;
-                        return Err(io::Error::new(
-                            io::ErrorKind::UnexpectedEof,
-                            // lint: allow(alloc) cold path: the peer died mid-prefix
-                            format!("connection closed after {got} bytes of a frame length prefix"),
-                        ));
+        loop {
+            if let Some((lease, filled)) = self.payload.as_mut() {
+                // A frame the read-ahead did not cover: the rest of it
+                // lands directly in its own lease.
+                while *filled < lease.len() {
+                    let room = lease.len() - *filled;
+                    match r.read(&mut lease[*filled..]) {
+                        Ok(0) => {
+                            // Mirror `read_exact`'s truncation error.
+                            return Err(io::Error::new(
+                                io::ErrorKind::UnexpectedEof,
+                                "failed to fill whole buffer",
+                            ));
+                        }
+                        Ok(n) => {
+                            *filled += n;
+                            self.short = n < room;
+                        }
+                        Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                            return Ok(Decoded::Pending)
+                        }
+                        Err(e) => return Err(e),
                     }
-                    Ok(n) => self.prefix_got += n,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(Decoded::Pending),
-                    Err(e) => return Err(e),
                 }
+                let (lease, _) = self.payload.take().expect("payload complete");
+                return Ok(Decoded::Frame(lease));
             }
-            let len = u32::from_le_bytes(self.prefix) as usize;
-            if len > MAX_FRAME_BYTES {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    // lint: allow(alloc) cold path: oversized frame tears the link down
-                    format!("frame of {len} bytes exceeds MAX_FRAME_BYTES ({MAX_FRAME_BYTES})"),
-                ));
-            }
-            self.prefix_got = 0;
-            let mut lease = pool.lease(len);
-            lease.resize(len, 0);
-            self.payload = Some((lease, 0));
-        }
-        let (lease, filled) = self.payload.as_mut().expect("payload in flight");
-        while *filled < lease.len() {
-            match r.read(&mut lease[*filled..]) {
-                Ok(0) => {
-                    // Mirror `read_exact`'s truncation error.
+            if let Some(len) = self.buffered_len() {
+                if len > MAX_FRAME_BYTES {
+                    self.ahead = None;
                     return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "failed to fill whole buffer",
+                        io::ErrorKind::InvalidData,
+                        // lint: allow(alloc) cold path: oversized frame tears the link down
+                        format!("frame of {len} bytes exceeds MAX_FRAME_BYTES ({MAX_FRAME_BYTES})"),
                     ));
                 }
-                Ok(n) => *filled += n,
+                let mut lease = pool.lease(len);
+                let ahead = self.ahead.as_mut().expect("a prefix is buffered");
+                let body = &ahead.buf[ahead.start + PREFIX..ahead.end];
+                if body.len() < len {
+                    // The frame runs past what is buffered: move its head
+                    // into a lease of its own and read the rest in place.
+                    let have = body.len();
+                    lease.extend_from_slice(body);
+                    lease.resize(len, 0);
+                    self.ahead = None;
+                    self.payload = Some((lease, have));
+                    continue;
+                }
+                lease.extend_from_slice(&body[..len]);
+                ahead.start += PREFIX + len;
+                if ahead.start == ahead.end {
+                    self.ahead = None;
+                }
+                return Ok(Decoded::Frame(lease));
+            }
+            // Less than a prefix buffered: read ahead, after moving the
+            // parked fragment (at most three bytes) to the front.
+            let ahead = self.ahead.get_or_insert_with(|| {
+                let mut buf = pool.lease(READ_AHEAD);
+                buf.resize(READ_AHEAD, 0);
+                Ahead {
+                    buf,
+                    start: 0,
+                    end: 0,
+                }
+            });
+            if ahead.start > 0 {
+                ahead.buf.copy_within(ahead.start..ahead.end, 0);
+                ahead.end -= ahead.start;
+                ahead.start = 0;
+            }
+            let room = READ_AHEAD - ahead.end;
+            match r.read(&mut ahead.buf[ahead.end..]) {
+                Ok(0) => {
+                    let got = ahead.end;
+                    self.ahead = None;
+                    if got == 0 {
+                        return Ok(Decoded::Eof);
+                    }
+                    return Err(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        // lint: allow(alloc) cold path: the peer died mid-prefix
+                        format!("connection closed after {got} bytes of a frame length prefix"),
+                    ));
+                }
+                Ok(n) => {
+                    ahead.end += n;
+                    self.short = n < room;
+                }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(Decoded::Pending),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    if ahead.end == 0 {
+                        self.ahead = None;
+                    }
+                    return Ok(Decoded::Pending);
+                }
                 Err(e) => return Err(e),
             }
         }
-        let (lease, _) = self.payload.take().expect("payload complete");
-        Ok(Decoded::Frame(lease))
     }
     // lint: end-hot-path
 }
@@ -356,6 +480,153 @@ mod tests {
         ));
         assert!(decoder.at_boundary());
         assert_eq!(pool.outstanding(), 0, "idle-at-boundary holds no lease");
+    }
+
+    /// A level-triggered socket: `readable` bytes of `data` have arrived
+    /// (an event delivers more), a read takes what is there, `WouldBlock`
+    /// when nothing is, `Ok(0)` once closed and read dry.
+    struct EventReader {
+        data: Vec<u8>,
+        at: usize,
+        readable: usize,
+        closed: bool,
+        reads: usize,
+    }
+
+    impl Read for EventReader {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            let n = buf.len().min(self.readable - self.at);
+            if n == 0 {
+                if self.closed {
+                    return Ok(0);
+                }
+                return Err(io::Error::new(io::ErrorKind::WouldBlock, "drained"));
+            }
+            buf[..n].copy_from_slice(&self.data[self.at..self.at + n]);
+            self.at += n;
+            Ok(n)
+        }
+    }
+
+    /// Plays `stream` through the event loop's read discipline, `chunk`
+    /// bytes per readable event and a close after the last one — with or
+    /// without the drained-socket query. Returns the frames, the reads
+    /// issued and the passes the level-triggered poll had to raise.
+    fn play(
+        stream: &[u8],
+        chunk: usize,
+        query: bool,
+        pool: &BufPool,
+    ) -> (Vec<Vec<u8>>, usize, usize) {
+        let mut r = EventReader {
+            data: stream.to_vec(),
+            at: 0,
+            readable: 0,
+            closed: false,
+            reads: 0,
+        };
+        let mut decoder = FrameDecoder::new();
+        let (mut frames, mut passes, mut eof) = (Vec::new(), 0, false);
+        while !eof {
+            r.readable = (r.readable + chunk).min(stream.len());
+            r.closed = r.readable == stream.len();
+            // Level-triggered: the event repeats while anything is unread.
+            while r.at < r.readable || (r.closed && !eof) {
+                passes += 1;
+                assert!(
+                    passes < 10 * stream.len() + 10,
+                    "the loop must make progress"
+                );
+                loop {
+                    match decoder.next(&mut r, pool).unwrap() {
+                        Decoded::Frame(f) => {
+                            frames.push(f.to_vec());
+                            if query && decoder.drained() {
+                                break;
+                            }
+                        }
+                        Decoded::Pending => break,
+                        Decoded::Eof => {
+                            eof = true;
+                            break;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(decoder.at_boundary());
+        (frames, r.reads, passes)
+    }
+
+    #[test]
+    fn short_reads_yield_the_same_frames_with_and_without_the_drained_query() {
+        // Every chunk size cuts the stream mid-prefix and mid-payload
+        // somewhere; the query may only ever save reads, never frames.
+        let pool = BufPool::new(&Registry::new());
+        let big = vec![7u8; 3 * READ_AHEAD + 5];
+        let payloads: Vec<&[u8]> = vec![b"hello", b"", &big, b"x", b"a longer payload body"];
+        let stream = wire(&payloads);
+        for chunk in (1..64).chain([READ_AHEAD - 1, READ_AHEAD, READ_AHEAD + 1, stream.len()]) {
+            let (probing, probing_reads, _) = play(&stream, chunk, false, &pool);
+            let (queried, queried_reads, _) = play(&stream, chunk, true, &pool);
+            assert_eq!(probing.len(), payloads.len(), "chunk {chunk}");
+            for (got, want) in probing.iter().zip(&payloads) {
+                assert_eq!(got.as_slice(), *want, "chunk {chunk}");
+            }
+            assert_eq!(queried, probing, "chunk {chunk}");
+            assert!(queried_reads <= probing_reads, "chunk {chunk}");
+        }
+        assert_eq!(pool.outstanding(), 0, "all leases returned");
+    }
+
+    #[test]
+    fn a_burst_costs_one_read_and_eof_after_a_short_read_surfaces_on_the_next_event() {
+        let pool = BufPool::new(&Registry::new());
+        let payloads: Vec<&[u8]> = vec![b"one", b"two", b"three", b"four"];
+        let stream = wire(&payloads);
+        // The whole burst and the close land before the first event.
+        let (frames, reads, passes) = play(&stream, stream.len(), true, &pool);
+        assert_eq!(frames.len(), 4);
+        assert_eq!(passes, 2, "the close is its own readable event");
+        assert_eq!(reads, 2, "one read for four frames, one for the EOF");
+        // Without the query every event ends on a probing read.
+        let (_, reads, passes) = play(&stream, stream.len(), false, &pool);
+        assert_eq!((reads, passes), (2, 1), "the probe finds the EOF at once");
+    }
+
+    #[test]
+    fn a_frame_past_the_read_ahead_lands_in_its_own_lease() {
+        let pool = BufPool::new(&Registry::new());
+        let big = vec![9u8; 5 * READ_AHEAD];
+        let stream = wire(&[&big]);
+        let mut r = EventReader {
+            data: stream.clone(),
+            at: 0,
+            readable: READ_AHEAD,
+            closed: false,
+            reads: 0,
+        };
+        let mut decoder = FrameDecoder::new();
+        assert!(matches!(
+            decoder.next(&mut r, &pool).unwrap(),
+            Decoded::Pending
+        ));
+        assert_eq!(
+            pool.outstanding(),
+            1,
+            "the read-ahead went back; the frame's lease stays"
+        );
+        r.readable = stream.len();
+        let Decoded::Frame(frame) = decoder.next(&mut r, &pool).unwrap() else {
+            panic!("the frame is complete");
+        };
+        assert_eq!(&*frame, &big[..]);
+        assert_eq!(
+            r.reads, 3,
+            "read-ahead, the probe, then the rest in one read"
+        );
+        assert!(decoder.at_boundary());
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //!   frame buffer on both sides of the socket.
 //! * [`FrameDecoder`] — resumable incremental decoding of
 //!   length-prefixed frames, with the blocking readers' EOF/truncation/
-//!   size-bound semantics carried over byte-for-byte.
+//!   size-bound semantics carried over byte-for-byte, reading ahead so a
+//!   burst of small frames costs one `read`.
 //! * [`OutQueue`] — bounded per-connection outbound FIFO with vectored
 //!   (`writev`) flush, mid-frame resume, and loud overflow.
 //! * [`Reactor`] / [`ReactorHandle`] / [`Driver`] — the worker pool,

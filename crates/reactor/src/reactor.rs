@@ -18,7 +18,11 @@
 //! where batching drivers coalesce everything the tick delivered into
 //! frames — and finally one vectored flush per connection with queued
 //! output. Commands that arrive together therefore share one syscall on
-//! the way out, batching by event-loop cadence with no flush timer.
+//! the way out, batching by event-loop cadence with no flush timer. The
+//! way in mirrors it: a readable connection is read *once* — the decoder
+//! reads ahead and carves every frame the socket held out of that one
+//! buffer — and a short read ends its turn without a `WouldBlock` probe,
+//! which only a level-triggered poll (ours) makes safe.
 //!
 //! ## Backpressure contract
 //!
@@ -651,7 +655,16 @@ impl Worker {
             let Endpoint { sock, decoder, .. } = ep;
             let Some(sock) = sock.as_mut() else { return };
             match decoder.next(sock, &pool) {
-                Ok(Decoded::Frame(frame)) => self.run_call(conn, Call::Frame(frame)),
+                Ok(Decoded::Frame(frame)) => {
+                    // A short read emptied the socket: the poll is
+                    // level-triggered, so later bytes (or a close) raise a
+                    // new event and the `WouldBlock` probe can be skipped.
+                    let drained = decoder.drained();
+                    self.run_call(conn, Call::Frame(frame));
+                    if drained {
+                        return;
+                    }
+                }
                 Ok(Decoded::Pending) => return,
                 Ok(Decoded::Eof) => {
                     self.disconnect(conn, None, false);

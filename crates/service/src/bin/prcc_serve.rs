@@ -24,7 +24,6 @@ const VALUED: &[&str] = &[
     "--seed",
     "--base-port",
     "--batch",
-    "--flush-us",
     "--value-bytes",
     "--data-dir",
     "--snapshot-every",
@@ -51,8 +50,9 @@ fn run() -> Result<(), String> {
              \t--seed S         topology seed for 'random' (default 0)\n\
              \t--base-port P    first port; node i uses P+2i (peer) and P+2i+1 (client);\n\
              \t                 0 = ephemeral (default)\n\
-             \t--batch N        max updates per peer flush (default 64)\n\
-             \t--flush-us U     batch flush interval in microseconds (default 200)\n\
+             \t--batch N        max updates per peer flush frame (default 64); a link\n\
+             \t                 ships what a reactor tick delivered when the tick\n\
+             \t                 ends, so there is no flush interval to tune\n\
              \t--value-bytes B  extra payload bytes per update (default 0)\n\
              \t--data-dir PATH  enable durability: per-node WAL + snapshots under PATH\n\
              \t                 (nodes recover their state from it on restart)\n\
@@ -81,7 +81,6 @@ fn run() -> Result<(), String> {
     let base_port = args.parse_or("--base-port", 0u16)?;
     let cfg = ServiceConfig {
         batch_max: args.parse_or("--batch", 64usize)?.max(1),
-        flush_interval: Duration::from_micros(args.parse_or("--flush-us", 200u64)?),
         pad_bytes: args.parse_or("--value-bytes", 0usize)?,
         data_dir: args.value("--data-dir").map(std::path::PathBuf::from),
         snapshot_every: args.parse_or("--snapshot-every", 4096u64)?,

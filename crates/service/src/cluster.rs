@@ -2,7 +2,7 @@
 
 use crate::client::{RoutedClient, ServiceClient};
 use crate::node::{spawn_node, NodeHandle, NodeSeed, ServiceConfig};
-use crate::wire::NodeStatus;
+use crate::wire::{NodeStatus, WIRE_SEQ_BITS};
 use prcc_checker::trace::{TraceError, TraceEvent};
 use prcc_checker::{
     verify_cut_closure, verify_partitions_checkpointed, CutSnapshot, CutVerdict, TraceCheckpoint,
@@ -399,9 +399,9 @@ impl LoopbackCluster {
         let parts = self.traces_by_partition(self.collect_traces()?);
         let map = &self.map;
         let verdicts = verify_partitions_checkpointed(self.map.graph(), &parts, |p, wire| {
-            // Wire ids encode the issuing node above bit 40; the map
-            // resolves its role within the partition.
-            map.role_on(PartitionId(p as u32), (wire >> 40) as usize)
+            // Wire ids encode the issuing node above the sequence bits;
+            // the map resolves its role within the partition.
+            map.role_on(PartitionId(p as u32), (wire >> WIRE_SEQ_BITS) as usize)
         });
         Ok(verdicts
             .into_iter()

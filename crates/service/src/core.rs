@@ -17,7 +17,7 @@
 //! * **Causal delivery** ([`PartitionSlot`]). The paper's replica: issue
 //!   advances the clock and sends; receive buffers until predicate `J`
 //!   holds; apply merges. Updates carry globally unique wire ids
-//!   (`node << 40 | seq`, with `seq` node-global across partitions and
+//!   (`node << WIRE_SEQ_BITS | seq`, `seq` node-global across partitions and
 //!   recovered on restart), which key the post-hoc per-partition oracle
 //!   replay over collected traces.
 //! * **Durability** ([`Stage`]). Every state-mutating input is a
@@ -54,7 +54,7 @@
 //! ring of recent structured events for the driver's crash dump.
 
 use crate::node::ServiceConfig;
-use crate::wire::{FlushSections, NodeStatus, PartitionCounters};
+use crate::wire::{FlushSections, NodeStatus, PartitionCounters, WIRE_SEQ_BITS, WIRE_SEQ_MASK};
 use prcc_checker::trace::TraceEvent;
 use prcc_checker::{CutSnapshot, PartitionCut, TraceCheckpoint, UpdateId};
 use prcc_clock::{Protocol, WireClock};
@@ -68,10 +68,6 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::io;
 use std::sync::Arc;
-
-/// Low 40 bits of a wire id: the node-global issue sequence (the issuing
-/// node's index sits above them).
-const WIRE_SEQ_MASK: u64 = (1 << 40) - 1;
 
 /// How many consistent-cut snapshots the core keeps, newest-first. Cut
 /// audits are live-only diagnostics: an auditor that falls more than this
@@ -89,7 +85,7 @@ pub(crate) type Sequenced<C> = (u64, PartitionId, Update<C>);
 pub(crate) struct Env<'a, P> {
     pub(crate) protocol: &'a P,
     pub(crate) map: &'a PartitionMap,
-    /// Peer flush frames between streamed acknowledgements per link.
+    /// Received updates between streamed acknowledgements per link.
     pub(crate) ack_every: u64,
     /// Live trace events per partition above which the acknowledged log
     /// prefix is sealed (0 = only when a snapshot is due).
@@ -348,8 +344,9 @@ struct PeerLink<C> {
     /// node acknowledges back) plus the out-of-order residue — also the
     /// exact per-link duplicate filter.
     recv: SeqWatermark,
-    /// Flush frames received since the last streamed acknowledgement.
-    frames_since_ack: u64,
+    /// Updates received (duplicates included — a resend wants its ack
+    /// too) since the last streamed acknowledgement.
+    updates_since_ack: u64,
     /// Origin side: highest outbound sequence retired from an `unacked`
     /// pair *because the peer acknowledged it* (never because the window
     /// cap evicted it). Every sequence at or below this is provably
@@ -382,7 +379,7 @@ impl<C> PeerLink<C> {
             acked_high: 0,
             evicted_high: 0,
             recv: SeqWatermark::new(),
-            frames_since_ack: 0,
+            updates_since_ack: 0,
             sealed_high: 0,
             barrier_sent: 0,
             seal_barrier: 0,
@@ -672,9 +669,12 @@ impl<P: Protocol> Core<P> {
                 };
                 self.apply(env, record, now, stage.as_deref_mut(), out)?;
                 let link = &mut self.links[peer];
-                link.frames_since_ack += 1;
-                if env.ack_every > 0 && link.frames_since_ack >= env.ack_every {
-                    link.frames_since_ack = 0;
+                // Counted in updates, not frames, so ack traffic (and the
+                // sync each ack forces on a durable node) follows the
+                // data rate, not the sender's framing.
+                link.updates_since_ack += updates;
+                if env.ack_every > 0 && link.updates_since_ack >= env.ack_every {
+                    link.updates_since_ack = 0;
                     // Acknowledge the watermark's contiguous line only:
                     // residue above a gap stays unacknowledged until the
                     // gap fills.
@@ -984,7 +984,7 @@ impl<P: Protocol> Core<P> {
                         }
                     }
                     TraceEvent::Apply { update, .. } => {
-                        let issuer_node = (*update >> 40) as usize;
+                        let issuer_node = (*update >> WIRE_SEQ_BITS) as usize;
                         if let Some(role) = map.role_on(partition, issuer_node) {
                             if let Some(high) = applied.get_mut(role.index()) {
                                 *high = (*high).max(*update);
@@ -1025,7 +1025,7 @@ impl<P: Protocol> Core<P> {
 
     fn next_wire_id(&mut self) -> u64 {
         self.seq += 1;
-        ((self.node as u64) << 40) | self.seq
+        ((self.node as u64) << WIRE_SEQ_BITS) | self.seq
     }
 
     /// Applies an accepted client write: advances the replica, records the
@@ -1292,7 +1292,7 @@ impl<P: Protocol> Core<P> {
                 }
             }
             slot.checkpoint.absorb(&slot.log[..events], |w| {
-                map.role_on(partition, (w >> 40) as usize)
+                map.role_on(partition, (w >> WIRE_SEQ_BITS) as usize)
             });
             slot.log.drain(..events);
             // Drop queue entries the seal covered (replay reaches here
@@ -1490,7 +1490,7 @@ impl<P: Protocol> Core<P> {
     /// Only this node's own issues gate trace sealing, so forwarded
     /// partitions' entries resolve through the wire id's node bits.
     fn rebuild_unacked(&mut self) {
-        let own = (self.node as u64) << 40;
+        let own = (self.node as u64) << WIRE_SEQ_BITS;
         let mut by_wire: HashMap<u64, (PartitionId, Vec<(usize, u64)>)> = HashMap::new();
         for (peer, link) in self.links.iter().enumerate() {
             for &(seq, partition, ref update) in &link.window {
@@ -1521,7 +1521,7 @@ impl<P: Protocol> Core<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prcc_clock::EdgeProtocol;
+    use prcc_clock::{EdgeClock, EdgeProtocol};
     use prcc_graph::topologies;
 
     fn ring_core(
@@ -1635,6 +1635,115 @@ mod tests {
             applied_log,
             "neither duplicate re-applied anything"
         );
+    }
+
+    /// `n` remote writes from a fresh node-0 core: the peer they go to and
+    /// the `(seq, update)` copies, all of one partition and one link.
+    fn remote_writes(n: usize) -> (usize, PartitionId, Vec<(u64, Update<EdgeClock>)>) {
+        let (protocol, map, mut origin) = ring_core(0, 64);
+        let sends: Vec<_> = (0..n)
+            .map(|_| remote_write(&protocol, &map, &mut origin))
+            .collect();
+        let (peer, _, partition, _) = sends[0];
+        assert!(sends.iter().all(|s| (s.0, s.2) == (peer, partition)));
+        let copies = sends.into_iter().map(|(_, seq, _, u)| (seq, u)).collect();
+        (peer, partition, copies)
+    }
+
+    #[test]
+    fn ack_every_counts_updates_not_frames() {
+        // `(frame index, acked seq)` of every acknowledgement a receiver
+        // emits while `frames` (updates per frame) arrive in order.
+        let acks = |ack_every: u64, frames: &[usize]| {
+            let cfg = ServiceConfig {
+                ack_every,
+                ..ServiceConfig::default()
+            };
+            let (peer, partition, copies) = remote_writes(frames.iter().sum());
+            let (protocol, map, mut receiver) = ring_core(peer, 64);
+            let env = Env::new(&protocol, &map, &cfg);
+            let mut copies = copies.into_iter();
+            let mut acks = Vec::new();
+            for (index, &size) in frames.iter().enumerate() {
+                let mut out = Vec::new();
+                let frame = CoreMsg::Updates {
+                    peer: 0,
+                    sections: vec![(partition, copies.by_ref().take(size).collect())],
+                    barrier: 0,
+                    conn: 22,
+                };
+                receiver
+                    .step(&env, frame, &|| 0, None, &mut out)
+                    .expect("step");
+                acks.extend(out.iter().filter_map(|e| match e {
+                    Effect::Ack(22, acked) => Some((index, *acked)),
+                    _ => None,
+                }));
+            }
+            acks
+        };
+        // The frame that brings the unacknowledged updates to >= n acks
+        // them all, and the count starts over.
+        assert_eq!(acks(5, &[2, 2, 2, 2, 2, 2]), [(2, 6), (5, 12)]);
+        assert_eq!(acks(5, &[7, 1, 1, 3]), [(0, 7), (3, 12)]);
+        // Same updates, other framing: same number of acks.
+        assert_eq!(acks(4, &[1; 12]).len(), acks(4, &[4; 3]).len());
+        // 1 = every frame, 0 = the handshake only — as before.
+        assert_eq!(acks(1, &[3, 1, 2]), [(0, 3), (1, 4), (2, 6)]);
+        assert_eq!(acks(0, &[3, 1, 2]), []);
+    }
+
+    #[test]
+    fn an_absent_barrier_is_no_news_even_across_a_reconnect() {
+        let (peer, partition, copies) = remote_writes(3);
+        let (protocol, map, mut receiver) = ring_core(peer, 64);
+        let cfg = ServiceConfig::default();
+        let env = Env::new(&protocol, &map, &cfg);
+        let frame = |receiver: &mut Core<EdgeProtocol>, seqs: &[u64], barrier, conn| {
+            let updates = copies
+                .iter()
+                .filter(|(seq, _)| seqs.contains(seq))
+                .cloned()
+                .collect();
+            let msg = CoreMsg::Updates {
+                peer: 0,
+                sections: vec![(partition, updates)],
+                barrier,
+                conn,
+            };
+            let mut out = Vec::new();
+            receiver
+                .step(&env, msg, &|| 0, None, &mut out)
+                .expect("step");
+        };
+        // The barrier rides one frame; the stragglers behind it carry none
+        // and still take the fast path.
+        frame(&mut receiver, &[1, 2], 0, 22);
+        frame(&mut receiver, &[3], 2, 22);
+        assert_eq!(receiver.barrier_skips, 0);
+        frame(&mut receiver, &[2], 0, 22);
+        assert_eq!(
+            (receiver.barrier_skips, receiver.duplicates_dropped),
+            (1, 1)
+        );
+        // A redial replaces the connection, not what the link was told.
+        let join = CoreMsg::PeerJoin { peer: 0, conn: 33 };
+        let mut out = Vec::new();
+        receiver
+            .step(&env, join, &|| 0, None, &mut out)
+            .expect("step");
+        frame(&mut receiver, &[1], 0, 33);
+        assert_eq!(
+            (receiver.barrier_skips, receiver.duplicates_dropped),
+            (2, 2)
+        );
+        // Above the barrier a duplicate still takes the watermark path.
+        frame(&mut receiver, &[3], 0, 33);
+        assert_eq!(
+            (receiver.barrier_skips, receiver.duplicates_dropped),
+            (2, 3)
+        );
+        assert_eq!(receiver.status().applies, 3);
     }
 
     /// The seam, socket-free: a write steps through one core, its send

@@ -9,10 +9,11 @@
 //!
 //! * [`PeerOut`] dials a peer's update listener (redialing with seeded,
 //!   bounded backoff via one-shot timers if the link drops), handshakes,
-//!   then coalesces outgoing updates — a batch closes when it reaches
-//!   `batch_max` updates or `flush_interval` elapses, whichever is first,
-//!   and the whole flush is emitted as *one* multi-partition frame
-//!   carrying a section per partition present;
+//!   then coalesces outgoing updates by event-loop cadence — a batch
+//!   closes when the reactor tick that delivered its updates ends (or a
+//!   cut marker must go out behind it): there is no flush timer, the tick
+//!   *is* the batch. Each `batch_max`-sized chunk of it is emitted as
+//!   *one* multi-partition frame carrying a section per partition present;
 //! * [`PeerIn`] validates the versioned handshake (the core answers it
 //!   with the acknowledged resume offset), incrementally decoded flush
 //!   frames and cut markers fan out to the core as [`CoreMsg`]s, and
@@ -52,12 +53,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-/// Maximum frames a peer link coalesces into one flush pass. Each frame
-/// is itself `batch_max`-bounded, so one flush moves at most
-/// `batch_max * MAX_FLUSH_FRAMES` updates before the link ships what it
-/// has instead of accumulating further.
-const MAX_FLUSH_FRAMES: usize = 8;
-
 /// Commands the core sends to a peer link's outbound driver, delivered
 /// through the reactor ([`ReactorHandle::command`]) in enqueue order.
 pub(crate) enum PeerCmd<C> {
@@ -78,8 +73,8 @@ pub(crate) enum PeerCmd<C> {
         barrier: u64,
     },
     /// The link's seal barrier advanced: every sequence at or below it has
-    /// been acknowledged by the peer, so future flush frames carry the new
-    /// value and the receiver can skip the dependency re-check for
+    /// been acknowledged by the peer, so the next flush frame carries the
+    /// new value and the receiver can skip the dependency re-check for
     /// straggler resends underneath it.
     Barrier(u64),
 }
@@ -160,8 +155,8 @@ enum OutState {
 // lint: reactor
 /// The outbound half of one peer link, driven entirely by reactor events:
 /// dials (and redials, with the same seeded backoff jitter as the old
-/// sender threads), handshakes, retransmits the resume window, batches
-/// core-issued updates into multi-batch flush frames, and feeds streamed
+/// sender threads), handshakes, retransmits the resume window, ships each
+/// tick's core-issued updates as multi-batch flush frames, and feeds streamed
 /// acknowledgements back to the core. Registration is permanent: the
 /// driver returns [`Fate::Keep`] from every disconnect while the node is
 /// alive, so the core's command address never changes.
@@ -173,8 +168,9 @@ pub(crate) struct PeerOut<C> {
     addr: SocketAddr,
     /// The encoded hello payload, built once; framed per connection.
     hello: Vec<u8>,
+    /// Most updates one flush frame carries; a bigger batch ships as
+    /// several frames.
     batch_max: usize,
-    flush_interval: Duration,
     pad_bytes: usize,
     connect_timeout: Duration,
     hub: Hub<C>,
@@ -182,16 +178,22 @@ pub(crate) struct PeerOut<C> {
     /// Commands that arrived mid-handshake, replayed in order once the
     /// resume window has been retransmitted.
     pending: VecDeque<PeerCmd<C>>,
-    /// The open batch: updates waiting for the flush timer or a full
-    /// `batch_max * MAX_FLUSH_FRAMES` backlog.
+    /// The open batch: the updates this reactor tick has delivered so far.
+    /// `on_flush` ships all of it when the tick ends, so it never outlives
+    /// a tick and is bounded by what one inbox drain can hold.
     batch: Vec<Sequenced<C>>,
     /// Highest sequence already transmitted on this connection (the
     /// resume window's tail, advanced by every flush): entries at or
     /// below it still arriving through the command queue are duplicates
     /// of what the resume sent and are dropped before encoding.
     covered: u64,
-    /// The link's seal barrier, carried in every flush frame.
+    /// The link's seal barrier (max-monotone).
     barrier: u64,
+    /// The barrier value already written on the current connection (0 on
+    /// a fresh one). A frame carries the barrier only when it is news: the
+    /// first frame of a connection — which is how a restarted receiver
+    /// relearns it — and the first frame after it advanced.
+    barrier_told: u64,
     /// The peer's acknowledged offset from the current handshake.
     acked: u64,
     /// Connection generation: counts successful connects.
@@ -200,8 +202,6 @@ pub(crate) struct PeerOut<C> {
     deadline: Option<Instant>,
     backoff: Duration,
     attempt: u64,
-    /// Whether the flush timer is armed for the open batch.
-    flush_timer: bool,
 }
 
 impl<C: WireClock> PeerOut<C> {
@@ -224,7 +224,6 @@ impl<C: WireClock> PeerOut<C> {
             addr,
             hello: encode_peer_hello(&hello),
             batch_max: cfg.batch_max.max(1),
-            flush_interval: cfg.flush_interval,
             pad_bytes: cfg.pad_bytes,
             connect_timeout: cfg.connect_timeout,
             hub,
@@ -233,12 +232,12 @@ impl<C: WireClock> PeerOut<C> {
             batch: Vec::new(),
             covered: 0,
             barrier: 0,
+            barrier_told: 0,
             acked: 0,
             generation: 0,
             deadline: None,
             backoff: Duration::from_millis(5),
             attempt: 0,
-            flush_timer: false,
         }
     }
 
@@ -273,9 +272,17 @@ impl<C: WireClock> PeerOut<C> {
             // (`flushes_pack_multiple_partitions_into_one_frame`, and the
             // `node.frames_per_flush` metric of `prcc-perf`).
             self.hub.counters.flushes.add(1);
+            // The barrier rides only the frame it is news on (absent = no
+            // news; the receiver keeps the maximum it has been told).
+            let barrier = if self.barrier > self.barrier_told {
+                self.barrier_told = self.barrier;
+                self.barrier
+            } else {
+                0
+            };
             let mut frame = ctx.pool().lease(256);
             if append_frame(&mut frame, |out| {
-                encode_multi_batch_sealed_into(&sections, self.pad_bytes, self.barrier, out)
+                encode_multi_batch_sealed_into(&sections, self.pad_bytes, self.node, barrier, out)
             })
             .is_err()
             {
@@ -313,33 +320,19 @@ impl<C: WireClock> PeerOut<C> {
         }
     }
 
-    /// Flushes the open batch: drops entries the resume already covered,
-    /// then ships complete `batch_max` chunks — all of it when `force`
-    /// (the flush timer's deadline semantics), only full chunks otherwise
-    /// (a partial tail keeps accumulating under its timer).
-    fn flush(&mut self, ctx: &mut Ctx<'_>, force: bool) {
+    /// Flushes the open batch, all of it: drops entries the resume already
+    /// covered and ships the rest, `batch_max` updates to a frame.
+    fn flush(&mut self, ctx: &mut Ctx<'_>) {
         let covered = self.covered;
         self.batch.retain(|(seq, _, _)| *seq > covered);
-        let ship = if force {
-            self.batch.len()
-        } else {
-            (self.batch.len() / self.batch_max) * self.batch_max
-        };
-        if ship > 0 {
-            let rest = self.batch.split_off(ship);
-            let shipped = std::mem::replace(&mut self.batch, rest);
-            if let Some(&(last, _, _)) = shipped.last() {
-                self.covered = last;
-            }
-            self.transmit(ctx, &shipped, true);
+        let mut shipped = std::mem::take(&mut self.batch);
+        if let Some(&(last, _, _)) = shipped.last() {
+            self.covered = last;
         }
-        if self.batch.is_empty() {
-            self.flush_timer = false;
-            ctx.clear_timer();
-        } else if !self.flush_timer {
-            self.flush_timer = true;
-            ctx.set_timer(self.flush_interval);
-        }
+        self.transmit(ctx, &shipped, true);
+        // Hand the (emptied) allocation back for the next tick.
+        shipped.clear();
+        self.batch = shipped;
     }
     // lint: end-hot-path
 
@@ -347,19 +340,11 @@ impl<C: WireClock> PeerOut<C> {
     /// handshake-era backlog after a resume).
     fn apply_cmd(&mut self, ctx: &mut Ctx<'_>, cmd: PeerCmd<C>) {
         match cmd {
-            PeerCmd::Update(entry) => {
-                self.batch.push(entry);
-                // Opportunistic backlog bound: a link that fell behind
-                // flushes once MAX_FLUSH_FRAMES frames' worth piles up
-                // instead of growing the batch without limit.
-                if self.batch.len() >= self.batch_max * MAX_FLUSH_FRAMES {
-                    self.flush(ctx, false);
-                }
-            }
+            PeerCmd::Update(entry) => self.batch.push(entry),
             PeerCmd::Marker(token) => {
                 // Everything queued before the marker must hit the wire
                 // first, the marker next, everything after it later.
-                self.flush(ctx, true);
+                self.flush(ctx);
                 self.write_marker(ctx, token);
             }
             PeerCmd::Barrier(b) => self.barrier = self.barrier.max(b),
@@ -439,6 +424,7 @@ impl<C: WireClock> Driver for PeerOut<C> {
         // acceptor's driver expects it and answers with the link's
         // acknowledged resume offset.
         self.generation += 1;
+        self.barrier_told = 0;
         self.state = OutState::AwaitAck;
         let mut frame = ctx.pool().lease(self.hello.len() + 8);
         if append_frame(&mut frame, |out| out.extend_from_slice(&self.hello)).is_ok() {
@@ -519,27 +505,19 @@ impl<C: WireClock> Driver for PeerOut<C> {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>) {
-        match self.state {
-            // The batching deadline: ship the open batch, full or not.
-            OutState::Established => {
-                self.flush_timer = false;
-                self.flush(ctx, true);
-            }
-            // The backoff expired: dial again inside the current window.
-            OutState::Down => {
-                self.state = OutState::Dialing;
-                ctx.dial(self.addr);
-            }
-            // A stale flush timer from before a disconnect; ignore.
-            _ => {}
+        // The only timer a link sets is its redial backoff: dial again
+        // inside the current window.
+        if self.state == OutState::Down {
+            self.state = OutState::Dialing;
+            ctx.dial(self.addr);
         }
     }
 
     fn on_flush(&mut self, ctx: &mut Ctx<'_>) {
-        // End of a tick that delivered commands: ship complete chunks
-        // now; a partial tail waits for more traffic or its timer.
+        // End of the tick that delivered the commands: the tick is the
+        // batch, so everything it brought leaves now.
         if self.state == OutState::Established {
-            self.flush(ctx, false);
+            self.flush(ctx);
         }
     }
 
@@ -552,7 +530,6 @@ impl<C: WireClock> Driver for PeerOut<C> {
         // still parked in the core's window, and the resume on the next
         // successful handshake retransmits whatever the peer missed.
         self.batch.clear();
-        self.flush_timer = false;
         if was_established {
             if let Some(e) = err {
                 eprintln!(
@@ -672,7 +649,9 @@ where
         // whole frame to the core as one delivery (and one WAL receipt).
         let roles = self.map.graph().num_replicas();
         let protocol = &self.protocol;
-        let (sections, barrier) = decode_sealed_batches(&frame, |k| {
+        // Ids arrive without their node bits; the link's sender restores
+        // them.
+        let (sections, barrier) = decode_sealed_batches(&frame, peer, |k| {
             (k.index() < roles).then(|| protocol.new_clock(k))
         })?;
         for (partition, _) in &sections {
@@ -783,3 +762,92 @@ impl<C: WireClock> Driver for ClientConn<C> {
     }
 }
 // lint: end-reactor
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::{encode_hello_ack_into, read_frame, write_frame};
+    use prcc_checker::UpdateId;
+    use prcc_clock::{EdgeClock, EdgeProtocol};
+    use prcc_core::Update;
+    use prcc_graph::{topologies, PartitionId, RegisterId, ReplicaId};
+    use prcc_net::VirtualTime;
+    use prcc_reactor::{BufPool, Reactor};
+    use std::net::TcpListener;
+
+    /// The tick is the batch: an update handed to an established, idle
+    /// link is on the socket after the one reactor wakeup that delivered
+    /// the command — not that wakeup plus a flush-timer wakeup behind it.
+    #[test]
+    fn a_lone_update_leaves_on_the_wakeup_that_delivered_it() {
+        let graph = topologies::line(2);
+        let map = PartitionMap::single(graph.clone());
+        let protocol = EdgeProtocol::new(graph);
+        let registry = Registry::new();
+        let reactor = Reactor::new("t", 1, 1 << 20, BufPool::new(&registry), &registry)
+            .expect("one-worker reactor");
+        let handle = reactor.handle().clone();
+        // The test plays both the peer (a plain listener) and the core
+        // (the receiving end of the hub's channel).
+        let peer = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let (core_tx, core_rx) = mpsc::channel();
+        let hub: Hub<EdgeClock> = Hub {
+            core_tx,
+            counters: Arc::new(NetMetrics::new(&registry)),
+            stop: Arc::new(AtomicBool::new(false)),
+        };
+        let addr = peer.local_addr().expect("addr");
+        let link = PeerOut::new(0, 1, addr, &map, &ServiceConfig::default(), hub);
+        let conn = handle.register(None, Box::new(link));
+
+        let (mut sock, _) = peer.accept().expect("dial");
+        let hello = read_frame(&mut sock).expect("io").expect("hello");
+        assert_eq!(decode_peer_hello(&hello).expect("hello").node, 0);
+        let mut ack = Vec::new();
+        encode_hello_ack_into(0, &mut ack);
+        write_frame(&mut sock, &ack).expect("hello ack");
+        assert!(matches!(
+            core_rx.recv().expect("resume request"),
+            CoreMsg::PeerResume {
+                peer: 1,
+                acked: 0,
+                ..
+            }
+        ));
+        let resume = PeerCmd::<EdgeClock>::Resume {
+            window: Vec::new(),
+            barrier: 0,
+        };
+        handle.command(conn, Box::new(resume));
+
+        let update = |seq: u64| {
+            let mut clock = protocol.new_clock(ReplicaId(0));
+            protocol.advance(ReplicaId(0), &mut clock, RegisterId(0));
+            let update = Update {
+                id: UpdateId(seq),
+                issuer: ReplicaId(0),
+                register: RegisterId(0),
+                value: seq,
+                clock,
+                issued_at: VirtualTime::ZERO,
+                received_at: VirtualTime::ZERO,
+            };
+            Box::new(PeerCmd::Update((seq, PartitionId(0), update)))
+        };
+        // A first update proves the link established (and leaves the
+        // worker parked in `epoll_wait` with nothing armed).
+        handle.command(conn, update(1));
+        read_frame(&mut sock).expect("io").expect("first frame");
+        let before = handle.metrics().wakeups.get();
+        handle.command(conn, update(2));
+        let frame = read_frame(&mut sock).expect("io").expect("second frame");
+        let wakeups = handle.metrics().wakeups.get() - before;
+        let (sections, _) =
+            decode_sealed_batches(&frame, 0, |k| Some(protocol.new_clock(k))).expect("flush");
+        assert_eq!(sections[0].1[0].0, 2, "the lone update, link seq 2");
+        assert_eq!(wakeups, 1, "command and frame share one reactor tick");
+
+        reactor.stop(false);
+        reactor.join();
+    }
+}

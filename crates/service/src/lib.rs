@@ -5,12 +5,13 @@
 //! crate takes the same generic [`prcc_clock::Protocol`] replicas across
 //! real sockets, as layers composed around one sans-I/O state machine:
 //!
-//! * [`wire`] — the length-prefixed binary wire protocol (version 8): a
+//! * [`wire`] — the length-prefixed binary wire protocol (version 9): a
 //!   versioned peer handshake carrying the serialized
 //!   [`prcc_graph::PartitionMap`] and answered with the link's
 //!   acknowledged resume offset, multi-partition flush frames (one frame
 //!   per flush, a `(partition, [(link seq, update)])` section per
-//!   partition present, an optional trailing seal barrier) built on
+//!   partition present, update ids without the sender's node bits, the
+//!   seal barrier trailing only the frame it is news on) built on
 //!   [`prcc_clock::WireClock`] / `Update::encode_wire` and carrying
 //!   per-update origin issue stamps, streamed acknowledgement frames,
 //!   consistent-cut markers, the partition-addressed client read/write
@@ -28,8 +29,9 @@
 //!   rebuilding clocks, stores, event logs and resend windows after a
 //!   crash.
 //! * `drivers` — every socket as a non-blocking `prcc-reactor` driver:
-//!   peer senders that batch updates and pack each flush into a single
-//!   multi-partition frame (reconnecting with backoff on link loss and
+//!   peer senders that ship what each reactor tick delivered — no flush
+//!   timer — packing each flush into a single multi-partition frame
+//!   (reconnecting with backoff on link loss and
 //!   resending the unacked window), peer receivers, and client
 //!   connections.
 //! * [`node`] — configuration, [`spawn_node`], and the sweep loop: the one

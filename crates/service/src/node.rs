@@ -39,11 +39,11 @@ const SWEEP_MAX: usize = 256;
 /// Tuning knobs of a node deployment.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Maximum updates coalesced into one peer flush (emitted as a single
-    /// multi-partition frame).
+    /// Maximum updates one peer flush frame carries. A link ships
+    /// everything a reactor tick delivered when the tick ends — there is no
+    /// batching timer — and a burst bigger than this leaves as several
+    /// frames of at most `batch_max` updates each.
     pub batch_max: usize,
-    /// How long a non-full batch may wait for more updates.
-    pub flush_interval: Duration,
     /// Extra bytes shipped with each update (simulated value size).
     pub pad_bytes: usize,
     /// How long senders keep retrying a peer dial before giving up.
@@ -55,9 +55,14 @@ pub struct ServiceConfig {
     /// WAL records between snapshots (snapshots truncate the log);
     /// 0 = never snapshot. Ignored without a data dir.
     pub snapshot_every: u64,
-    /// Peer flush frames between streamed acknowledgements per link;
-    /// 0 = acknowledge only at the handshake (useful for deterministic
-    /// snapshot tests — windows then never shrink mid-run).
+    /// Received *updates* between streamed acknowledgements per link: a
+    /// link is acknowledged after the frame that brings its updates
+    /// received since the last acknowledgement to this many (1 = every
+    /// frame). Counted in updates, not frames, so ack traffic — and the WAL
+    /// sync each ack forces on a durable node — follows the data rate, not
+    /// the sender's framing. 0 = acknowledge only at the handshake (useful
+    /// for deterministic snapshot tests — windows then never shrink
+    /// mid-run).
     pub ack_every: u64,
     /// Group commit: `fdatasync` the WAL every N appends (and sync
     /// snapshots before rename), for power-loss durability; 0 = never
@@ -102,12 +107,11 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             batch_max: 64,
-            flush_interval: Duration::from_micros(200),
             pad_bytes: 0,
             connect_timeout: Duration::from_secs(10),
             data_dir: None,
             snapshot_every: 4096,
-            ack_every: 16,
+            ack_every: 32,
             fsync_every: 0,
             trace_compact_at: 1024,
             window_cap: 1 << 16,

@@ -1,5 +1,5 @@
-//! The length-prefixed wire protocol (version 8: partition-aware,
-//! acknowledged, bounded-memory aware, observable, audited, sealed).
+//! The length-prefixed wire protocol (version 9: partition-aware,
+//! acknowledged, bounded-memory aware, observable, audited, sealed, trimmed).
 //!
 //! Every message is a *frame*: a little-endian `u32` payload length followed
 //! by the payload; the first payload byte is a message tag. Peer frames
@@ -50,6 +50,17 @@
 //!   resend at or below it is dropped *before* the watermark re-check
 //!   ([`NodeStatus::barrier_skips`] counts the saves). The status payload
 //!   also grew the reactor gauges.
+//! * **v9** trimmed the flush frame to what the link does not already
+//!   know, so a frame per reactor tick costs no more bytes than the timed
+//!   batches it replaced. The seal barrier is link state, not frame state:
+//!   the sender writes it on the first frame of a connection and when it
+//!   advanced since the last frame written there (absent still means "no
+//!   news" — the receiver keeps the maximum it has seen). And an update's
+//!   wire id ships as its low [`WIRE_SEQ_BITS`] bits only: a link carries
+//!   nothing but its sender's own issues, so the receiver restores the
+//!   node bits from the handshake's node index and refuses an id that
+//!   carries any. WAL receipts and snapshots keep the full id
+//!   ([`Update::encode_wire`]), so data dirs are unchanged.
 //!
 //! Causal timestamps ship counters only; index sets and the partition
 //! layout are static configuration carried once in the handshake.
@@ -74,9 +85,20 @@ use std::io::{self, Read, Write};
 /// issue stamps and the client API gained `Metrics`, to 7 when the
 /// consistent-cut audit landed (peer marker frames, client `Cut`
 /// request/response), to 8 when flush frames gained the trailing seal
-/// barrier and the status payload the reactor counters; peers at any
-/// other version are refused at the handshake.
-pub const WIRE_VERSION: u64 = 8;
+/// barrier and the status payload the reactor counters, to 9 when flush
+/// frames dropped the issuing node's bits from every update id and the
+/// unchanged barrier from every frame; peers at any other version are
+/// refused at the handshake.
+pub const WIRE_VERSION: u64 = 9;
+
+/// Bits of a wire id that hold the issuing node's node-global sequence;
+/// the node's index sits above them (`node << WIRE_SEQ_BITS | seq`). The
+/// one definition of the split: the core mints ids with it, the flush
+/// codec trims and restores the node bits with it.
+pub const WIRE_SEQ_BITS: u32 = 40;
+
+/// Low [`WIRE_SEQ_BITS`] bits of a wire id: the part a flush frame ships.
+pub const WIRE_SEQ_MASK: u64 = (1 << WIRE_SEQ_BITS) - 1;
 
 /// Upper bound on accepted frame payloads (64 MiB) — a garbage or hostile
 /// length prefix is refused with a descriptive error *before* any
@@ -357,8 +379,18 @@ pub fn decode_peer_ack(payload: &[u8]) -> io::Result<u64> {
 }
 
 // lint: hot-path
-fn encode_seq_updates<C: WireClock>(updates: &[(u64, Update<C>)], pad: usize, out: &mut Vec<u8>) {
+fn encode_seq_updates<C: WireClock>(
+    updates: &[(u64, Update<C>)],
+    pad: usize,
+    sender: Option<usize>,
+    out: &mut Vec<u8>,
+) {
     for (seq, u) in updates {
+        debug_assert!(
+            sender.is_none_or(|node| u.id.0 >> WIRE_SEQ_BITS == node as u64),
+            "update {:#x} on node {sender:?}'s link was issued elsewhere",
+            u.id.0
+        );
         write_varint(out, *seq);
         // v6: the origin's wall-clock issue stamp (micros since epoch)
         // rides next to the sequence so recipients can derive visibility
@@ -367,7 +399,9 @@ fn encode_seq_updates<C: WireClock>(updates: &[(u64, Update<C>)], pad: usize, ou
         // writes WAL receipts and snapshots, which must stay free of
         // wall-clock bytes.
         write_varint(out, u.issued_at.0);
-        u.encode_wire(out);
+        // v9: the id ships without its node bits — the receiver restores
+        // them from the link's handshake.
+        u.encode_wire_with_id(u.id.0 & WIRE_SEQ_MASK, out);
         write_varint(out, pad as u64);
         out.resize(out.len() + pad, 0);
     }
@@ -378,6 +412,7 @@ fn decode_seq_updates<C, F>(
     payload: &[u8],
     at: &mut usize,
     count: usize,
+    peer: usize,
     make_clock: &mut F,
 ) -> io::Result<Vec<(u64, Update<C>)>>
 where
@@ -395,6 +430,12 @@ where
         let stamp = get_varint(payload, at)?;
         let mut u = Update::decode_wire(payload, at, &mut *make_clock)
             .ok_or_else(|| bad_data("malformed update"))?;
+        if u.id.0 > WIRE_SEQ_MASK {
+            // Node bits on the wire would alias another node's id space
+            // once the sender's are OR-ed in.
+            return Err(bad_data("wire id carries node bits"));
+        }
+        u.id.0 |= (peer as u64) << WIRE_SEQ_BITS;
         u.issued_at = VirtualTime(stamp);
         let pad = get_varint(payload, at)? as usize;
         if payload.len() - *at < pad {
@@ -416,28 +457,41 @@ pub type FlushSections<C> = Vec<(PartitionId, Vec<(u64, Update<C>)>)>;
 /// buffer with the length slot already reserved by [`append_frame`]): a
 /// section count followed by `(partition, [(link seq, update)])` sections.
 /// Empty sections are skipped (the decoder rejects them), section order and
-/// per-partition update order are preserved, and `pad` zero bytes ride
-/// along with each update, simulating larger application values. A
-/// property test holds these bytes equal to a copy-assemble reference
-/// encoder on arbitrary sections.
+/// per-partition update order are preserved, every update id is trimmed to
+/// its low [`WIRE_SEQ_BITS`] bits, and `pad` zero bytes ride along with
+/// each update, simulating larger application values. No seal barrier is
+/// written and no sender is checked — the link driver encodes with
+/// [`encode_multi_batch_sealed_into`]. A property test holds these bytes
+/// equal to a copy-assemble reference encoder on arbitrary sections.
 // lint: hot-path
 pub fn encode_multi_batch_into<C: WireClock>(
     sections: &FlushSections<C>,
     pad: usize,
     out: &mut Vec<u8>,
 ) {
-    encode_multi_batch_sealed_into(sections, pad, 0, out);
+    encode_flush(sections, pad, None, 0, out);
 }
-// lint: end-hot-path
 
-/// The v8 flush encoder: [`encode_multi_batch_into`] plus the trailing
-/// seal barrier. A zero barrier is *omitted* (not encoded as a zero
-/// varint), keeping barrier-free frames byte-identical to v7 — the WAL
-/// receipt codec and every pre-v8 byte-level test rely on that.
-// lint: hot-path
+/// The link driver's flush encoder: [`encode_multi_batch_into`] for the
+/// link of node `sender` (debug builds assert every update was issued
+/// there — anything else would come back with the wrong node bits), plus
+/// the trailing seal barrier. A zero barrier is *omitted* (not encoded as
+/// a zero varint): absent means "no news", which is also how the driver
+/// spells a barrier the connection has already been told.
 pub fn encode_multi_batch_sealed_into<C: WireClock>(
     sections: &FlushSections<C>,
     pad: usize,
+    sender: usize,
+    barrier: u64,
+    out: &mut Vec<u8>,
+) {
+    encode_flush(sections, pad, Some(sender), barrier, out);
+}
+
+fn encode_flush<C: WireClock>(
+    sections: &FlushSections<C>,
+    pad: usize,
+    sender: Option<usize>,
     barrier: u64,
     out: &mut Vec<u8>,
 ) {
@@ -448,7 +502,7 @@ pub fn encode_multi_batch_sealed_into<C: WireClock>(
     for (partition, updates) in live {
         write_varint(out, u64::from(partition.0));
         write_varint(out, updates.len() as u64);
-        encode_seq_updates(updates, pad, out);
+        encode_seq_updates(updates, pad, sender, out);
     }
     if barrier > 0 {
         write_varint(out, barrier);
@@ -458,23 +512,29 @@ pub fn encode_multi_batch_sealed_into<C: WireClock>(
 
 /// Decodes a multi-partition flush frame into its `(partition,
 /// [(link seq, update)])` sections, in wire order, dropping the seal
-/// barrier; callers that consume the barrier use [`decode_sealed_batches`].
+/// barrier and leaving the ids as shipped (link-local: node bits zero);
+/// the receiving driver, which knows the link's sender and consumes the
+/// barrier, uses [`decode_sealed_batches`].
 pub fn decode_multi_batch<C, F>(payload: &[u8], make_clock: F) -> io::Result<FlushSections<C>>
 where
     C: WireClock,
     F: FnMut(ReplicaId) -> Option<C>,
 {
-    decode_sealed_batches(payload, make_clock).map(|(sections, _)| sections)
+    decode_sealed_batches(payload, 0, make_clock).map(|(sections, _)| sections)
 }
 
-/// Decodes a peer flush frame — the only update framing a v8 peer may
-/// send — into its sections plus the seal barrier: the origin's highest
-/// link sequence already acknowledged by this receiver at encode time (0
-/// when absent). Frames with no sections, an empty section, or a link
-/// sequence of 0 are malformed — a well-formed sender never produces
-/// them, so they indicate corruption or a hostile peer.
+/// Decodes a peer flush frame — the only update framing a v9 peer may
+/// send — from node `peer`'s link into its sections, every update id
+/// restored to `peer << WIRE_SEQ_BITS | shipped bits`, plus the seal
+/// barrier: the origin's highest link sequence already acknowledged by
+/// this receiver (0 when absent — no news since the last frame that
+/// carried one). Frames with no sections, an empty section, a link
+/// sequence of 0, or an id with any bit at or above [`WIRE_SEQ_BITS`] are
+/// malformed — a well-formed sender never produces them, so they indicate
+/// corruption or a hostile peer.
 pub fn decode_sealed_batches<C, F>(
     payload: &[u8],
+    peer: usize,
     mut make_clock: F,
 ) -> io::Result<(FlushSections<C>, u64)>
 where
@@ -501,7 +561,7 @@ where
         if updates == 0 {
             return Err(bad_data("empty multi-batch section"));
         }
-        let updates = decode_seq_updates(payload, &mut at, updates, &mut make_clock)?;
+        let updates = decode_seq_updates(payload, &mut at, updates, peer, &mut make_clock)?;
         sections.push((PartitionId(partition), updates));
     }
     let barrier = if at != payload.len() {
@@ -1310,7 +1370,7 @@ mod tests {
         // peer, which predates flush-section issue stamps and would
         // misparse every multi-batch frame.
         assert_eq!(payload[1], WIRE_VERSION as u8);
-        for old in [1u8, 2, 3, 4, 5] {
+        for old in [1u8, 2, 3, 4, 5, 8] {
             payload[1] = old;
             let err = decode_peer_hello(&payload).unwrap_err();
             assert!(
@@ -1319,6 +1379,10 @@ mod tests {
             );
         }
     }
+
+    /// The node whose link the sample flushes travel on: every sample id
+    /// carries its index in the node bits, as a real link's updates do.
+    const SENDER: usize = 2;
 
     fn sample_updates(
         p: &EdgeProtocol,
@@ -1331,7 +1395,7 @@ mod tests {
             let mut clock = p.new_clock(i);
             p.advance(i, &mut clock, RegisterId(i.index() as u32));
             updates.push(Update {
-                id: UpdateId((u64::from(i.index() as u32) << 40) | (tag << 20) | k),
+                id: UpdateId(((SENDER as u64) << WIRE_SEQ_BITS) | (tag << 20) | k),
                 issuer: i,
                 register: RegisterId(i.index() as u32),
                 value: 1000 * (tag + 1) + k,
@@ -1391,14 +1455,20 @@ mod tests {
         ];
         for pad in [0usize, 64] {
             let payload = encode_multi_batch(&sections, pad);
-            let back = decode_multi_batch(&payload, |i| Some(p.new_clock(i))).unwrap();
+            let (back, barrier) =
+                decode_sealed_batches(&payload, SENDER, |i| Some(p.new_clock(i))).unwrap();
+            assert_eq!(barrier, 0, "no barrier written, none read");
             assert_eq!(back.len(), 3);
             for ((bp, bu), (sp, su)) in back.iter().zip(&sections) {
                 assert_eq!(bp, sp);
                 assert_eq!(bu.len(), su.len());
                 for ((aseq, a), (bseq, b)) in bu.iter().zip(su) {
                     assert_eq!(aseq, bseq, "link seq must survive the wire");
-                    assert_eq!((a.id, a.value), (b.id, b.value));
+                    assert_eq!(
+                        (a.id, a.value),
+                        (b.id, b.value),
+                        "the link's sender restores the id's node bits"
+                    );
                     assert_eq!(a.clock, b.clock);
                     assert_eq!(
                         a.issued_at, b.issued_at,
@@ -1406,7 +1476,32 @@ mod tests {
                     );
                 }
             }
+            // The sender-blind decoder hands back what was shipped: the
+            // ids without their node bits.
+            let local = decode_multi_batch(&payload, |i| Some(p.new_clock(i))).unwrap();
+            for (a, b) in local[0].1.iter().zip(&sections[0].1) {
+                assert_eq!(a.1.id.0, b.1.id.0 & WIRE_SEQ_MASK);
+            }
         }
+    }
+
+    #[test]
+    fn the_seal_barrier_is_one_trailing_varint_and_zero_is_absent() {
+        let p = EdgeProtocol::new(topologies::ring(4));
+        let sections = vec![(PartitionId(1), with_seqs(7, sample_updates(&p, 2, 3)))];
+        let bare = encode_multi_batch(&sections, 0);
+        let sealed = encoded(|out| encode_multi_batch_sealed_into(&sections, 0, SENDER, 300, out));
+        // The barrier is one trailing varint; a zero barrier is no bytes.
+        let mut expect = bare.clone();
+        write_varint(&mut expect, 300);
+        assert_eq!(sealed, expect);
+        assert_eq!(
+            encoded(|out| encode_multi_batch_sealed_into(&sections, 0, SENDER, 0, out)),
+            bare
+        );
+        let (_, barrier) =
+            decode_sealed_batches(&sealed, SENDER, |i| Some(p.new_clock(i))).unwrap();
+        assert_eq!(barrier, 300);
     }
 
     #[test]
@@ -1420,10 +1515,11 @@ mod tests {
         let updates = sample_updates(&p, 2, 0);
         let mut sections = vec![(PartitionId(1), with_seqs(1, updates.clone()))];
         let sound = encode_multi_batch(&sections, 0);
-        assert!(decode_sealed_batches(&sound, |i| Some(p.new_clock(i))).is_ok());
+        assert!(decode_sealed_batches(&sound, SENDER, |i| Some(p.new_clock(i))).is_ok());
         sections[0].1[1].0 = 0;
         let unsequenced = encode_multi_batch(&sections, 0);
-        let err = decode_sealed_batches(&unsequenced, |i| Some(p.new_clock(i))).unwrap_err();
+        let err =
+            decode_sealed_batches(&unsequenced, SENDER, |i| Some(p.new_clock(i))).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("link sequence 0"), "{err}");
         // The retired v2 single-partition batch (tag 2: partition, count,
@@ -1436,7 +1532,7 @@ mod tests {
             write_varint(&mut v2, 0); // pad
         }
         for decoded in [
-            decode_sealed_batches(&v2, |i| Some(p.new_clock(i))).map(|(s, _)| s),
+            decode_sealed_batches(&v2, SENDER, |i| Some(p.new_clock(i))).map(|(s, _)| s),
             decode_multi_batch(&v2, |i| Some(p.new_clock(i))),
         ] {
             assert_eq!(decoded.unwrap_err().kind(), io::ErrorKind::InvalidData);

@@ -10,16 +10,18 @@
 
 use prcc_chaos::{ChaosConfig, ChaosNemesis, ChaosSchedule};
 use prcc_clock::EdgeProtocol;
-use prcc_graph::{topologies, PartitionMap};
+use prcc_graph::{topologies, PartitionId, PartitionMap, RegisterId};
 use prcc_service::wire::{
-    decode_peer_hello, encode_hello_ack_into, read_frame, write_frame, PeerHello,
+    append_frame, decode_peer_hello, decode_response, encode_hello_ack_into, encode_request_into,
+    read_frame, write_frame, ClientRequest, ClientResponse, PeerHello,
 };
 use prcc_service::{LoopbackCluster, ServiceClient, ServiceConfig};
 use prcc_workloads::ops::{generate_keyed_ops, route_keyed_ops, RoutedOp};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::cell::RefCell;
-use std::net::TcpStream;
+use std::io::Write;
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -33,7 +35,6 @@ pub const DRAIN: Duration = Duration::from_secs(30);
 pub fn quick_cfg() -> ServiceConfig {
     ServiceConfig {
         batch_max: 16,
-        flush_interval: Duration::from_micros(100),
         ..ServiceConfig::default()
     }
 }
@@ -96,6 +97,33 @@ pub fn drive_over(cluster: &LoopbackCluster, ops: usize, seed: u64, conns: usize
     }
     for driver in drivers {
         driver.join().expect("driver");
+    }
+}
+
+/// Writes `ops` to the node at `addr` as one burst — every request frame
+/// in a single `write_all`, the replies read afterwards — so the node sees
+/// the requests together and its peer links get to ship them as the batch
+/// of one reactor tick. What the batching tests lean on now that there is
+/// no flush timer to stretch.
+pub fn burst_writes(addr: SocketAddr, ops: &[(PartitionId, RegisterId, u64)]) {
+    let mut conn = TcpStream::connect(addr).expect("connect");
+    let mut burst = Vec::new();
+    for &(partition, register, value) in ops {
+        let write = ClientRequest::Write {
+            partition,
+            register,
+            value,
+            pad: 0,
+        };
+        append_frame(&mut burst, |out| encode_request_into(&write, out)).expect("frame");
+    }
+    conn.write_all(&burst).expect("burst");
+    for _ in ops {
+        let reply = read_frame(&mut conn).expect("reply io").expect("reply");
+        assert_eq!(
+            decode_response(&reply).expect("reply"),
+            ClientResponse::WriteAck { ok: true }
+        );
     }
 }
 

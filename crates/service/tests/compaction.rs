@@ -21,7 +21,6 @@ use common::{drain_and_verify, drive, launch_ring as launch, scratch_dir, DRAIN}
 use prcc_clock::{EdgeProtocol, Protocol};
 use prcc_graph::topologies;
 use prcc_service::ServiceConfig;
-use std::time::Duration;
 
 /// Mid-run compaction seals most of the history, the live logs stay small,
 /// and the stitched verdict matches a full-history run of the identical
@@ -33,7 +32,6 @@ fn compacted_cluster_verifies_like_a_full_history_one() {
     // logs replayed by the oracle.
     let full_cfg = ServiceConfig {
         batch_max: 16,
-        flush_interval: Duration::from_micros(100),
         trace_compact_at: usize::MAX,
         ..ServiceConfig::default()
     };
@@ -51,7 +49,6 @@ fn compacted_cluster_verifies_like_a_full_history_one() {
     // Compacting run: aggressive threshold, same seeded workload.
     let compact_cfg = ServiceConfig {
         batch_max: 16,
-        flush_interval: Duration::from_micros(100),
         trace_compact_at: 64,
         ack_every: 2,
         ..ServiceConfig::default()
@@ -95,7 +92,6 @@ fn snapshots_stay_flat_while_the_wal_truncates() {
     let dir = scratch_dir("flat");
     let cfg = ServiceConfig {
         batch_max: 16,
-        flush_interval: Duration::from_micros(100),
         data_dir: Some(dir.clone()),
         snapshot_every: 200,
         trace_compact_at: 128,
@@ -175,7 +171,6 @@ fn compacted_state_survives_crash_restart() {
     let dir = scratch_dir("crash");
     let cfg = ServiceConfig {
         batch_max: 16,
-        flush_interval: Duration::from_micros(100),
         data_dir: Some(dir.clone()),
         snapshot_every: 300,
         trace_compact_at: 96,
@@ -227,7 +222,6 @@ fn fsync_group_commit_runs_clean() {
     let dir = scratch_dir("fsync");
     let cfg = ServiceConfig {
         batch_max: 16,
-        flush_interval: Duration::from_micros(100),
         data_dir: Some(dir.clone()),
         snapshot_every: 256,
         fsync_every: 8,

@@ -7,7 +7,7 @@ use common::{
     DRAIN,
 };
 use prcc_clock::EdgeProtocol;
-use prcc_graph::{topologies, RegisterId};
+use prcc_graph::{topologies, PartitionId, RegisterId};
 use prcc_service::{LoopbackCluster, ServiceConfig};
 use prcc_workloads::ops::{generate_ops, partition_by_replica};
 use rand::SeedableRng;
@@ -203,22 +203,22 @@ fn statuses_account_for_traffic() {
     cluster.shutdown().expect("shutdown");
 }
 
-/// Batching coalesces: a tight burst of writes must produce fewer peer
-/// frames than updates.
+/// Batching coalesces: a burst of writes the node receives together must
+/// produce fewer peer frames than updates — the reactor tick that delivers
+/// them is the batch, no timer involved.
 #[test]
 fn batching_reduces_frames() {
     let graph = topologies::line(2);
     let protocol = Arc::new(EdgeProtocol::new(graph));
     let cfg = ServiceConfig {
         batch_max: 64,
-        flush_interval: Duration::from_millis(20),
         ..ServiceConfig::default()
     };
     let cluster = LoopbackCluster::launch(protocol, &cfg, 0).expect("launch");
-    let mut client = cluster.client(0).expect("client");
-    for v in 0..200u64 {
-        assert!(client.write(RegisterId(0), v).expect("write"));
-    }
+    let burst: Vec<_> = (0..200u64)
+        .map(|v| (PartitionId(0), RegisterId(0), v))
+        .collect();
+    common::burst_writes(cluster.addrs(0).1, &burst);
     assert!(cluster.drain(DRAIN).expect("drain io"));
     let statuses = cluster.statuses().expect("statuses");
     assert_eq!(statuses[0].messages_sent, 200);
@@ -249,7 +249,6 @@ fn live_metrics_expose_stage_histograms() {
     let protocol = Arc::new(EdgeProtocol::new(graph));
     let cfg = ServiceConfig {
         batch_max: 16,
-        flush_interval: Duration::from_micros(100),
         sample_every: 1,
         ..ServiceConfig::default()
     };

@@ -13,7 +13,6 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
 
 fn launch(partitions: u32, nodes: usize) -> LoopbackCluster {
     launch_ring(partitions, nodes, &quick_cfg())
@@ -97,11 +96,11 @@ fn sharded_keyed_workload_is_consistent_per_partition() {
     cluster.shutdown().expect("shutdown");
 }
 
-/// The v3 frame-packing tentpole, observed end to end: with a long flush
-/// interval and a key stream sweeping every partition, each sender flush
-/// coalesces updates of *several* partitions — which must ship as one
-/// frame each (strictly fewer frames than per-partition batch sections,
-/// and nowhere near batches x partitions).
+/// The v3 frame-packing tentpole, observed end to end: each node receives
+/// a sweep over every partition it hosts as one burst, so the reactor tick
+/// that ships it coalesces updates of *several* partitions — which must
+/// leave as one frame per flush (strictly fewer frames than per-partition
+/// batch sections, and nowhere near batches x partitions).
 #[test]
 fn flushes_pack_multiple_partitions_into_one_frame() {
     let graph = topologies::ring(4);
@@ -109,18 +108,21 @@ fn flushes_pack_multiple_partitions_into_one_frame() {
     let protocol = Arc::new(EdgeProtocol::new(graph));
     let cfg = ServiceConfig {
         batch_max: 64,
-        // Long enough that one flush window sees writes to many partitions
-        // from the sweeping client below.
-        flush_interval: Duration::from_millis(5),
         ..ServiceConfig::default()
     };
     let cluster = LoopbackCluster::launch_partitioned(protocol, map, &cfg, 0).expect("launch");
 
-    let mut routed = cluster.routed_client().expect("routed client");
+    let routed = cluster.routed_client().expect("routed client");
     let keys = cluster.map().num_keys();
     for round in 0..6u64 {
+        // One burst per node and round: every key the router sends there.
+        let mut bursts = vec![Vec::new(); cluster.len()];
         for key in 0..keys {
-            routed.write_key(key, round * keys + key).expect("write");
+            let (partition, register, node) = routed.route(key).expect("routable key");
+            bursts[node].push((partition, register, round * keys + key));
+        }
+        for (node, burst) in bursts.iter().enumerate() {
+            common::burst_writes(cluster.addrs(node).1, burst);
         }
     }
     assert!(cluster.drain(DRAIN).expect("drain io"), "no quiescence");

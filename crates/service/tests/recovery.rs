@@ -200,7 +200,6 @@ fn same_seed_same_crash_point_means_byte_identical_snapshots() {
         let dir = scratch_dir(tag);
         let cfg = ServiceConfig {
             batch_max: 16,
-            flush_interval: Duration::from_micros(100),
             data_dir: Some(dir.clone()),
             snapshot_every: 64,
             ack_every: 0,
@@ -367,7 +366,6 @@ fn tampered_snapshot_digest_refuses_to_boot() {
     let dir = scratch_dir("tamper");
     let cfg = ServiceConfig {
         batch_max: 16,
-        flush_interval: Duration::from_micros(100),
         data_dir: Some(dir.clone()),
         snapshot_every: 64,
         // Compact aggressively so the sealed checkpoints the digest record

@@ -10,9 +10,10 @@ use prcc_core::Update;
 use prcc_graph::{topologies, PartitionId, PartitionMap, RegisterId, ReplicaId, ShareGraph};
 use prcc_net::VirtualTime;
 use prcc_service::wire::{
-    decode_multi_batch, decode_partition_map, decode_peer_hello, decode_share_graph,
-    encode_multi_batch_into, encode_partition_map, encode_peer_hello, encode_share_graph,
-    FlushSections, PeerHello,
+    decode_multi_batch, decode_partition_map, decode_peer_hello, decode_sealed_batches,
+    decode_share_graph, encode_multi_batch_into, encode_multi_batch_sealed_into,
+    encode_partition_map, encode_peer_hello, encode_share_graph, FlushSections, PeerHello,
+    WIRE_SEQ_BITS, WIRE_SEQ_MASK,
 };
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -49,8 +50,15 @@ fn churn_clock<P: Protocol>(p: &P, i: ReplicaId, advances: usize, seed: u64) -> 
     clock
 }
 
-/// One random update per replica with a non-empty register set.
-fn build_updates<P: Protocol>(p: &P, g: &ShareGraph, seed: u64) -> Vec<Update<P::Clock>> {
+/// One random update per replica with a non-empty register set, all
+/// issued by node `peer` (a link only ever carries its sender's issues;
+/// which role the node plays varies by partition, hence every replica).
+fn build_updates<P: Protocol>(
+    p: &P,
+    g: &ShareGraph,
+    peer: usize,
+    seed: u64,
+) -> Vec<Update<P::Clock>> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut updates = Vec::new();
     for k in g.replicas() {
@@ -60,7 +68,7 @@ fn build_updates<P: Protocol>(p: &P, g: &ShareGraph, seed: u64) -> Vec<Update<P:
         }
         let x = regs[rng.gen_range(0..regs.len())];
         updates.push(Update {
-            id: UpdateId(((k.index() as u64) << 40) | rng.gen_range(0u64..1 << 20)),
+            id: UpdateId(((peer as u64) << WIRE_SEQ_BITS) | rng.gen_range(0u64..1 << 20)),
             issuer: k,
             register: x,
             value: rng.gen_range(0u64..u64::MAX / 2),
@@ -75,13 +83,22 @@ fn build_updates<P: Protocol>(p: &P, g: &ShareGraph, seed: u64) -> Vec<Update<P:
 /// The *reference implementation* of the multi-partition flush frame: a
 /// tag byte (3), the count of non-empty sections, then per section the
 /// partition, the update count, and per update `link seq | issue stamp |
-/// Update::encode_wire | pad length | pad zeros`. Assembled the obvious,
-/// copying way; the hot path encodes with [`encode_multi_batch_into`]
-/// straight into a leased frame buffer, and `in_place_multi_batch_is_byte_
-/// identical_to_the_reference_encoder` holds the two byte-for-byte equal —
-/// the guarantee that peers and existing WAL/snapshot files interoperate
-/// with the in-place encoder unchanged.
+/// Update::encode_wire of the update with its id cut to the low 40 bits
+/// (v9) | pad length | pad zeros`, then the seal barrier as one trailing
+/// varint when it is non-zero. Assembled the obvious, copying way; the hot
+/// path encodes with [`encode_multi_batch_into`] straight into a leased
+/// frame buffer, and `in_place_multi_batch_is_byte_identical_to_the_
+/// reference_encoder` holds the two byte-for-byte equal — the guarantee
+/// that peers interoperate with the in-place encoder unchanged.
 fn encode_multi_batch<C: WireClock>(sections: &FlushSections<C>, pad: usize) -> Vec<u8> {
+    encode_sealed_multi_batch(sections, pad, 0)
+}
+
+fn encode_sealed_multi_batch<C: WireClock>(
+    sections: &FlushSections<C>,
+    pad: usize,
+    barrier: u64,
+) -> Vec<u8> {
     let mut out = vec![3u8];
     let live: Vec<_> = sections.iter().filter(|(_, u)| !u.is_empty()).collect();
     write_varint(&mut out, live.len() as u64);
@@ -91,12 +108,17 @@ fn encode_multi_batch<C: WireClock>(sections: &FlushSections<C>, pad: usize) -> 
         for (seq, u) in updates {
             write_varint(&mut out, *seq);
             write_varint(&mut out, u.issued_at.0);
+            let mut shipped = u.clone();
+            shipped.id = UpdateId(u.id.0 % (1 << 40));
             let mut body = Vec::new();
-            u.encode_wire(&mut body);
+            shipped.encode_wire(&mut body);
             out.extend_from_slice(&body);
             write_varint(&mut out, pad as u64);
             out.extend(std::iter::repeat_n(0u8, pad));
         }
+    }
+    if barrier > 0 {
+        write_varint(&mut out, barrier);
     }
     out
 }
@@ -106,6 +128,7 @@ fn encode_multi_batch<C: WireClock>(sections: &FlushSections<C>, pad: usize) -> 
 fn build_sections<P: Protocol>(
     p: &P,
     g: &ShareGraph,
+    peer: usize,
     parts: &[u32],
     seed: u64,
     seq_base: u64,
@@ -114,7 +137,7 @@ fn build_sections<P: Protocol>(
         .iter()
         .enumerate()
         .map(|(i, &part)| {
-            let updates = build_updates(p, g, seed ^ (i as u64) << 16)
+            let updates = build_updates(p, g, peer, seed ^ (i as u64) << 16)
                 .into_iter()
                 .enumerate()
                 .map(|(k, mut u)| {
@@ -132,15 +155,16 @@ fn build_sections<P: Protocol>(
 fn batch_round_trip<P: Protocol>(
     p: &P,
     g: &ShareGraph,
+    peer: usize,
     partition: PartitionId,
     seed: u64,
     pad: usize,
 ) where
     P::Clock: WireClock,
 {
-    let sections = build_sections(p, g, &[partition.0], seed, 1);
+    let sections = build_sections(p, g, peer, &[partition.0], seed, 1);
     let payload = encode_multi_batch(&sections, pad);
-    let decoded = decode_multi_batch(&payload, |i| {
+    let (decoded, _) = decode_sealed_batches(&payload, peer, |i| {
         (i.index() < g.num_replicas()).then(|| p.new_clock(i))
     })
     .expect("well-formed batch");
@@ -197,35 +221,40 @@ proptest! {
     }
 
     /// Single-section flushes round-trip for all three clock representations
-    /// and any partition tag, with and without value padding.
+    /// and any partition tag, with and without value padding — full ids
+    /// restored from the sending `peer`, whichever node that is.
     #[test]
     fn batches_round_trip_all_protocols(
         g in arb_share_graph(),
+        peer in 0usize..64,
         partition in 0u32..1000,
         seed in 0u64..500,
         pad in 0usize..96,
     ) {
         let partition = PartitionId(partition);
-        batch_round_trip(&EdgeProtocol::new(g.clone()), &g, partition, seed, pad);
-        batch_round_trip(&CompressedProtocol::new(g.clone()), &g, partition, seed, pad);
-        batch_round_trip(&VectorProtocol::new(g.clone()), &g, partition, seed, pad);
+        batch_round_trip(&EdgeProtocol::new(g.clone()), &g, peer, partition, seed, pad);
+        batch_round_trip(&CompressedProtocol::new(g.clone()), &g, peer, partition, seed, pad);
+        batch_round_trip(&VectorProtocol::new(g.clone()), &g, peer, partition, seed, pad);
     }
 
     /// The in-place encoder appends exactly the bytes the copy-assemble
     /// reference produces, after whatever the buffer already holds — on
     /// arbitrary sections: empty, skipped-empty, unsorted and repeated
-    /// partitions, mixed sampled/unsampled stamps, varied pads.
+    /// partitions, mixed sampled/unsampled stamps, varied pads, any sender,
+    /// with and without a seal barrier.
     #[test]
     fn in_place_multi_batch_is_byte_identical_to_the_reference_encoder(
         g in arb_share_graph(),
+        peer in 0usize..64,
         parts in proptest::collection::vec((0u32..1000, any::<bool>()), 0..6),
         seed in 0u64..500,
         pad in 0usize..1100,
         seq_base in 1u64..1 << 50,
+        barrier in 0u64..1 << 50,
     ) {
         let p = EdgeProtocol::new(g.clone());
         let tags: Vec<u32> = parts.iter().map(|&(part, _)| part).collect();
-        let mut sections = build_sections(&p, &g, &tags, seed, seq_base);
+        let mut sections = build_sections(&p, &g, peer, &tags, seed, seq_base);
         for (section, &(_, live)) in sections.iter_mut().zip(&parts) {
             if !live {
                 section.1.clear();
@@ -235,6 +264,11 @@ proptest! {
         let mut in_place = b"preexisting".to_vec();
         encode_multi_batch_into(&sections, pad, &mut in_place);
         prop_assert_eq!(&in_place[b"preexisting".len()..], &reference[..]);
+        // The link driver's entry point: same bytes plus the barrier.
+        let sealed = encode_sealed_multi_batch(&sections, pad, barrier);
+        in_place.truncate(b"preexisting".len());
+        encode_multi_batch_sealed_into(&sections, pad, peer, barrier, &mut in_place);
+        prop_assert_eq!(&in_place[b"preexisting".len()..], &sealed[..]);
     }
 
     /// A whole flush — sections for several partitions — survives the wire
@@ -244,18 +278,21 @@ proptest! {
     #[test]
     fn multi_batches_round_trip(
         g in arb_share_graph(),
+        peer in 0usize..64,
         parts in proptest::collection::vec(0u32..1000, 1..6),
         seed in 0u64..500,
         pad in 0usize..64,
         seq_base in 1u64..1 << 50,
+        barrier in 0u64..1 << 50,
     ) {
         let p = EdgeProtocol::new(g.clone());
-        let sections = build_sections(&p, &g, &parts, seed, seq_base);
+        let sections = build_sections(&p, &g, peer, &parts, seed, seq_base);
         prop_assume!(sections.iter().all(|(_, u)| !u.is_empty()));
-        let payload = encode_multi_batch(&sections, pad);
-        let back = decode_multi_batch(&payload, |i| {
+        let payload = encode_sealed_multi_batch(&sections, pad, barrier);
+        let (back, told) = decode_sealed_batches(&payload, peer, |i| {
             (i.index() < g.num_replicas()).then(|| p.new_clock(i))
         }).expect("well-formed multi-batch");
+        prop_assert_eq!(told, barrier, "absent means 0: no news");
         prop_assert_eq!(back.len(), sections.len());
         for ((bp, bu), (sp, su)) in back.iter().zip(&sections) {
             prop_assert_eq!(bp, sp, "section partition tag must survive in order");
@@ -264,11 +301,56 @@ proptest! {
                 prop_assert_eq!(aseq, bseq, "link seq must survive the wire");
                 prop_assert_eq!(
                     (a.id, a.issuer, a.register, a.value),
-                    (b.id, b.issuer, b.register, b.value)
+                    (b.id, b.issuer, b.register, b.value),
+                    "the sender's node bits must be restored"
                 );
                 prop_assert_eq!(&a.clock, &b.clock);
             }
         }
+        // The sender-blind decoder returns the ids as shipped.
+        let local = decode_multi_batch(&payload, |i| {
+            (i.index() < g.num_replicas()).then(|| p.new_clock(i))
+        }).expect("well-formed multi-batch");
+        for ((_, lu), (_, su)) in local.iter().zip(&sections) {
+            for ((_, a), (_, b)) in lu.iter().zip(su) {
+                prop_assert_eq!(a.id.0, b.id.0 & WIRE_SEQ_MASK);
+            }
+        }
+    }
+
+    /// An update shipped with any bit at or above 2^40 in its id is refused:
+    /// OR-ing the link's node bits over it would alias another node's ids.
+    #[test]
+    fn untrimmed_wire_ids_are_refused(
+        g in arb_share_graph(),
+        peer in 0usize..64,
+        node_bits in 1u64..1 << 24,
+        seed in 0u64..200,
+    ) {
+        let p = EdgeProtocol::new(g.clone());
+        let updates = build_updates(&p, &g, 0, seed);
+        prop_assume!(!updates.is_empty());
+        // The v9 layout by hand, the first update's id left untrimmed.
+        let mut frame = vec![3u8, 1, 7, 1, 1, 0]; // 1 section, partition 7, 1 update, seq 1, no stamp
+        let header = frame.clone();
+        let mut hostile = updates[0].clone();
+        hostile.id = UpdateId(hostile.id.0 | node_bits << WIRE_SEQ_BITS);
+        hostile.encode_wire(&mut frame);
+        frame.push(0); // pad
+        let err = decode_sealed_batches(&frame, peer, |i| {
+            (i.index() < g.num_replicas()).then(|| p.new_clock(i))
+        }).expect_err("node bits on the wire");
+        prop_assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        prop_assert!(err.to_string().contains("node bits"), "{}", err);
+        // The boundary: the largest id that fits the shipped bits is fine.
+        let mut frame = header;
+        hostile.id = UpdateId(WIRE_SEQ_MASK);
+        hostile.encode_wire(&mut frame);
+        frame.push(0);
+        let (sections, _) = decode_sealed_batches(&frame, peer, |i| {
+            (i.index() < g.num_replicas()).then(|| p.new_clock(i))
+        }).expect("2^40 - 1 carries no node bits");
+        prop_assert_eq!(sections[0].1[0].1.id.0, (peer as u64) << WIRE_SEQ_BITS | WIRE_SEQ_MASK);
     }
 
     /// Empty sections never reach the wire: the encoder drops them, and a
@@ -284,7 +366,7 @@ proptest! {
             .iter()
             .map(|&(part, live)| {
                 let updates = if live {
-                    build_updates(&p, &g, seed)
+                    build_updates(&p, &g, 3, seed)
                         .into_iter()
                         .enumerate()
                         .map(|(k, u)| (1 + k as u64, u))
@@ -318,7 +400,7 @@ proptest! {
     #[test]
     fn truncated_multi_batches_rejected(g in arb_share_graph(), seed in 0u64..100) {
         let p = EdgeProtocol::new(g.clone());
-        let updates: Vec<(u64, Update<_>)> = build_updates(&p, &g, seed)
+        let updates: Vec<(u64, Update<_>)> = build_updates(&p, &g, 3, seed)
             .into_iter()
             .enumerate()
             .map(|(k, u)| (1 + k as u64, u))
@@ -339,7 +421,8 @@ proptest! {
 
     /// The concrete upgrade scenario: a peer still speaking an older wire
     /// version (v2 partition tagging, v3 unacknowledged frame packing, v5
-    /// stamp-free updates, v6 windowed acks) is refused by a current node
+    /// stamp-free updates, v6 windowed acks, v8 full ids and a barrier on
+    /// every frame) is refused by a current node
     /// at the handshake with an error naming both versions —
     /// mixed-version clusters fail loudly, not silently.
     #[test]
@@ -347,7 +430,7 @@ proptest! {
         let mut payload = encode_peer_hello(&PeerHello { node: 0, map });
         prop_assert_eq!(u64::from(payload[1]), prcc_service::WIRE_VERSION);
         let current = prcc_service::WIRE_VERSION;
-        for old in [2u8, 3, 4, 5, 6] {
+        for old in [2u8, 3, 4, 5, 6, 8] {
             payload[1] = old; // an old peer's hello differs exactly here
             let err = decode_peer_hello(&payload).unwrap_err();
             prop_assert!(
