@@ -3,24 +3,23 @@
 //!
 //! A node hosts one replica *role* of every partition the
 //! [`PartitionMap`] places on it, each an independent [`Replica`] with its
-//! own share-graph-derived clock. [`Core`] is that set of replicas plus the
-//! reliable-link state around them, composed as three layers:
+//! own share-graph-derived clock. [`Core`] composes three layers and owns
+//! none of their rules:
 //!
-//! * **Reliable link** ([`PeerLink`]). Every outbound update gets a
-//!   per-link sequence number and parks in that link's *window*; the
-//!   receiver acks the highest sequence it has durably received (at the
-//!   handshake and periodically in-stream), which prunes the window. After
-//!   any reconnect — link loss or node restart — the sender resends the
-//!   window suffix past the peer's acknowledged offset, and the receiver's
-//!   [`SeqWatermark`] absorbs the overlap exactly, in O(reordering window)
-//!   memory.
+//! * **Reliable link** ([`PeerLink`], `link.rs`). Sequencing, the resend
+//!   window, acknowledgement accounting and exact duplicate suppression
+//!   for one peer, behind `enqueue` / `on_ack` / `resume` on the sending
+//!   side and `accept` / `on_update` / `on_frame` on the receiving side.
+//!   The core never reads a sequence counter or a window: it asks the link
+//!   whether a copy is [`PeerLink::settled`] and snapshots it as plain
+//!   parts.
 //! * **Causal delivery** ([`PartitionSlot`]). The paper's replica: issue
 //!   advances the clock and sends; receive buffers until predicate `J`
 //!   holds; apply merges. Updates carry globally unique wire ids
 //!   (`node << WIRE_SEQ_BITS | seq`, `seq` node-global across partitions and
 //!   recovered on restart), which key the post-hoc per-partition oracle
 //!   replay over collected traces.
-//! * **Durability** ([`Stage`]). Every state-mutating input is a
+//! * **Durability** ([`Stage`], `stage.rs`). Every state-mutating input is a
 //!   [`WalRecord`] — a client write is an `Issue`, a decoded peer flush
 //!   frame a `Receipt`, a trace compaction a `Checkpoint` — and
 //!   [`Core::apply`] is the *only* path that mutates durable state: the
@@ -53,21 +52,25 @@
 //! recovery byte-deterministic. The core also keeps a [`FlightRecorder`]
 //! ring of recent structured events for the driver's crash dump.
 
+use crate::link::PeerLink;
 use crate::node::ServiceConfig;
+use crate::stage::Stage;
 use crate::wire::{FlushSections, NodeStatus, PartitionCounters, WIRE_SEQ_BITS, WIRE_SEQ_MASK};
 use prcc_checker::trace::TraceEvent;
 use prcc_checker::{CutSnapshot, PartitionCut, TraceCheckpoint, UpdateId};
 use prcc_clock::{Protocol, WireClock};
-use prcc_core::{Replica, SeqWatermark, Update};
+use prcc_core::{Replica, Update};
 use prcc_graph::{PartitionId, PartitionMap, RegisterId, ReplicaId};
 use prcc_net::VirtualTime;
 use prcc_reactor::ConnId;
-use prcc_storage::{encode_record_into, NodeSnapshot, PartitionSnapshot, PeerSnapshot, WalRecord};
+use prcc_storage::WalRecord;
 use prcc_telemetry::{FlightRecorder, Registry, Sampler, SharedHistogram};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::io;
 use std::sync::Arc;
+
+mod snapshot;
 
 /// How many consistent-cut snapshots the core keeps, newest-first. Cut
 /// audits are live-only diagnostics: an auditor that falls more than this
@@ -118,13 +121,11 @@ pub(crate) enum CoreMsg<C> {
         register: RegisterId,
         conn: ConnId,
     },
-    /// One decoded peer flush frame: sender node, its sections, the frame's
-    /// seal barrier, and the inbound connection acknowledgements for this
-    /// link travel on.
+    /// One decoded peer flush frame: sender node, its sections, and the
+    /// inbound connection acknowledgements for this link travel on.
     Updates {
         peer: usize,
         sections: FlushSections<C>,
-        barrier: u64,
         conn: ConnId,
     },
     /// A peer's inbound handshake: reply with the acknowledged resume
@@ -185,9 +186,8 @@ pub(crate) enum Effect<C> {
     Ack(ConnId, u64),
     /// A handshake acknowledgement — same sync-before-promise rule.
     JoinReply(ConnId, u64),
-    /// The resume window for a reconnected outbound link, plus the link's
-    /// seal barrier at reply time.
-    ResumeReply(ConnId, Vec<Sequenced<C>>, u64),
+    /// The resume window for a reconnected outbound link.
+    ResumeReply(ConnId, Vec<Sequenced<C>>),
     /// The core's counters; the driver fills in the socket, reactor and
     /// WAL fields only it can see.
     Status(ConnId, Box<NodeStatus>),
@@ -201,8 +201,6 @@ pub(crate) enum Effect<C> {
     /// link's command queue first, one processed after it reaches the
     /// queue after — command order is exactly marker order on the wire.
     Marker(u64),
-    /// A link's seal barrier advanced; ship the new value to its driver.
-    Barrier(usize, u64),
     /// A redial replaced this inbound connection: close the stale one so a
     /// half-open socket cannot keep the peer writing into a black hole.
     Close(ConnId),
@@ -228,81 +226,6 @@ pub(crate) enum Flow {
     Halt(&'static str),
 }
 
-/// The in-memory WAL stage: records encoded but not yet written, plus the
-/// index and snapshot-cadence accounting that must advance with them. The
-/// driver writes all staged spans as one group-committed batch per sweep.
-pub(crate) struct Stage {
-    buf: Vec<u8>,
-    spans: Vec<(usize, usize)>,
-    /// Index the next staged record gets (monotonic across truncations).
-    next_index: u64,
-    snapshot_every: u64,
-    records_since_snapshot: u64,
-    /// Logical records staged since boot.
-    pub(crate) appends: u64,
-    /// Sample stamps of records staged this sweep; the driver records
-    /// `wal_append_us` against them once the batch is on disk.
-    pub(crate) stamps: Vec<u64>,
-}
-
-impl Stage {
-    pub(crate) fn new(next_index: u64, snapshot_every: u64) -> Self {
-        Stage {
-            buf: Vec::new(),
-            spans: Vec::new(),
-            next_index,
-            snapshot_every,
-            records_since_snapshot: 0,
-            appends: 0,
-            stamps: Vec::new(),
-        }
-    }
-
-    /// Stages one record; infallible (I/O happens at commit). Returns the
-    /// record's WAL index.
-    pub(crate) fn push<C: WireClock>(&mut self, record: &WalRecord<C>) -> u64 {
-        let index = self.next_index;
-        let start = self.buf.len();
-        encode_record_into(index, record, &mut self.buf);
-        self.spans.push((start, self.buf.len() - start));
-        self.next_index += 1;
-        self.records_since_snapshot += 1;
-        self.appends += 1;
-        index
-    }
-
-    /// Index of the last record staged (0 = none yet).
-    pub(crate) fn high(&self) -> u64 {
-        self.next_index - 1
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-    }
-
-    /// The staged payloads, in order.
-    pub(crate) fn payloads(&self) -> impl Iterator<Item = &[u8]> {
-        self.spans
-            .iter()
-            .map(|&(start, len)| &self.buf[start..start + len])
-    }
-
-    /// Drops the staged payloads (committed, or abandoned with the log).
-    pub(crate) fn clear(&mut self) {
-        self.buf.clear();
-        self.spans.clear();
-    }
-
-    fn snapshot_due(&self) -> bool {
-        self.snapshot_every > 0 && self.records_since_snapshot >= self.snapshot_every
-    }
-
-    /// A snapshot folded every record staged so far.
-    pub(crate) fn folded(&mut self) {
-        self.records_since_snapshot = 0;
-    }
-}
-
 /// One hosted partition: the role this node plays in it, the replica state
 /// machine, the sealed-prefix checkpoint summary, and the live tail of the
 /// partition-local event log.
@@ -323,71 +246,6 @@ struct PartitionSlot<P: Protocol> {
     unacked: VecDeque<(u64, Vec<(usize, u64)>)>,
 }
 
-/// One peer link's state, owned by the core (so it is snapshot-able and
-/// deterministically rebuilt by WAL replay).
-struct PeerLink<C> {
-    /// Next outbound sequence to assign (starts at 1).
-    next_seq: u64,
-    /// Outbound updates not yet acknowledged by the peer, in sequence
-    /// order. Entries enter when enqueued to the sender and leave when an
-    /// acknowledgement covers them (or the window cap evicts them).
-    window: VecDeque<Sequenced<C>>,
-    /// Highest outbound sequence the peer has acknowledged.
-    acked_high: u64,
-    /// Highest outbound sequence evicted by the window cap (0 = none).
-    /// Evicted sequences can never be acknowledged — the update copy is
-    /// gone — so they are treated as abandoned rather than allowed to
-    /// block trace sealing forever; `window_evicted` is the loud record
-    /// that delivery to this peer was given up on.
-    evicted_high: u64,
-    /// Inbound receive watermark: contiguous high-water (the offset this
-    /// node acknowledges back) plus the out-of-order residue — also the
-    /// exact per-link duplicate filter.
-    recv: SeqWatermark,
-    /// Updates received (duplicates included — a resend wants its ack
-    /// too) since the last streamed acknowledgement.
-    updates_since_ack: u64,
-    /// Origin side: highest outbound sequence retired from an `unacked`
-    /// pair *because the peer acknowledged it* (never because the window
-    /// cap evicted it). Every sequence at or below this is provably
-    /// observed by the peer, so it is safe to advertise as the link's seal
-    /// barrier. Live-only — not snapshotted, rebuilt from fresh acks after
-    /// recovery (the barrier is an optimization, never a correctness
-    /// input).
-    sealed_high: u64,
-    /// Origin side: the seal barrier last shipped to the peer's driver
-    /// (so barrier effects flow only when the value advances). Live-only.
-    barrier_sent: u64,
-    /// Receiver side: highest seal barrier seen on this link's inbound
-    /// frames, max-monotone. Straggler resends at or below it skip the
-    /// watermark dependency re-check in `apply_sections` — by
-    /// construction they are duplicates of updates this node already
-    /// acknowledged. Live-only: WAL receipts carry no barrier, so replay
-    /// takes the full re-check path and stays byte-deterministic.
-    seal_barrier: u64,
-    /// The live inbound connection from this peer, replaced on redial.
-    /// Bound only after a validated handshake, so a garbage connection
-    /// cannot evict a healthy link. Live-only.
-    inbound: Option<ConnId>,
-}
-
-impl<C> PeerLink<C> {
-    fn new() -> Self {
-        PeerLink {
-            next_seq: 1,
-            window: VecDeque::new(),
-            acked_high: 0,
-            evicted_high: 0,
-            recv: SeqWatermark::new(),
-            updates_since_ack: 0,
-            sealed_high: 0,
-            barrier_sent: 0,
-            seal_barrier: 0,
-            inbound: None,
-        }
-    }
-}
-
 /// A sampled lifecycle observation a transition noted, awaiting the clock
 /// read that [`CoreTelemetry::settle`] turns into a histogram sample.
 enum Sampled {
@@ -399,6 +257,15 @@ enum Sampled {
     Acked(u64),
     /// A sampled own issue's trace event sealed into the checkpoint.
     Sealed(u64),
+}
+
+/// Notes the acknowledgement stage of a sampled copy an ack retired from
+/// its link's window. Copies restored from a snapshot lost their stamps
+/// in the durable codec and note nothing.
+fn note_acked<C>(due: &mut Vec<Sampled>, (_, update): &(PartitionId, Update<C>)) {
+    if update.issued_at.0 != 0 {
+        due.push(Sampled::Acked(update.issued_at.0));
+    }
 }
 
 /// The core's telemetry: the metric registry, pre-fetched handles for the
@@ -492,7 +359,9 @@ impl CoreTelemetry {
 pub(crate) struct Core<P: Protocol> {
     pub(crate) node: usize,
     partitions: Vec<Option<PartitionSlot<P>>>,
-    links: Vec<PeerLink<P::Clock>>,
+    /// One reliable link per node index (this node's own stays idle),
+    /// snapshot-able and deterministically rebuilt by WAL replay.
+    links: Vec<PeerLink<(PartitionId, Update<P::Clock>)>>,
     /// Node-global wire-id sequence (low 40 bits of issued update ids).
     seq: u64,
     issued: u64,
@@ -501,18 +370,6 @@ pub(crate) struct Core<P: Protocol> {
     dropped_misrouted: u64,
     /// Duplicate deliveries suppressed by the link watermarks.
     duplicates_dropped: u64,
-    /// Straggler resends dropped by the seal-barrier fast path *without*
-    /// the per-sequence watermark re-check (a subset of
-    /// `duplicates_dropped`, which still counts them). Live-only: replay
-    /// sees no barriers, takes the re-check path, and lands on identical
-    /// durable state.
-    barrier_skips: u64,
-    /// Hard cap on any one resend window (config).
-    window_cap: usize,
-    /// Largest window observed.
-    max_window: u64,
-    /// Entries evicted by the cap.
-    window_evicted: u64,
     /// Stage histograms, sampling, and the flight recorder (live-only
     /// state — excluded from snapshots and rebuilt empty on recovery).
     pub(crate) tel: CoreTelemetry,
@@ -553,17 +410,15 @@ impl<P: Protocol> Core<P> {
         Core {
             node,
             partitions,
-            links: (0..map.num_nodes()).map(|_| PeerLink::new()).collect(),
+            links: (0..map.num_nodes())
+                .map(|peer| PeerLink::new(node, peer, window_cap))
+                .collect(),
             seq: 0,
             issued: 0,
             sent: 0,
             received: 0,
             dropped_misrouted: 0,
             duplicates_dropped: 0,
-            barrier_skips: 0,
-            window_cap: window_cap.max(1),
-            max_window: 0,
-            window_evicted: 0,
             tel,
             cuts: VecDeque::new(),
         }
@@ -642,16 +497,11 @@ impl<P: Protocol> Core<P> {
             CoreMsg::Updates {
                 peer,
                 sections,
-                barrier,
                 conn,
             } => {
-                let Some(link) = self.links.get_mut(peer) else {
+                if peer >= self.links.len() {
                     return Ok(Flow::Continue);
-                };
-                // Raise the link's seal barrier before applying, so the
-                // straggler fast path covers this very frame's own resend
-                // overlap.
-                link.seal_barrier = link.seal_barrier.max(barrier);
+                }
                 let updates: u64 = sections.iter().map(|(_, us)| us.len() as u64).sum();
                 self.tel.flight.record(
                     now,
@@ -668,27 +518,17 @@ impl<P: Protocol> Core<P> {
                     sections,
                 };
                 self.apply(env, record, now, stage.as_deref_mut(), out)?;
-                let link = &mut self.links[peer];
-                // Counted in updates, not frames, so ack traffic (and the
-                // sync each ack forces on a durable node) follows the
-                // data rate, not the sender's framing.
-                link.updates_since_ack += updates;
-                if env.ack_every > 0 && link.updates_since_ack >= env.ack_every {
-                    link.updates_since_ack = 0;
-                    // Acknowledge the watermark's contiguous line only:
-                    // residue above a gap stays unacknowledged until the
-                    // gap fills.
-                    out.push(Effect::Ack(conn, link.recv.high()));
+                if let Some(acked) = self.links[peer].on_frame(updates, env.ack_every) {
+                    out.push(Effect::Ack(conn, acked));
                 }
                 return self.after_apply(env, now, stage, out);
             }
             CoreMsg::PeerJoin { peer, conn } => {
                 let mut acked = 0;
                 if let Some(link) = self.links.get_mut(peer) {
-                    acked = link.recv.high();
-                    if let Some(old) = link.inbound.replace(conn).filter(|&old| old != conn) {
-                        out.push(Effect::Close(old));
-                    }
+                    let (offset, stale) = link.accept(conn);
+                    acked = offset;
+                    out.extend(stale.map(Effect::Close));
                 }
                 self.tel.flight.record(
                     now,
@@ -700,17 +540,16 @@ impl<P: Protocol> Core<P> {
                 out.push(Effect::JoinReply(conn, acked));
             }
             CoreMsg::PeerResume { peer, acked, conn } => {
-                self.prune(peer, acked);
-                self.tel.settle(now);
                 let Some(link) = self.links.get_mut(peer) else {
                     return Ok(Flow::Continue);
                 };
-                // Ship the link's seal barrier with the resume so the very
-                // first post-reconnect flush frames carry it; the reply
-                // doubles as the barrier's delivery, so mark it sent.
-                link.barrier_sent = link.barrier_sent.max(link.sealed_high);
-                let barrier = link.sealed_high;
-                let window: Vec<_> = link.window.iter().cloned().collect();
+                let due = &mut self.tel.due;
+                let window: Vec<_> = link
+                    .resume(acked, |parcel| note_acked(due, parcel))
+                    // lint: allow(alloc) the resend window, once per reconnect
+                    .map(|(seq, (partition, update))| (*seq, *partition, update.clone()))
+                    .collect();
+                self.tel.settle(now);
                 self.tel.flight.record(
                     now,
                     "peer_resume",
@@ -720,10 +559,13 @@ impl<P: Protocol> Core<P> {
                         ("window", window.len() as u64),
                     ],
                 );
-                out.push(Effect::ResumeReply(conn, window, barrier));
+                out.push(Effect::ResumeReply(conn, window));
             }
             CoreMsg::PeerAcked { peer, seq } => {
-                self.prune(peer, seq);
+                if let Some(link) = self.links.get_mut(peer) {
+                    let due = &mut self.tel.due;
+                    link.on_ack(seq, |parcel| note_acked(due, parcel));
+                }
                 self.tel.settle(now);
             }
             CoreMsg::Cut { token, start, conn } => {
@@ -758,18 +600,6 @@ impl<P: Protocol> Core<P> {
             }
         }
         Ok(Flow::Continue)
-    }
-
-    /// Closes a sweep, just before the driver commits and releases: seal
-    /// barriers advance only under the acks the sweep processed, so any new
-    /// value ships once per sweep, alongside its other effects.
-    pub(crate) fn end_sweep(&mut self, out: &mut Vec<Effect<P::Clock>>) {
-        for (peer, link) in self.links.iter_mut().enumerate() {
-            if link.sealed_high > link.barrier_sent {
-                link.barrier_sent = link.sealed_high;
-                out.push(Effect::Barrier(peer, link.sealed_high));
-            }
-        }
     }
 
     /// The one post-apply block: compact the trace logs past the
@@ -1078,21 +908,7 @@ impl<P: Protocol> Core<P> {
             if peer == node {
                 continue;
             }
-            let link = &mut self.links[peer];
-            let seq = link.next_seq;
-            link.next_seq += 1;
-            link.window.push_back((seq, partition, update.clone()));
-            // Cap the window: a peer stranded past `window_cap` must not
-            // grow this node without bound. Evicted entries cannot be
-            // resent — the eviction counter is the loud signal that the
-            // peer needs a fresh data dir when it returns.
-            while link.window.len() > self.window_cap {
-                if let Some((evicted, _, _)) = link.window.pop_front() {
-                    link.evicted_high = link.evicted_high.max(evicted);
-                }
-                self.window_evicted += 1;
-            }
-            self.max_window = self.max_window.max(link.window.len() as u64);
+            let seq = self.links[peer].enqueue((partition, update.clone()));
             self.sent += 1;
             pairs.push((peer, seq));
             sends.push((peer, seq, partition, update.clone()));
@@ -1105,22 +921,12 @@ impl<P: Protocol> Core<P> {
         Some(sends)
     }
 
-    /// Applies one peer flush frame's sections: dedups against the link's
-    /// receive watermark, feeds the replicas, and records apply events.
+    /// Applies one peer flush frame's sections: hands up what the link
+    /// says is fresh, feeds the replicas, and records apply events.
     ///
-    /// The watermark's contiguous high-water is the acknowledgement line:
-    /// acknowledging sequence `s` promises every sequence `<= s` is
-    /// durable, so a gap — which can only mean an earlier frame was
-    /// dropped (e.g. its WAL append failed) — holds the line (out-of-order
-    /// arrivals wait in the watermark's residue) rather than being skipped
-    /// over, or the sender would prune updates this node never kept.
-    ///
-    /// The same watermark is the duplicate filter: resend overlap after a
-    /// reconnect is dropped *here*, at the link, in O(reordering window)
-    /// memory. Every copy passes it — the wire decoder refuses link
-    /// sequence 0, so nothing arrives unsequenced — because a re-delivered
-    /// copy reaching [`Replica::receive`] would pin the pending buffer
-    /// forever.
+    /// Every copy passes the link — the wire decoder refuses link sequence
+    /// 0, so nothing arrives unsequenced — because a re-delivered copy
+    /// reaching [`Replica::receive`] would pin the pending buffer forever.
     fn apply_sections(&mut self, protocol: &P, peer: usize, sections: FlushSections<P::Clock>) {
         let node = self.node;
         for (partition, updates) in sections {
@@ -1140,19 +946,7 @@ impl<P: Protocol> Core<P> {
             };
             for (seq, update) in updates {
                 self.received += 1;
-                // Seal-barrier fast path: the origin advertised that every
-                // sequence at or below the barrier is acknowledged here, so
-                // a straggler resend underneath it is a duplicate by
-                // construction — drop it without the watermark re-check.
-                // Identical counter motion to the slow path (the watermark
-                // would have returned `false`), so replay — which never
-                // sees a barrier — lands on the same `duplicates_dropped`.
-                if seq <= self.links[peer].seal_barrier {
-                    self.barrier_skips += 1;
-                    self.duplicates_dropped += 1;
-                    continue;
-                }
-                if !self.links[peer].recv.observe(seq) {
+                if !self.links[peer].on_update(seq) {
                     self.duplicates_dropped += 1;
                     continue;
                 }
@@ -1183,26 +977,6 @@ impl<P: Protocol> Core<P> {
         }
     }
 
-    /// Prunes a link's window: the peer has acknowledged everything up to
-    /// and including `acked`. Sampled copies leaving the window note the
-    /// acknowledgement stage; entries restored from a snapshot lost their
-    /// stamps in the durable codec and note nothing.
-    fn prune(&mut self, peer: usize, acked: u64) {
-        let Some(link) = self.links.get_mut(peer) else {
-            return;
-        };
-        link.acked_high = link.acked_high.max(acked);
-        while let Some((seq, _, update)) = link.window.front() {
-            if *seq > acked {
-                break;
-            }
-            if update.issued_at.0 != 0 {
-                self.tel.due.push(Sampled::Acked(update.issued_at.0));
-            }
-            link.window.pop_front();
-        }
-    }
-
     /// Plans a trace compaction: for every hosted partition whose live log
     /// holds at least `min_events` entries, the longest log prefix whose
     /// issues have all been acknowledged by every remote recipient.
@@ -1215,34 +989,20 @@ impl<P: Protocol> Core<P> {
     /// the resulting seal lengths are logged and replayed).
     fn plan_seal(&mut self, min_events: usize) -> Vec<(PartitionId, u64)> {
         let mut seals = Vec::new();
-        let links = &mut self.links;
+        let links = &self.links;
         for (p, slot) in self.partitions.iter_mut().enumerate() {
             let Some(slot) = slot.as_mut() else { continue };
             if slot.log.len() < min_events.max(1) {
                 continue;
             }
             while let Some((_, pairs)) = slot.unacked.front_mut() {
-                // A pair stops blocking once acknowledged — or once its
-                // window entry was evicted by the cap (it can never be
-                // acknowledged then; `window_evicted` records the loss).
-                // Pairs retired *because acknowledged* advance the link's
-                // seal barrier: the peer provably observed them, so future
-                // resends at or below `sealed_high` can skip its
-                // dependency re-check. Evicted pairs must never advance it
-                // — the peer never saw those.
-                pairs.retain(|&(peer, seq)| {
-                    let Some(link) = links.get_mut(peer) else {
-                        // No such link: keep blocking (this cannot happen
-                        // for a validated map, but silently unblocking
-                        // would falsely seal).
-                        return true;
-                    };
-                    let keep = seq > link.acked_high && seq > link.evicted_high;
-                    if !keep && seq <= link.acked_high {
-                        link.sealed_high = link.sealed_high.max(seq);
-                    }
-                    keep
-                });
+                // A pair stops blocking once its link settles it:
+                // acknowledged — or evicted by the window cap (it can never
+                // be acknowledged then; `window_evicted` records the loss).
+                // No such link: keep blocking (this cannot happen for a
+                // validated map, but silently unblocking would falsely
+                // seal).
+                pairs.retain(|&(peer, seq)| links.get(peer).is_none_or(|link| !link.settled(seq)));
                 if pairs.is_empty() {
                     slot.unacked.pop_front();
                 } else {
@@ -1311,6 +1071,7 @@ impl<P: Protocol> Core<P> {
     /// for the driver to fill in.
     fn status(&self) -> NodeStatus {
         let hosted = || self.partitions.iter().flatten();
+        let links = || self.links.iter();
         NodeStatus {
             node: self.node as u64,
             issued: self.issued,
@@ -1322,9 +1083,8 @@ impl<P: Protocol> Core<P> {
             dropped_misrouted: self.dropped_misrouted,
             trace_events: hosted().map(|s| s.log.len() as u64).sum(),
             sealed_events: hosted().map(|s| s.checkpoint.events).sum(),
-            max_window: self.max_window,
-            window_evicted: self.window_evicted,
-            barrier_skips: self.barrier_skips,
+            max_window: links().map(PeerLink::max_window).max().unwrap_or(0),
+            window_evicted: links().map(PeerLink::evicted).sum(),
             per_partition: self
                 .partitions
                 .iter()
@@ -1356,7 +1116,6 @@ impl<P: Protocol> Core<P> {
             .set(status.dropped_misrouted);
         r.gauge("core_max_window").set(status.max_window);
         r.gauge("core_window_evicted").set(status.window_evicted);
-        r.gauge("core_barrier_skips").set(status.barrier_skips);
         r.gauge("trace_events_live").set(status.trace_events);
         r.gauge("trace_events_sealed").set(status.sealed_events);
     }
@@ -1371,150 +1130,6 @@ impl<P: Protocol> Core<P> {
                 None => (TraceCheckpoint::new(0, 0), Vec::new()),
             })
             .collect()
-    }
-
-    /// One `(partition, sealed events, chained digest)` triple per hosted
-    /// partition, ascending by partition index — what a snapshot's
-    /// [`WalRecord::Digest`] guard records and recovery re-checks.
-    pub(crate) fn sealed_digests(&self) -> Vec<(PartitionId, u64, u64)> {
-        self.partitions
-            .iter()
-            .enumerate()
-            .filter_map(|(i, slot)| {
-                slot.as_ref().map(|s| {
-                    (
-                        PartitionId(i as u32),
-                        s.checkpoint.events,
-                        s.checkpoint.digest,
-                    )
-                })
-            })
-            .collect()
-    }
-
-    /// Folds the core into a snapshot covering WAL records `..= wal_high`.
-    pub(crate) fn to_snapshot(&self, wal_high: u64) -> NodeSnapshot<P::Clock>
-    where
-        P::Clock: WireClock,
-    {
-        NodeSnapshot {
-            wal_high,
-            seq: self.seq,
-            issued: self.issued,
-            sent: self.sent,
-            received: self.received,
-            dropped_misrouted: self.dropped_misrouted,
-            duplicates_dropped: self.duplicates_dropped,
-            partitions: self
-                .partitions
-                .iter()
-                .map(|slot| {
-                    slot.as_ref().map(|slot| PartitionSnapshot {
-                        state: slot.replica.export_state(),
-                        issued: slot.issued,
-                        checkpoint: slot.checkpoint.clone(),
-                        log: slot.log.clone(),
-                    })
-                })
-                .collect(),
-            peers: self
-                .links
-                .iter()
-                .map(|link| PeerSnapshot {
-                    next_seq: link.next_seq,
-                    acked_high: link.acked_high,
-                    recv_high: link.recv.high(),
-                    recv_residue: link.recv.residue().collect(),
-                    window: link.window.iter().cloned().collect(),
-                })
-                .collect(),
-        }
-    }
-
-    /// Rebuilds a core from a snapshot, validating it against the current
-    /// deployment configuration.
-    pub(crate) fn from_snapshot(
-        protocol: &P,
-        map: &PartitionMap,
-        node: usize,
-        window_cap: usize,
-        snap: NodeSnapshot<P::Clock>,
-        tel: CoreTelemetry,
-    ) -> io::Result<Self> {
-        let bad = |what: &str| corrupt(format_args!("snapshot: {what}"));
-        if snap.partitions.len() != map.num_partitions() as usize {
-            return Err(bad("partition count differs from the map"));
-        }
-        if snap.peers.len() != map.num_nodes() {
-            return Err(bad("peer count differs from the map"));
-        }
-        let mut core = Core::new(protocol, map, node, window_cap, tel);
-        for (slot, part) in core.partitions.iter_mut().zip(snap.partitions) {
-            match (slot, part) {
-                (None, None) => {}
-                (Some(slot), Some(part)) => {
-                    if part.state.id != slot.role {
-                        return Err(bad("partition role differs from the map"));
-                    }
-                    slot.replica = Replica::from_state(protocol, part.state)
-                        .map_err(|e| bad(&format!("replica state: {e}")))?;
-                    slot.checkpoint = part.checkpoint;
-                    slot.log = part.log;
-                    slot.issued = part.issued;
-                }
-                _ => return Err(bad("hosted partitions differ from the map")),
-            }
-        }
-        // Seal-barrier and inbound-connection state is live-only: a
-        // restarted node re-derives it from post-recovery acks and
-        // handshakes, so replay stays byte-deterministic.
-        for (link, peer) in core.links.iter_mut().zip(snap.peers) {
-            link.next_seq = peer.next_seq;
-            link.window = peer.window.into();
-            link.acked_high = peer.acked_high;
-            link.recv = SeqWatermark::from_parts(peer.recv_high, peer.recv_residue);
-        }
-        core.seq = snap.seq;
-        core.issued = snap.issued;
-        core.sent = snap.sent;
-        core.received = snap.received;
-        core.dropped_misrouted = snap.dropped_misrouted;
-        core.duplicates_dropped = snap.duplicates_dropped;
-        core.rebuild_unacked();
-        Ok(core)
-    }
-
-    /// Rebuilds the per-partition unacknowledged-issue queues from the
-    /// resend windows (the windows are the source of truth: an issue is
-    /// fully acknowledged exactly when no window still parks a copy).
-    /// Only this node's own issues gate trace sealing, so forwarded
-    /// partitions' entries resolve through the wire id's node bits.
-    fn rebuild_unacked(&mut self) {
-        let own = (self.node as u64) << WIRE_SEQ_BITS;
-        let mut by_wire: HashMap<u64, (PartitionId, Vec<(usize, u64)>)> = HashMap::new();
-        for (peer, link) in self.links.iter().enumerate() {
-            for &(seq, partition, ref update) in &link.window {
-                if update.id.0 & !WIRE_SEQ_MASK != own {
-                    continue; // Not issued here (cannot happen today).
-                }
-                by_wire
-                    .entry(update.id.0)
-                    .or_insert_with(|| (partition, Vec::new()))
-                    .1
-                    .push((peer, seq));
-            }
-        }
-        let mut queued: Vec<_> = by_wire.into_iter().collect();
-        queued.sort_unstable_by_key(|&(wire, _)| wire);
-        for (wire, (partition, pairs)) in queued {
-            if let Some(slot) = self
-                .partitions
-                .get_mut(partition.index())
-                .and_then(Option::as_mut)
-            {
-                slot.unacked.push_back((wire, pairs));
-            }
-        }
     }
 }
 
@@ -1567,74 +1182,56 @@ mod tests {
         panic!("no register with a remote recipient");
     }
 
+    /// Feeds `core` a streamed acknowledgement of `seq` from `peer`.
+    fn ack(
+        protocol: &EdgeProtocol,
+        map: &PartitionMap,
+        core: &mut Core<EdgeProtocol>,
+        peer: usize,
+        seq: u64,
+    ) {
+        let cfg = ServiceConfig::default();
+        let env = Env::new(protocol, map, &cfg);
+        let acked = CoreMsg::PeerAcked { peer, seq };
+        core.step(&env, acked, &|| 0, None, &mut Vec::new())
+            .expect("step");
+    }
+
+    /// The seal plan's "sealed high" is how far it lets the trace log
+    /// retire: an unacknowledged copy blocks its issue, the
+    /// acknowledgement retires the pair and unblocks it.
     #[test]
     fn sealed_high_advances_only_on_acked_retirement() {
         let (protocol, map, mut core) = ring_core(0, 64);
-        let (peer, seq, _, _) = remote_write(&protocol, &map, &mut core);
+        let (peer, seq, partition, _) = remote_write(&protocol, &map, &mut core);
 
-        // Unacknowledged: the pair blocks its seal and the barrier stays.
-        assert!(core.plan_seal(1).is_empty());
-        assert_eq!(core.links[peer].sealed_high, 0);
+        assert!(core.plan_seal(1).is_empty(), "unacknowledged: blocked");
+        // An acknowledgement for something never sent is not believed.
+        ack(&protocol, &map, &mut core, peer, seq + 1);
+        assert!(core.plan_seal(1).is_empty(), "a false ack seals nothing");
 
-        // Acked retirement advances the barrier and unblocks the seal.
-        core.prune(peer, seq);
-        assert!(!core.plan_seal(1).is_empty());
-        assert_eq!(core.links[peer].sealed_high, seq);
+        ack(&protocol, &map, &mut core, peer, seq);
+        assert_eq!(core.plan_seal(1), [(partition, 1)]);
     }
 
+    /// An evicted pair retires too (it can never be acknowledged, and
+    /// `window_evicted` says so) — but only that pair: the next issue's
+    /// copy is still in the window and still blocks.
     #[test]
     fn evicted_pairs_never_advance_sealed_high() {
         let (protocol, map, mut core) = ring_core(0, 1);
-        let (peer, first_seq, _, _) = remote_write(&protocol, &map, &mut core);
+        let (peer, first_seq, partition, _) = remote_write(&protocol, &map, &mut core);
         let (_, second_seq, _, _) = remote_write(&protocol, &map, &mut core);
         assert_eq!((first_seq, second_seq), (1, 2), "cap 1 evicts the first");
-        assert_eq!(core.window_evicted, 1);
+        assert_eq!(core.status().window_evicted, 1);
 
-        // The evicted pair retires (it can never be acked) but must not
-        // advance the barrier — the peer never observed it. The second
-        // pair still blocks.
-        core.plan_seal(1);
-        assert_eq!(core.links[peer].sealed_high, 0);
-        assert_eq!(core.links[peer].evicted_high, first_seq);
-    }
-
-    #[test]
-    fn barrier_fast_path_matches_slow_path_counters() {
-        let (protocol, map, mut origin) = ring_core(0, 64);
-        let (peer, seq, partition, update) = remote_write(&protocol, &map, &mut origin);
-        let sections: FlushSections<_> = vec![(partition, vec![(seq, update)])];
-
-        let (_, _, mut receiver) = ring_core(peer, 64);
-        receiver.apply_sections(&protocol, 0, sections.clone());
-        let applied_log = receiver.partitions[partition.index()]
-            .as_ref()
-            .expect("hosted")
-            .log
-            .len();
-        assert_eq!(receiver.duplicates_dropped, 0);
-
-        // Straggler resend without a barrier: the watermark (slow path)
-        // catches the duplicate.
-        receiver.apply_sections(&protocol, 0, sections.clone());
-        assert_eq!(receiver.duplicates_dropped, 1);
-        assert_eq!(receiver.barrier_skips, 0);
-
-        // With the origin's seal barrier covering the sequence, the fast
-        // path drops it before the watermark — same counter motion, same
-        // replica state.
-        receiver.links[0].seal_barrier = seq;
-        receiver.apply_sections(&protocol, 0, sections);
-        assert_eq!(receiver.duplicates_dropped, 2);
-        assert_eq!(receiver.barrier_skips, 1);
         assert_eq!(
-            receiver.partitions[partition.index()]
-                .as_ref()
-                .expect("hosted")
-                .log
-                .len(),
-            applied_log,
-            "neither duplicate re-applied anything"
+            core.plan_seal(1),
+            [(partition, 1)],
+            "the evicted issue seals, the parked one does not"
         );
+        ack(&protocol, &map, &mut core, peer, second_seq);
+        assert_eq!(core.plan_seal(1), [(partition, 2)]);
     }
 
     /// `n` remote writes from a fresh node-0 core: the peer they go to and
@@ -1669,7 +1266,6 @@ mod tests {
                 let frame = CoreMsg::Updates {
                     peer: 0,
                     sections: vec![(partition, copies.by_ref().take(size).collect())],
-                    barrier: 0,
                     conn: 22,
                 };
                 receiver
@@ -1691,59 +1287,6 @@ mod tests {
         // 1 = every frame, 0 = the handshake only — as before.
         assert_eq!(acks(1, &[3, 1, 2]), [(0, 3), (1, 4), (2, 6)]);
         assert_eq!(acks(0, &[3, 1, 2]), []);
-    }
-
-    #[test]
-    fn an_absent_barrier_is_no_news_even_across_a_reconnect() {
-        let (peer, partition, copies) = remote_writes(3);
-        let (protocol, map, mut receiver) = ring_core(peer, 64);
-        let cfg = ServiceConfig::default();
-        let env = Env::new(&protocol, &map, &cfg);
-        let frame = |receiver: &mut Core<EdgeProtocol>, seqs: &[u64], barrier, conn| {
-            let updates = copies
-                .iter()
-                .filter(|(seq, _)| seqs.contains(seq))
-                .cloned()
-                .collect();
-            let msg = CoreMsg::Updates {
-                peer: 0,
-                sections: vec![(partition, updates)],
-                barrier,
-                conn,
-            };
-            let mut out = Vec::new();
-            receiver
-                .step(&env, msg, &|| 0, None, &mut out)
-                .expect("step");
-        };
-        // The barrier rides one frame; the stragglers behind it carry none
-        // and still take the fast path.
-        frame(&mut receiver, &[1, 2], 0, 22);
-        frame(&mut receiver, &[3], 2, 22);
-        assert_eq!(receiver.barrier_skips, 0);
-        frame(&mut receiver, &[2], 0, 22);
-        assert_eq!(
-            (receiver.barrier_skips, receiver.duplicates_dropped),
-            (1, 1)
-        );
-        // A redial replaces the connection, not what the link was told.
-        let join = CoreMsg::PeerJoin { peer: 0, conn: 33 };
-        let mut out = Vec::new();
-        receiver
-            .step(&env, join, &|| 0, None, &mut out)
-            .expect("step");
-        frame(&mut receiver, &[1], 0, 33);
-        assert_eq!(
-            (receiver.barrier_skips, receiver.duplicates_dropped),
-            (2, 2)
-        );
-        // Above the barrier a duplicate still takes the watermark path.
-        frame(&mut receiver, &[3], 0, 33);
-        assert_eq!(
-            (receiver.barrier_skips, receiver.duplicates_dropped),
-            (2, 3)
-        );
-        assert_eq!(receiver.status().applies, 3);
     }
 
     /// The seam, socket-free: a write steps through one core, its send
@@ -1798,7 +1341,6 @@ mod tests {
             let updates = CoreMsg::Updates {
                 peer: 0,
                 sections: vec![(p, vec![(seq, update)])],
-                barrier: 0,
                 conn: 22,
             };
             neighbour
@@ -1823,27 +1365,44 @@ mod tests {
     }
 
     /// The sans-I/O property as a check, not a comment: outside comments
-    /// and this test module, `core.rs` names no socket, thread, file,
-    /// channel or clock API.
+    /// and their test modules, the core's files and `link.rs` name no
+    /// socket, thread, file, channel or clock API — and the link names
+    /// nothing of the layers around it either: no storage, telemetry or
+    /// wire item, and of the reactor only the opaque connection id.
     #[test]
     fn core_names_no_io() {
-        let source = include_str!("core.rs");
-        let code: String = source
-            .split("#[cfg(test)]")
-            .next()
-            .expect("non-empty file")
-            .lines()
-            .map(|line| line.split("//").next().unwrap_or(""))
-            .collect::<Vec<_>>()
-            .join("\n");
-        for path in ["std::net", "std::thread", "std::fs"] {
-            assert!(!code.contains(path), "core.rs names {path}");
-        }
-        let idents: Vec<&str> = code
-            .split(|c: char| !(c.is_alphanumeric() || c == '_'))
-            .collect();
-        for ident in ["mpsc", "Instant", "Wal", "wall_us", "SystemTime"] {
-            assert!(!idents.contains(&ident), "core.rs names {ident}");
+        let sources = [
+            ("core.rs", include_str!("core.rs")),
+            ("core/snapshot.rs", include_str!("core/snapshot.rs")),
+            ("stage.rs", include_str!("stage.rs")),
+            ("link.rs", include_str!("link.rs")),
+        ];
+        for (file, source) in sources {
+            let code: String = source
+                .split("#[cfg(test)]")
+                .next()
+                .expect("non-empty file")
+                .lines()
+                .map(|line| line.split("//").next().unwrap_or(""))
+                .collect::<Vec<_>>()
+                .join("\n");
+            for path in ["std::net", "std::thread", "std::fs"] {
+                assert!(!code.contains(path), "{file} names {path}");
+            }
+            let idents: Vec<&str> = code
+                .split(|c: char| !(c.is_alphanumeric() || c == '_'))
+                .collect();
+            for ident in ["mpsc", "Instant", "Wal", "wall_us", "SystemTime"] {
+                assert!(!idents.contains(&ident), "{file} names {ident}");
+            }
+            if file == "link.rs" {
+                for layer in ["prcc_storage", "prcc_telemetry", "wire"] {
+                    assert!(!idents.contains(&layer), "link.rs names {layer}");
+                }
+                let reactor_uses = code.matches("prcc_reactor").count();
+                let conn_id_uses = code.matches("prcc_reactor::ConnId").count();
+                assert_eq!(reactor_uses, conn_id_uses, "more than the ConnId");
+            }
         }
     }
 }

@@ -35,10 +35,10 @@
 use crate::core::{CoreMsg, Sequenced};
 use crate::node::ServiceConfig;
 use crate::wire::{
-    append_frame, decode_cut_marker, decode_hello_ack, decode_peer_ack, decode_peer_hello,
-    decode_request, decode_sealed_batches, encode_cut_marker, encode_multi_batch_sealed_into,
-    encode_peer_hello, encode_response_into, ClientRequest, ClientResponse, FlushSections,
-    PeerHello, TAG_CUT_MARKER, WIRE_VERSION,
+    append_frame, decode_cut_marker, decode_hello_ack, decode_multi_batch, decode_peer_ack,
+    decode_peer_hello, decode_request, encode_cut_marker, encode_multi_batch_into,
+    encode_peer_hello, encode_response_into, restore_sender, ClientRequest, ClientResponse,
+    FlushSections, PeerHello, TAG_CUT_MARKER, WIRE_VERSION,
 };
 use prcc_clock::{Protocol, WireClock};
 use prcc_graph::PartitionMap;
@@ -67,16 +67,8 @@ pub(crate) enum PeerCmd<C> {
     /// enter the resend window, so a connection dying under one loses it.
     Marker(u64),
     /// The core's reply to a [`CoreMsg::PeerResume`]: the window suffix to
-    /// resend plus the link's current seal barrier.
-    Resume {
-        window: Vec<Sequenced<C>>,
-        barrier: u64,
-    },
-    /// The link's seal barrier advanced: every sequence at or below it has
-    /// been acknowledged by the peer, so the next flush frame carries the
-    /// new value and the receiver can skip the dependency re-check for
-    /// straggler resends underneath it.
-    Barrier(u64),
+    /// resend.
+    Resume(Vec<Sequenced<C>>),
 }
 
 /// Registry-backed handles for the socket-level metrics, shared by every
@@ -187,13 +179,6 @@ pub(crate) struct PeerOut<C> {
     /// below it still arriving through the command queue are duplicates
     /// of what the resume sent and are dropped before encoding.
     covered: u64,
-    /// The link's seal barrier (max-monotone).
-    barrier: u64,
-    /// The barrier value already written on the current connection (0 on
-    /// a fresh one). A frame carries the barrier only when it is news: the
-    /// first frame of a connection — which is how a restarted receiver
-    /// relearns it — and the first frame after it advanced.
-    barrier_told: u64,
     /// The peer's acknowledged offset from the current handshake.
     acked: u64,
     /// Connection generation: counts successful connects.
@@ -231,8 +216,6 @@ impl<C: WireClock> PeerOut<C> {
             pending: VecDeque::new(),
             batch: Vec::new(),
             covered: 0,
-            barrier: 0,
-            barrier_told: 0,
             acked: 0,
             generation: 0,
             deadline: None,
@@ -272,17 +255,9 @@ impl<C: WireClock> PeerOut<C> {
             // (`flushes_pack_multiple_partitions_into_one_frame`, and the
             // `node.frames_per_flush` metric of `prcc-perf`).
             self.hub.counters.flushes.add(1);
-            // The barrier rides only the frame it is news on (absent = no
-            // news; the receiver keeps the maximum it has been told).
-            let barrier = if self.barrier > self.barrier_told {
-                self.barrier_told = self.barrier;
-                self.barrier
-            } else {
-                0
-            };
             let mut frame = ctx.pool().lease(256);
             if append_frame(&mut frame, |out| {
-                encode_multi_batch_sealed_into(&sections, self.pad_bytes, self.node, barrier, out)
+                encode_multi_batch_into(&sections, self.pad_bytes, out)
             })
             .is_err()
             {
@@ -347,10 +322,9 @@ impl<C: WireClock> PeerOut<C> {
                 self.flush(ctx);
                 self.write_marker(ctx, token);
             }
-            PeerCmd::Barrier(b) => self.barrier = self.barrier.max(b),
             // Resume is handled in on_command before dispatch; a stray one
             // (stale reply after a re-handshake) is ignored.
-            PeerCmd::Resume { .. } => {}
+            PeerCmd::Resume(_) => {}
         }
     }
 
@@ -372,8 +346,7 @@ impl<C: WireClock> PeerOut<C> {
     /// The core answered the handshake with the resume window: retransmit
     /// it, mark the link established, and replay the command backlog, with
     /// every parked marker at its command position.
-    fn finish_resume(&mut self, ctx: &mut Ctx<'_>, window: Vec<Sequenced<C>>, barrier: u64) {
-        self.barrier = self.barrier.max(barrier);
+    fn finish_resume(&mut self, ctx: &mut Ctx<'_>, window: Vec<Sequenced<C>>) {
         // Everything up to the window's tail is covered by this resume:
         // entries still sitting in the command backlog at or below
         // `covered` are duplicates of what the resume sends and are
@@ -424,7 +397,6 @@ impl<C: WireClock> Driver for PeerOut<C> {
         // acceptor's driver expects it and answers with the link's
         // acknowledged resume offset.
         self.generation += 1;
-        self.barrier_told = 0;
         self.state = OutState::AwaitAck;
         let mut frame = ctx.pool().lease(self.hello.len() + 8);
         if append_frame(&mut frame, |out| out.extend_from_slice(&self.hello)).is_ok() {
@@ -482,12 +454,9 @@ impl<C: WireClock> Driver for PeerOut<C> {
             return;
         };
         match *cmd {
-            // Barriers are max-monotone, so applying one early (even
-            // mid-handshake) is always safe.
-            PeerCmd::Barrier(b) => self.barrier = self.barrier.max(b),
-            PeerCmd::Resume { window, barrier } => {
+            PeerCmd::Resume(window) => {
                 if self.state == OutState::AwaitResume {
-                    self.finish_resume(ctx, window, barrier);
+                    self.finish_resume(ctx, window);
                 }
             }
             cmd => {
@@ -607,11 +576,13 @@ where
                     format!("peer {} runs a different partition map", hello.node),
                 ));
             }
-            if hello.node >= self.map.num_nodes() {
+            // In range, and not this node: it never dials itself, and the
+            // updates of such a link would come back under its own id bits.
+            if hello.node >= self.map.num_nodes() || hello.node == self.node {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
                     // lint: allow(alloc) protocol-violation error, cold
-                    format!("peer index {} out of range", hello.node),
+                    format!("peer index {} out of range or this node's", hello.node),
                 ));
             }
             self.peer = Some(hello.node);
@@ -644,16 +615,17 @@ where
             }
             return Ok(());
         }
-        // One frame, many `(partition, [(seq, update)])` sections plus the
-        // sender's seal barrier: validate each section, then hand the
-        // whole frame to the core as one delivery (and one WAL receipt).
+        // One frame, many `(partition, [(seq, update)])` sections:
+        // validate each section, then hand the whole frame to the core as
+        // one delivery (and one WAL receipt).
         let roles = self.map.graph().num_replicas();
         let protocol = &self.protocol;
-        // Ids arrive without their node bits; the link's sender restores
-        // them.
-        let (sections, barrier) = decode_sealed_batches(&frame, peer, |k| {
+        let mut sections = decode_multi_batch(&frame, |k| {
             (k.index() < roles).then(|| protocol.new_clock(k))
         })?;
+        // Ids arrive without their node bits; the handshake says whose
+        // they are.
+        restore_sender(&mut sections, peer);
         for (partition, _) in &sections {
             if partition.0 >= self.map.num_partitions() {
                 return Err(io::Error::new(
@@ -676,7 +648,6 @@ where
             .send(CoreMsg::Updates {
                 peer,
                 sections,
-                barrier,
                 conn: ctx.conn_id(),
             })
             .is_err()
@@ -814,11 +785,7 @@ mod tests {
                 ..
             }
         ));
-        let resume = PeerCmd::<EdgeClock>::Resume {
-            window: Vec::new(),
-            barrier: 0,
-        };
-        handle.command(conn, Box::new(resume));
+        handle.command(conn, Box::new(PeerCmd::<EdgeClock>::Resume(Vec::new())));
 
         let update = |seq: u64| {
             let mut clock = protocol.new_clock(ReplicaId(0));
@@ -842,8 +809,7 @@ mod tests {
         handle.command(conn, update(2));
         let frame = read_frame(&mut sock).expect("io").expect("second frame");
         let wakeups = handle.metrics().wakeups.get() - before;
-        let (sections, _) =
-            decode_sealed_batches(&frame, 0, |k| Some(protocol.new_clock(k))).expect("flush");
+        let sections = decode_multi_batch(&frame, |k| Some(protocol.new_clock(k))).expect("flush");
         assert_eq!(sections[0].1[0].0, 2, "the lone update, link seq 2");
         assert_eq!(wakeups, 1, "command and frame share one reactor tick");
 

@@ -14,8 +14,9 @@
 //! live loop uses — it validates (index order, gaps, digests) but owns no
 //! transitions of its own.
 
-use crate::core::{Core, CoreTelemetry, Env, Stage};
+use crate::core::{Core, CoreTelemetry, Env};
 use crate::node::ServiceConfig;
+use crate::stage::Stage;
 use prcc_clock::{Protocol, WireClock};
 use prcc_graph::PartitionMap;
 use prcc_reactor::BufPool;

@@ -5,23 +5,24 @@
 //! crate takes the same generic [`prcc_clock::Protocol`] replicas across
 //! real sockets, as layers composed around one sans-I/O state machine:
 //!
-//! * [`wire`] — the length-prefixed binary wire protocol (version 9): a
-//!   versioned peer handshake carrying the serialized
-//!   [`prcc_graph::PartitionMap`] and answered with the link's
-//!   acknowledged resume offset, multi-partition flush frames (one frame
-//!   per flush, a `(partition, [(link seq, update)])` section per
-//!   partition present, update ids without the sender's node bits, the
-//!   seal barrier trailing only the frame it is news on) built on
-//!   [`prcc_clock::WireClock`] / `Update::encode_wire` and carrying
-//!   per-update origin issue stamps, streamed acknowledgement frames,
-//!   consistent-cut markers, the partition-addressed client read/write
-//!   API, and version-stamped `Status`/`Metrics`/`Cut` responses.
-//! * `core` — the replica core, sans I/O: one [`prcc_core::Replica`] per
-//!   hosted partition behind acknowledged, windowed peer links.
-//!   `Core::step` turns one message into staged WAL records and a list of
-//!   effects without touching a socket, thread, file or clock;
-//!   `Core::apply` is the single mutation path shared by the live loop and
-//!   WAL replay.
+//! * [`wire`] — the length-prefixed binary wire protocol (version 10):
+//!   `wire/peer.rs` has the versioned handshake (carrying the serialized
+//!   [`prcc_graph::PartitionMap`], answered with the link's acknowledged
+//!   resume offset), multi-partition flush frames (a `(partition, [(link
+//!   seq, update)])` section per partition present, ids without the
+//!   sender's node bits, per-update issue stamps), streamed acks and
+//!   consistent-cut markers; `wire/client.rs` the partition-addressed
+//!   client API and version-stamped `Status`/`Metrics`/`Cut` responses.
+//! * [`link`] — the reliable link, sans I/O and sans replica:
+//!   [`link::PeerLink`] sequences outbound updates into a capped resend
+//!   window, refuses acknowledgements for what it never sent, and hands
+//!   each inbound update up exactly once however often it is redelivered.
+//! * `core` — causal delivery and the composition, sans I/O: one
+//!   [`prcc_core::Replica`] per hosted partition, fed by the links'
+//!   hand-ups and feeding their windows. `Core::step` turns one message
+//!   into staged WAL records and a list of effects without touching a
+//!   socket, thread, file or clock; `Core::apply` is the single mutation
+//!   path shared by the live loop and WAL replay.
 //! * `durable` — the durability layer under it: group commit of the
 //!   core's staged records into a `prcc-storage` write-ahead log,
 //!   periodic snapshots that truncate it, and boot-time recovery that
@@ -63,7 +64,9 @@ pub mod config;
 mod core;
 mod drivers;
 mod durable;
+pub mod link;
 pub mod node;
+mod stage;
 pub mod wire;
 
 pub use client::{RoutedClient, ServiceClient};

@@ -496,7 +496,6 @@ where
                 pending = core_rx.try_recv().ok();
             }
         }
-        core.end_sweep(&mut out);
 
         // Sweep end: one group-committed WAL write covers every record the
         // sweep staged; only then do the sweep's effects leave the node.
@@ -565,10 +564,9 @@ where
             let bytes = io.send_frame(conn, 64, |out| encode_hello_ack_into(acked, out));
             io.counters.bytes_out.add(bytes);
         }
-        Effect::ResumeReply(conn, window, barrier) => {
+        Effect::ResumeReply(conn, window) => {
             // lint: allow(alloc) one boxed command per reconnect
-            let cmd = Box::new(PeerCmd::Resume { window, barrier });
-            io.handle.command(conn, cmd);
+            io.handle.command(conn, Box::new(PeerCmd::Resume(window)));
         }
         Effect::Status(conn, mut status) => {
             // Fold in what only the driver can see: the durability
@@ -605,9 +603,6 @@ where
             for peer in 0..io.peer_conns.len() {
                 io.command(peer, PeerCmd::<P::Clock>::Marker(token));
             }
-        }
-        Effect::Barrier(peer, barrier) => {
-            io.command(peer, PeerCmd::<P::Clock>::Barrier(barrier));
         }
         Effect::Close(conn) => io.handle.close(conn),
     }

@@ -19,11 +19,10 @@ use prcc_clock::{EdgeProtocol, Protocol};
 use prcc_graph::{topologies, PartitionMap, RegisterId};
 use prcc_service::node::{spawn_node, NodeSeed, ServiceConfig};
 use prcc_service::wire::{
-    decode_cut_marker, decode_multi_batch, decode_sealed_batches, encode_peer_ack_into, read_frame,
-    write_frame, TAG_CUT_MARKER,
+    decode_cut_marker, decode_hello_ack, decode_multi_batch, encode_peer_hello, read_frame,
+    write_frame, PeerHello, TAG_CUT_MARKER,
 };
 use prcc_service::ServiceClient;
-use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc;
@@ -324,97 +323,27 @@ fn marker_parked_across_a_resume_keeps_its_channel_position() {
     rig.node.join();
 }
 
-/// The v9 barrier discipline, sender side: the seal barrier is link state,
-/// so a flush frame carries it only when it is news on that connection —
-/// the first frame after it advanced, and the first frame of every new
-/// connection (which is how a restarted receiver, whose copy is live-only,
-/// is told it again). The frames between carry none.
+/// A hello naming this node's own index is refused: the node never dials
+/// itself, and updates on such a link would come back under its own id
+/// bits. The connection closes without a hello-ack; a real peer's hello
+/// on the same listener is still answered.
 #[test]
-fn the_barrier_rides_only_the_frame_it_is_news_on() {
-    // Sealing after every apply makes each acknowledgement advance the
-    // barrier at the very next write.
-    let mut rig = rig_with(ServiceConfig {
-        trace_compact_at: 1,
-        ..ServiceConfig::default()
-    });
-    let protocol = Arc::clone(&rig.protocol);
-    // Writes one value and returns the `(last link seq, barrier)` of the
-    // flush frame it produces.
-    let next_value = Cell::new(0u64);
-    let write_and_read = |rig: &mut OneNodeRig, conn: &mut TcpStream| {
-        next_value.set(next_value.get() + 1);
-        assert!(rig
-            .client
-            .write(RegisterId(0), next_value.get())
-            .expect("write"));
-        let payload = read_frame(conn).expect("frame io").expect("flush frame");
-        let (sections, barrier) =
-            decode_sealed_batches(&payload, 0, |i| Some(protocol.new_clock(i))).expect("flush");
-        let last = sections
-            .last()
-            .and_then(|(_, us)| us.last())
-            .expect("an update");
-        (last.0, barrier)
+fn a_hello_claiming_this_nodes_own_index_is_refused() {
+    let mut rig = rig();
+    let hello = |node| {
+        let mut conn = TcpStream::connect(rig.node.peer_addr).expect("dial the peer listener");
+        let map = rig.map.clone();
+        write_frame(&mut conn, &encode_peer_hello(&PeerHello { node, map })).expect("hello");
+        conn.set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("timeout");
+        read_frame(&mut conn)
     };
-    let ack = |conn: &mut TcpStream, seq: u64| {
-        let mut payload = Vec::new();
-        encode_peer_ack_into(seq, &mut payload);
-        write_frame(conn, &payload).expect("ack");
-    };
-    // Writes until a frame carries a barrier; every frame before it must
-    // carry none. Returns that frame's `(seq, barrier)`.
-    let until_told = |rig: &mut OneNodeRig, conn: &mut TcpStream| {
-        let deadline = Instant::now() + Duration::from_secs(30);
-        loop {
-            assert!(Instant::now() < deadline, "the barrier never advanced");
-            let (seq, barrier) = write_and_read(rig, conn);
-            if barrier > 0 {
-                return (seq, barrier);
-            }
-        }
-    };
-
-    let (mut conn, _) = rig.fake_peer.accept().expect("first accept");
-    accept_handshake(&mut conn, 0);
-    // Nothing acknowledged yet: there is no barrier to tell.
-    let (seq, barrier) = write_and_read(&mut rig, &mut conn);
-    assert_eq!((seq, barrier), (1, 0));
-
-    // The first frame after an acknowledgement lands carries it...
-    ack(&mut conn, seq);
-    let (seq, first) = until_told(&mut rig, &mut conn);
-    assert_eq!(first, 1, "exactly what was acknowledged");
-    // ...and the frames between do not repeat it.
-    let mut last = seq;
-    for _ in 0..5 {
-        let (seq, barrier) = write_and_read(&mut rig, &mut conn);
-        assert_eq!(
-            barrier, 0,
-            "seq {seq} repeats a barrier the connection knows"
-        );
-        last = seq;
-    }
-    // It advanced: news again, once.
-    ack(&mut conn, last);
-    let (_, second) = until_told(&mut rig, &mut conn);
-    assert_eq!(second, last, "the new acknowledgement, not the old one");
-    let (unacked, barrier) = write_and_read(&mut rig, &mut conn);
-    assert_eq!(barrier, 0);
-
-    // A new connection starts from nothing: its first frame — here the
-    // resent tail past the acknowledged offset — re-tells the barrier
-    // although it has not moved, and only the first does.
-    drop(conn);
-    let (mut conn, _) = rig.fake_peer.accept().expect("reconnect accept");
-    accept_handshake(&mut conn, second);
-    let payload = read_frame(&mut conn).expect("frame io").expect("resend");
-    let (sections, barrier) =
-        decode_sealed_batches(&payload, 0, |i| Some(protocol.new_clock(i))).expect("flush");
-    let resent: Vec<u64> = sections[0].1.iter().map(|(seq, _)| *seq).collect();
-    assert_eq!(resent, (second + 1..=unacked).collect::<Vec<_>>());
-    assert_eq!(barrier, second, "the new connection had to be told");
-    let (_, barrier) = write_and_read(&mut rig, &mut conn);
-    assert_eq!(barrier, 0, "and only once");
+    assert!(
+        matches!(hello(0), Ok(None) | Err(_)),
+        "closed, and no hello-ack first"
+    );
+    let ack = hello(1).expect("frame io").expect("the hello-ack");
+    assert_eq!(decode_hello_ack(&ack).expect("hello-ack"), 0);
 
     rig.client.shutdown().expect("shutdown");
     rig.node.join();

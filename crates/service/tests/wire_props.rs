@@ -10,10 +10,9 @@ use prcc_core::Update;
 use prcc_graph::{topologies, PartitionId, PartitionMap, RegisterId, ReplicaId, ShareGraph};
 use prcc_net::VirtualTime;
 use prcc_service::wire::{
-    decode_multi_batch, decode_partition_map, decode_peer_hello, decode_sealed_batches,
-    decode_share_graph, encode_multi_batch_into, encode_multi_batch_sealed_into,
-    encode_partition_map, encode_peer_hello, encode_share_graph, FlushSections, PeerHello,
-    WIRE_SEQ_BITS, WIRE_SEQ_MASK,
+    decode_multi_batch, decode_partition_map, decode_peer_hello, decode_share_graph,
+    encode_multi_batch_into, encode_partition_map, encode_peer_hello, encode_share_graph,
+    restore_sender, FlushSections, PeerHello, WIRE_SEQ_BITS, WIRE_SEQ_MASK,
 };
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -84,21 +83,13 @@ fn build_updates<P: Protocol>(
 /// tag byte (3), the count of non-empty sections, then per section the
 /// partition, the update count, and per update `link seq | issue stamp |
 /// Update::encode_wire of the update with its id cut to the low 40 bits
-/// (v9) | pad length | pad zeros`, then the seal barrier as one trailing
-/// varint when it is non-zero. Assembled the obvious, copying way; the hot
-/// path encodes with [`encode_multi_batch_into`] straight into a leased
-/// frame buffer, and `in_place_multi_batch_is_byte_identical_to_the_
-/// reference_encoder` holds the two byte-for-byte equal — the guarantee
-/// that peers interoperate with the in-place encoder unchanged.
+/// (v9) | pad length | pad zeros`, and nothing after the last section
+/// (v10). Assembled the obvious, copying way; the hot path encodes with
+/// [`encode_multi_batch_into`] straight into a leased frame buffer, and
+/// `in_place_multi_batch_is_byte_identical_to_the_reference_encoder` holds
+/// the two byte-for-byte equal — the guarantee that peers interoperate
+/// with the in-place encoder unchanged.
 fn encode_multi_batch<C: WireClock>(sections: &FlushSections<C>, pad: usize) -> Vec<u8> {
-    encode_sealed_multi_batch(sections, pad, 0)
-}
-
-fn encode_sealed_multi_batch<C: WireClock>(
-    sections: &FlushSections<C>,
-    pad: usize,
-    barrier: u64,
-) -> Vec<u8> {
     let mut out = vec![3u8];
     let live: Vec<_> = sections.iter().filter(|(_, u)| !u.is_empty()).collect();
     write_varint(&mut out, live.len() as u64);
@@ -116,9 +107,6 @@ fn encode_sealed_multi_batch<C: WireClock>(
             write_varint(&mut out, pad as u64);
             out.extend(std::iter::repeat_n(0u8, pad));
         }
-    }
-    if barrier > 0 {
-        write_varint(&mut out, barrier);
     }
     out
 }
@@ -164,10 +152,11 @@ fn batch_round_trip<P: Protocol>(
 {
     let sections = build_sections(p, g, peer, &[partition.0], seed, 1);
     let payload = encode_multi_batch(&sections, pad);
-    let (decoded, _) = decode_sealed_batches(&payload, peer, |i| {
+    let mut decoded = decode_multi_batch(&payload, |i| {
         (i.index() < g.num_replicas()).then(|| p.new_clock(i))
     })
     .expect("well-formed batch");
+    restore_sender(&mut decoded, peer);
     assert_eq!(decoded.len(), 1);
     assert_eq!(
         decoded[0].0, partition,
@@ -240,8 +229,7 @@ proptest! {
     /// The in-place encoder appends exactly the bytes the copy-assemble
     /// reference produces, after whatever the buffer already holds — on
     /// arbitrary sections: empty, skipped-empty, unsorted and repeated
-    /// partitions, mixed sampled/unsampled stamps, varied pads, any sender,
-    /// with and without a seal barrier.
+    /// partitions, mixed sampled/unsampled stamps, varied pads, any sender.
     #[test]
     fn in_place_multi_batch_is_byte_identical_to_the_reference_encoder(
         g in arb_share_graph(),
@@ -250,7 +238,6 @@ proptest! {
         seed in 0u64..500,
         pad in 0usize..1100,
         seq_base in 1u64..1 << 50,
-        barrier in 0u64..1 << 50,
     ) {
         let p = EdgeProtocol::new(g.clone());
         let tags: Vec<u32> = parts.iter().map(|&(part, _)| part).collect();
@@ -264,11 +251,6 @@ proptest! {
         let mut in_place = b"preexisting".to_vec();
         encode_multi_batch_into(&sections, pad, &mut in_place);
         prop_assert_eq!(&in_place[b"preexisting".len()..], &reference[..]);
-        // The link driver's entry point: same bytes plus the barrier.
-        let sealed = encode_sealed_multi_batch(&sections, pad, barrier);
-        in_place.truncate(b"preexisting".len());
-        encode_multi_batch_sealed_into(&sections, pad, peer, barrier, &mut in_place);
-        prop_assert_eq!(&in_place[b"preexisting".len()..], &sealed[..]);
     }
 
     /// A whole flush — sections for several partitions — survives the wire
@@ -283,16 +265,16 @@ proptest! {
         seed in 0u64..500,
         pad in 0usize..64,
         seq_base in 1u64..1 << 50,
-        barrier in 0u64..1 << 50,
     ) {
         let p = EdgeProtocol::new(g.clone());
         let sections = build_sections(&p, &g, peer, &parts, seed, seq_base);
         prop_assume!(sections.iter().all(|(_, u)| !u.is_empty()));
-        let payload = encode_sealed_multi_batch(&sections, pad, barrier);
-        let (back, told) = decode_sealed_batches(&payload, peer, |i| {
+        let payload = encode_multi_batch(&sections, pad);
+        let local = decode_multi_batch(&payload, |i| {
             (i.index() < g.num_replicas()).then(|| p.new_clock(i))
         }).expect("well-formed multi-batch");
-        prop_assert_eq!(told, barrier, "absent means 0: no news");
+        let mut back = local.clone();
+        restore_sender(&mut back, peer);
         prop_assert_eq!(back.len(), sections.len());
         for ((bp, bu), (sp, su)) in back.iter().zip(&sections) {
             prop_assert_eq!(bp, sp, "section partition tag must survive in order");
@@ -307,10 +289,7 @@ proptest! {
                 prop_assert_eq!(&a.clock, &b.clock);
             }
         }
-        // The sender-blind decoder returns the ids as shipped.
-        let local = decode_multi_batch(&payload, |i| {
-            (i.index() < g.num_replicas()).then(|| p.new_clock(i))
-        }).expect("well-formed multi-batch");
+        // The decoder itself returns the ids as shipped.
         for ((_, lu), (_, su)) in local.iter().zip(&sections) {
             for ((_, a), (_, b)) in lu.iter().zip(su) {
                 prop_assert_eq!(a.id.0, b.id.0 & WIRE_SEQ_MASK);
@@ -337,7 +316,7 @@ proptest! {
         hostile.id = UpdateId(hostile.id.0 | node_bits << WIRE_SEQ_BITS);
         hostile.encode_wire(&mut frame);
         frame.push(0); // pad
-        let err = decode_sealed_batches(&frame, peer, |i| {
+        let err = decode_multi_batch(&frame, |i| {
             (i.index() < g.num_replicas()).then(|| p.new_clock(i))
         }).expect_err("node bits on the wire");
         prop_assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
@@ -347,9 +326,10 @@ proptest! {
         hostile.id = UpdateId(WIRE_SEQ_MASK);
         hostile.encode_wire(&mut frame);
         frame.push(0);
-        let (sections, _) = decode_sealed_batches(&frame, peer, |i| {
+        let mut sections = decode_multi_batch(&frame, |i| {
             (i.index() < g.num_replicas()).then(|| p.new_clock(i))
         }).expect("2^40 - 1 carries no node bits");
+        restore_sender(&mut sections, peer);
         prop_assert_eq!(sections[0].1[0].1.id.0, (peer as u64) << WIRE_SEQ_BITS | WIRE_SEQ_MASK);
     }
 
@@ -421,16 +401,16 @@ proptest! {
 
     /// The concrete upgrade scenario: a peer still speaking an older wire
     /// version (v2 partition tagging, v3 unacknowledged frame packing, v5
-    /// stamp-free updates, v6 windowed acks, v8 full ids and a barrier on
-    /// every frame) is refused by a current node
-    /// at the handshake with an error naming both versions —
-    /// mixed-version clusters fail loudly, not silently.
+    /// stamp-free updates, v6 windowed acks, v8 full ids, v9 frames that
+    /// may trail a varint) is refused by a current node at the handshake
+    /// with an error naming both versions — mixed-version clusters fail
+    /// loudly, not silently.
     #[test]
     fn stale_version_hellos_refused_by_current(map in arb_partition_map()) {
         let mut payload = encode_peer_hello(&PeerHello { node: 0, map });
         prop_assert_eq!(u64::from(payload[1]), prcc_service::WIRE_VERSION);
         let current = prcc_service::WIRE_VERSION;
-        for old in [2u8, 3, 4, 5, 6, 8] {
+        for old in [2u8, 3, 4, 5, 6, 8, 9] {
             payload[1] = old; // an old peer's hello differs exactly here
             let err = decode_peer_hello(&payload).unwrap_err();
             prop_assert!(
