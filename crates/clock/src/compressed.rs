@@ -87,12 +87,8 @@ impl crate::wire::WireClock for CompressedClock {
         &self.counters
     }
 
-    fn load_counters(&mut self, counters: &[u64]) -> bool {
-        if counters.len() != self.counters.len() {
-            return false;
-        }
-        self.counters.copy_from_slice(counters);
-        true
+    fn counters_mut(&mut self) -> &mut [u64] {
+        &mut self.counters
     }
 }
 

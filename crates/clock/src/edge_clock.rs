@@ -1,46 +1,99 @@
-//! The paper's algorithm (Section 3.3): edge-indexed vector timestamps.
+//! The paper's algorithm (Section 3.3): edge-indexed vector timestamps,
+//! stored one counter per class of provably-equal edge counters.
+//!
+//! # Counter classes
+//!
+//! Replica `i` tracks the edges `E_i`, but it need not keep `|E_i|`
+//! counters. Call two share-graph edges *twins* when they leave the same
+//! replica `j` and carry the same label (`X_jk = X_jl`). A twin group is a
+//! *class* when every replica's edge set holds all of it or none of it;
+//! every other tracked edge is a class of its own. The counters of a class
+//! are equal in every reachable state:
+//!
+//! * initially they are all zero;
+//! * `advance(j, x)` bumps `e_jk` exactly when `x ∈ X_jk`, and twins share
+//!   `X`, so it bumps all of a class or none of it (a write by any other
+//!   replica touches no edge leaving `j`);
+//! * `merge` at `i` from `k` takes the maximum over `E_i ∩ E_k`; a class is
+//!   either inside both edge sets or disjoint from one of them, so each of
+//!   its edges either keeps `i`'s common value or becomes the maximum of
+//!   `i`'s and `k`'s common values (the attached timestamp is itself a
+//!   reachable state of `k`).
+//!
+//! So one counter per class carries the whole state: an [`EdgeClock`] maps
+//! each tracked edge to its class's slot, and `advance`, `merge` and `J`
+//! read through that map. Under full replication every edge leaving `j` is
+//! a twin of every other, the classes are the replicas and the timestamp is
+//! a vector clock (Section 5). Where every label is unique — rings, lines,
+//! trees — the layout is the identity. The classes are built once per
+//! protocol, in `O(n·|E|)`, by grouping the share graph's directed edges on
+//! `(source, label)`.
 
 use crate::encoding;
 use crate::traits::{ClockState, Protocol};
-use prcc_graph::{Edge, RegisterId, ReplicaId, ShareGraph, TimestampGraph};
+use prcc_graph::{Edge, RegSet, RegisterId, ReplicaId, ShareGraph, TimestampGraph};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-/// An edge-indexed vector timestamp `τ_i`: one counter per edge of the
-/// owning replica's timestamp graph `E_i`.
+/// The static shape of a timestamp: its sorted edge keys and, parallel to
+/// them, the counter slot each key reads.
+#[derive(PartialEq, Eq)]
+struct Layout {
+    /// Sorted edge keys (ascending [`Edge`] order).
+    keys: Box<[Edge]>,
+    /// `slots[idx]` — the counter holding `keys[idx]`; slots are numbered in
+    /// order of first appearance.
+    slots: Box<[usize]>,
+    /// Number of distinct slots.
+    width: usize,
+}
+
+/// An edge-indexed vector timestamp `τ_i` over the owning replica's
+/// timestamp graph `E_i`, holding one counter per class of edges whose
+/// counters are equal in every reachable state (see the module docs).
 ///
-/// The key set is immutable, shared (`Arc`) configuration; only the counter
-/// vector is per-instance, so attaching a timestamp to an update message is
-/// a cheap clone.
+/// [`ClockState::entries`] reports `|E_i|`, the paper's measure;
+/// [`crate::WireClock::counter_values`] holds one value per class, and is
+/// what travels on the wire and into durable storage.
+///
+/// The layout (keys and slot map) is immutable, shared (`Arc`)
+/// configuration; only the counter vector is per-instance, so attaching a
+/// timestamp to an update message is a cheap clone.
 #[derive(Clone, PartialEq, Eq)]
 pub struct EdgeClock {
-    /// Sorted edge keys (ascending [`Edge`] order).
-    keys: Arc<[Edge]>,
+    layout: Arc<Layout>,
     counters: Vec<u64>,
 }
 
 impl EdgeClock {
-    /// Creates the all-zero clock over a sorted key set.
-    fn new(keys: Arc<[Edge]>) -> Self {
-        let counters = vec![0; keys.len()];
-        EdgeClock { keys, counters }
+    fn new(layout: Arc<Layout>) -> Self {
+        let counters = vec![0; layout.width];
+        EdgeClock { layout, counters }
     }
 
     /// Creates an all-zero clock over an arbitrary edge set (sorted and
-    /// deduplicated). Used by the client-server extension, whose clients
-    /// keep clocks over `∪_{i ∈ R_c} Ê_i`.
+    /// deduplicated), one counter per edge. Used by the client-server
+    /// extension, whose clients keep clocks over `∪_{i ∈ R_c} Ê_i`.
     pub fn zero_over<I: IntoIterator<Item = Edge>>(edges: I) -> Self {
         let mut v: Vec<Edge> = edges.into_iter().collect();
         v.sort_unstable();
         v.dedup();
-        EdgeClock::new(v.into())
+        let width = v.len();
+        EdgeClock::new(Arc::new(Layout {
+            keys: v.into(),
+            slots: (0..width).collect(),
+            width,
+        }))
     }
 
-    /// Increments the counter of `e` if tracked; returns whether it was.
+    /// Increments the counter of `e` if tracked (on a clock from
+    /// [`EdgeProtocol`], the counter of `e`'s whole class); returns whether
+    /// it was.
     pub fn bump_edge(&mut self, e: Edge) -> bool {
-        match self.keys.binary_search(&e) {
+        match self.layout.keys.binary_search(&e) {
             Ok(idx) => {
-                self.counters[idx] += 1;
+                self.counters[self.layout.slots[idx]] += 1;
                 true
             }
             Err(_) => false,
@@ -51,13 +104,15 @@ impl EdgeClock {
     /// for `e ∈ E_self ∩ E_other` — the shape shared by the paper's `merge`,
     /// `merge1/2/3` functions).
     pub fn merge_from(&mut self, other: &EdgeClock) {
+        let (la, lb) = (&*self.layout, &*other.layout);
         let (mut a, mut b) = (0usize, 0usize);
-        while a < self.keys.len() && b < other.keys.len() {
-            match self.keys[a].cmp(&other.keys[b]) {
+        while a < la.keys.len() && b < lb.keys.len() {
+            match la.keys[a].cmp(&lb.keys[b]) {
                 std::cmp::Ordering::Less => a += 1,
                 std::cmp::Ordering::Greater => b += 1,
                 std::cmp::Ordering::Equal => {
-                    self.counters[a] = self.counters[a].max(other.counters[b]);
+                    let mine = &mut self.counters[la.slots[a]];
+                    *mine = (*mine).max(other.counters[lb.slots[b]]);
                     a += 1;
                     b += 1;
                 }
@@ -87,34 +142,30 @@ impl EdgeClock {
 
     /// The counter for edge `e`, or `None` if the edge is not tracked.
     pub fn get(&self, e: Edge) -> Option<u64> {
-        self.keys
+        self.layout
+            .keys
             .binary_search(&e)
             .ok()
-            .map(|idx| self.counters[idx])
+            .map(|idx| self.at(idx))
     }
 
     /// The tracked edges, ascending.
     pub fn edges(&self) -> &[Edge] {
-        &self.keys
+        &self.layout.keys
     }
 
-    /// Raw counters, parallel to [`EdgeClock::edges`].
-    pub fn counters(&self) -> &[u64] {
-        &self.counters
-    }
-
-    /// Iterates `(edge, counter)` pairs.
+    /// Iterates `(edge, counter)` pairs, one per tracked edge.
     pub fn iter(&self) -> impl Iterator<Item = (Edge, u64)> + '_ {
-        self.keys.iter().copied().zip(self.counters.iter().copied())
+        self.layout
+            .keys
+            .iter()
+            .zip(self.layout.slots.iter())
+            .map(|(&e, &slot)| (e, self.counters[slot]))
     }
 
-    /// Sum of all counters (used by tests as a cheap progress measure).
-    pub fn total(&self) -> u64 {
-        self.counters.iter().sum()
-    }
-
-    fn bump(&mut self, idx: usize) {
-        self.counters[idx] += 1;
+    /// The counter of the key at index `idx`.
+    fn at(&self, idx: usize) -> u64 {
+        self.counters[self.layout.slots[idx]]
     }
 }
 
@@ -129,16 +180,13 @@ impl Iterator for CommonEntries<'_> {
     type Item = (Edge, u64, u64);
 
     fn next(&mut self) -> Option<(Edge, u64, u64)> {
-        while self.ia < self.a.keys.len() && self.ib < self.b.keys.len() {
-            match self.a.keys[self.ia].cmp(&self.b.keys[self.ib]) {
+        let (ka, kb) = (&self.a.layout.keys, &self.b.layout.keys);
+        while self.ia < ka.len() && self.ib < kb.len() {
+            match ka[self.ia].cmp(&kb[self.ib]) {
                 std::cmp::Ordering::Less => self.ia += 1,
                 std::cmp::Ordering::Greater => self.ib += 1,
                 std::cmp::Ordering::Equal => {
-                    let out = (
-                        self.a.keys[self.ia],
-                        self.a.counters[self.ia],
-                        self.b.counters[self.ib],
-                    );
+                    let out = (ka[self.ia], self.a.at(self.ia), self.b.at(self.ib));
                     self.ia += 1;
                     self.ib += 1;
                     return Some(out);
@@ -159,7 +207,7 @@ impl fmt::Debug for EdgeClock {
 
 impl ClockState for EdgeClock {
     fn entries(&self) -> usize {
-        self.counters.len()
+        self.layout.keys.len()
     }
 
     fn encoded_len(&self) -> usize {
@@ -172,12 +220,8 @@ impl crate::wire::WireClock for EdgeClock {
         &self.counters
     }
 
-    fn load_counters(&mut self, counters: &[u64]) -> bool {
-        if counters.len() != self.counters.len() {
-            return false;
-        }
-        self.counters.copy_from_slice(counters);
-        true
+    fn counters_mut(&mut self) -> &mut [u64] {
+        &mut self.counters
     }
 }
 
@@ -193,10 +237,10 @@ impl crate::wire::WireClock for EdgeClock {
 pub struct EdgeProtocol {
     g: ShareGraph,
     name: String,
-    /// Sorted edge keys per replica.
-    keys: Vec<Arc<[Edge]>>,
-    /// `bump[i][x]` — indices (into replica `i`'s keys) of edges `e_ik` with
-    /// `x ∈ X_ik`, precomputed for `advance`.
+    /// The counter layout of each replica's clock.
+    layouts: Vec<Arc<Layout>>,
+    /// `bump[i][x]` — the distinct slots (in replica `i`'s layout) of edges
+    /// `e_ik` with `x ∈ X_ik`, precomputed for `advance`.
     bump: Vec<Vec<Vec<usize>>>,
 }
 
@@ -208,7 +252,8 @@ impl EdgeProtocol {
     }
 
     /// Builds the protocol from caller-provided edge sets (one
-    /// [`TimestampGraph`] per replica, in replica order).
+    /// [`TimestampGraph`] per replica, in replica order), laying each
+    /// replica's counters out by class (module docs).
     ///
     /// # Panics
     ///
@@ -220,34 +265,96 @@ impl EdgeProtocol {
         name: impl Into<String>,
     ) -> Self {
         assert_eq!(graphs.len(), g.num_replicas(), "one edge set per replica");
-        let mut keys = Vec::with_capacity(graphs.len());
-        let mut bump = Vec::with_capacity(graphs.len());
         for (i, tsg) in graphs.iter().enumerate() {
             assert_eq!(tsg.replica(), ReplicaId(i), "edge set out of order");
-            let ks: Arc<[Edge]> = tsg.edges().collect::<Vec<_>>().into();
-            let mut per_reg = vec![Vec::new(); g.num_registers()];
-            for (idx, e) in ks.iter().enumerate() {
-                if e.from == ReplicaId(i) {
-                    for x in g.shared_on(*e).iter() {
-                        per_reg[x.index()].push(idx);
+        }
+        let layouts = class_layouts(&g, &graphs);
+        let bump = layouts
+            .iter()
+            .enumerate()
+            .map(|(i, layout)| {
+                let mut per_reg = vec![Vec::new(); g.num_registers()];
+                for (e, &slot) in layout.keys.iter().zip(layout.slots.iter()) {
+                    if e.from == ReplicaId(i) {
+                        for x in g.shared_on(*e).iter() {
+                            per_reg[x.index()].push(slot);
+                        }
                     }
                 }
-            }
-            keys.push(ks);
-            bump.push(per_reg);
-        }
+                // A class bumps once, however many of its edges match.
+                for slots in &mut per_reg {
+                    slots.sort_unstable();
+                    slots.dedup();
+                }
+                per_reg
+            })
+            .collect();
         EdgeProtocol {
             g,
             name: name.into(),
-            keys,
+            layouts,
             bump,
         }
     }
 
     /// The edge key set of replica `i`.
     pub fn keys_of(&self, i: ReplicaId) -> &[Edge] {
-        &self.keys[i.index()]
+        &self.layouts[i.index()].keys
     }
+}
+
+/// Lays out each replica's counters one slot per class: twin groups (share
+/// edges with the same source and label) that every edge set holds wholly
+/// or not at all, and singletons for every other tracked edge.
+fn class_layouts(g: &ShareGraph, graphs: &[TimestampGraph]) -> Vec<Arc<Layout>> {
+    let mut group_of: HashMap<Edge, usize> = HashMap::new();
+    let mut size: Vec<usize> = Vec::new();
+    let mut ids: HashMap<(ReplicaId, &RegSet), usize> = HashMap::new();
+    for e in g.directed_edges() {
+        let next = size.len();
+        let id = *ids.entry((e.from, g.shared_on(e))).or_insert(next);
+        if id == next {
+            size.push(0);
+        }
+        size[id] += 1;
+        group_of.insert(e, id);
+    }
+    let mut whole = vec![true; size.len()];
+    let mut held = vec![0usize; size.len()];
+    for tsg in graphs {
+        let groups = || tsg.edges().filter_map(|e| group_of.get(&e).copied());
+        for id in groups() {
+            held[id] += 1;
+        }
+        for id in groups() {
+            whole[id] &= held[id] == size[id];
+        }
+        for id in groups() {
+            held[id] = 0;
+        }
+    }
+    graphs
+        .iter()
+        .map(|tsg| {
+            let keys: Box<[Edge]> = tsg.edges().collect();
+            let mut class_slot: HashMap<usize, usize> = HashMap::new();
+            let mut width = 0;
+            let slots = keys
+                .iter()
+                .map(|e| {
+                    let slot = match group_of.get(e).filter(|&&id| whole[id]) {
+                        Some(&id) => *class_slot.entry(id).or_insert(width),
+                        None => width,
+                    };
+                    if slot == width {
+                        width += 1;
+                    }
+                    slot
+                })
+                .collect();
+            Arc::new(Layout { keys, slots, width })
+        })
+        .collect()
 }
 
 impl fmt::Debug for EdgeProtocol {
@@ -271,14 +378,14 @@ impl Protocol for EdgeProtocol {
     }
 
     fn new_clock(&self, i: ReplicaId) -> EdgeClock {
-        EdgeClock::new(Arc::clone(&self.keys[i.index()]))
+        EdgeClock::new(Arc::clone(&self.layouts[i.index()]))
     }
 
     fn advance(&self, i: ReplicaId, local: &mut EdgeClock, x: RegisterId) {
         // T_i[e_jk] := τ_i[e_jk] + 1 if j = i and x ∈ X_ik, unchanged
-        // otherwise.
-        for &idx in &self.bump[i.index()][x.index()] {
-            local.bump(idx);
+        // otherwise — once per class.
+        for &slot in &self.bump[i.index()][x.index()] {
+            local.counters[slot] += 1;
         }
     }
 
@@ -294,7 +401,7 @@ impl Protocol for EdgeProtocol {
         //                  ∧ τ_i[e_ji] ≥ T[e_ji] ∀ e_ji ∈ E_i ∩ E_k, j ≠ k.
         // Merge-join the two sorted key sets; only edges into i matter.
         let (mut a, mut b) = (0usize, 0usize);
-        let (ka, kb) = (&local.keys, &attached.keys);
+        let (ka, kb) = (&local.layout.keys, &attached.layout.keys);
         while a < ka.len() && b < kb.len() {
             match ka[a].cmp(&kb[b]) {
                 std::cmp::Ordering::Less => a += 1,
@@ -302,11 +409,12 @@ impl Protocol for EdgeProtocol {
                 std::cmp::Ordering::Equal => {
                     let e = ka[a];
                     if e.to == i {
+                        let (mine, theirs) = (local.at(a), attached.at(b));
                         if e.from == k {
-                            if local.counters[a] != attached.counters[b].wrapping_sub(1) {
+                            if mine != theirs.wrapping_sub(1) {
                                 return false;
                             }
-                        } else if local.counters[a] < attached.counters[b] {
+                        } else if mine < theirs {
                             return false;
                         }
                     }
@@ -327,10 +435,22 @@ impl Protocol for EdgeProtocol {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::WireClock;
     use prcc_graph::topologies;
 
     fn edge(from: usize, to: usize) -> Edge {
         Edge::new(ReplicaId(from), ReplicaId(to))
+    }
+
+    /// `(entries, counters)` of each replica's clock.
+    fn widths(p: &EdgeProtocol) -> Vec<(usize, usize)> {
+        p.share_graph()
+            .replicas()
+            .map(|i| {
+                let c = p.new_clock(i);
+                (c.entries(), c.counter_values().len())
+            })
+            .collect()
     }
 
     #[test]
@@ -435,9 +555,9 @@ mod tests {
         }
         assert!(c.encoded_len() > small);
         assert_eq!(
-            crate::encoding::decode_counters(&crate::encoding::encode_counters(c.counters()))
+            crate::encoding::decode_counters(&crate::encoding::encode_counters(c.counter_values()))
                 .unwrap(),
-            c.counters()
+            c.counter_values()
         );
     }
 
@@ -467,6 +587,7 @@ mod tests {
         let c = EdgeClock::zero_over([edge(2, 1), edge(0, 1), edge(2, 1)]);
         assert_eq!(c.edges(), &[edge(0, 1), edge(2, 1)]);
         assert_eq!(c.entries(), 2);
+        assert_eq!(c.counter_values().len(), 2, "identity layout");
     }
 
     #[test]
@@ -492,5 +613,88 @@ mod tests {
         assert!(format!("{p:?}").contains("EdgeProtocol"));
         let c = p.new_clock(ReplicaId(0));
         assert!(format!("{c:?}").contains("e(0→1)"));
+    }
+
+    #[test]
+    fn full_replication_keeps_one_counter_per_replica() {
+        // Every edge leaving j carries all registers: the 12 edge counters
+        // of a 4-clique are 4 classes, the vector clock of Section 5.
+        let p = EdgeProtocol::new(topologies::clique_full(4, 2));
+        assert_eq!(widths(&p), vec![(12, 4); 4]);
+        let mut c = p.new_clock(ReplicaId(1));
+        p.advance(ReplicaId(1), &mut c, RegisterId(0));
+        p.advance(ReplicaId(1), &mut c, RegisterId(1));
+        assert_eq!(c.counter_values(), &[0, 2, 0, 0], "a write counts once");
+        for k in [0, 2, 3] {
+            assert_eq!(c.get(edge(1, k)), Some(2));
+        }
+    }
+
+    #[test]
+    fn unique_labels_keep_the_identity_layout() {
+        for g in [
+            topologies::ring(4),
+            topologies::ring(6),
+            topologies::line(5),
+        ] {
+            let p = EdgeProtocol::new(g);
+            for (entries, counters) in widths(&p) {
+                assert_eq!(entries, counters);
+            }
+        }
+        assert_eq!(
+            widths(&EdgeProtocol::new(topologies::ring(4))),
+            vec![(8, 8); 4]
+        );
+        assert_eq!(
+            widths(&EdgeProtocol::new(topologies::line(4))),
+            vec![(2, 2), (4, 4), (4, 4), (2, 2)]
+        );
+    }
+
+    #[test]
+    fn figure5_splits_its_only_twin_pair_and_stays_per_edge() {
+        // Replica 1 (the paper's 2) shares only y with both 0 and 3, so
+        // e_10 and e_13 are the fixture's only twins — but some replica
+        // tracks one without the other, so they keep a counter each.
+        let g = topologies::figure5();
+        let twins = [edge(1, 0), edge(1, 3)];
+        assert!(g
+            .replicas()
+            .any(|i| TimestampGraph::compute(&g, i).contains(twins[0])
+                != TimestampGraph::compute(&g, i).contains(twins[1])));
+        let p = EdgeProtocol::new(g);
+        assert_eq!(widths(&p), vec![(8, 8), (10, 10), (9, 9), (10, 10)]);
+    }
+
+    #[test]
+    fn all_edges_layout_groups_every_twin_pair() {
+        // Every replica tracks every share edge, so every twin group is
+        // whole.
+        let g = topologies::clique_full(4, 1);
+        let graphs = g
+            .replicas()
+            .map(|i| TimestampGraph::from_edges(i, g.directed_edges()))
+            .collect();
+        let p = EdgeProtocol::with_edge_sets(g, graphs, "all-edges");
+        assert_eq!(widths(&p), vec![(12, 4); 4]);
+    }
+
+    #[test]
+    fn a_twin_group_some_edge_set_splits_stays_per_edge() {
+        // Replica 0 tracks only e_10 of the twins e_10, e_12 (replica 1
+        // writes x to both 0 and 2): the pair is not a class anywhere.
+        let g = topologies::clique_full(3, 1);
+        let sets = [
+            vec![edge(0, 1), edge(1, 0)],
+            vec![edge(0, 1), edge(1, 0), edge(1, 2), edge(2, 1)],
+            vec![edge(1, 2), edge(2, 1)],
+        ];
+        let graphs = g
+            .replicas()
+            .map(|i| TimestampGraph::from_edges(i, sets[i.index()].clone()))
+            .collect();
+        let p = EdgeProtocol::with_edge_sets(g, graphs, "split");
+        assert_eq!(widths(&p), vec![(2, 2), (4, 4), (2, 2)]);
     }
 }

@@ -5,7 +5,9 @@
 //! * [`EdgeClock`] / [`EdgeProtocol`] — the paper's algorithm (Section 3.3):
 //!   per-replica vector timestamps indexed by the edges of the replica's
 //!   timestamp graph `G_i`, with the `advance` / `merge` functions and
-//!   delivery predicate `J` exactly as specified.
+//!   delivery predicate `J` exactly as specified — stored one counter per
+//!   class of edges whose counters are provably equal (a vector clock
+//!   under full replication, the identity on rings and trees).
 //! * [`VectorClock`] / [`VectorProtocol`] — traditional replica-indexed
 //!   vector timestamps (Lazy Replication style), the full-replication
 //!   baseline of Section 4's discussion. Correct under partial replication
@@ -19,8 +21,9 @@
 //!   core system and every baseline share one implementation.
 //!
 //! Timestamps carry only counters on the wire; the index sets (`E_i`,
-//! register universes) are static configuration known to both endpoints, as
-//! in the paper's model where the share graph is static.
+//! register universes) and counter layouts are static configuration known
+//! to both endpoints, as in the paper's model where the share graph is
+//! static.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

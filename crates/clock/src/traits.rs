@@ -6,7 +6,8 @@ use std::fmt;
 
 /// Per-replica timestamp state carried in update messages.
 pub trait ClockState: Clone + PartialEq + fmt::Debug + Send + Sync + 'static {
-    /// Number of scalar counters in the timestamp.
+    /// Number of entries in the timestamp's index — the paper's size
+    /// measure (`|E_i|` for an edge clock, however few counters store it).
     fn entries(&self) -> usize;
 
     /// Wire size of the timestamp in bytes (varint-encoded counters; index

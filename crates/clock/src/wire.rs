@@ -7,8 +7,8 @@
 //! from its own copy of the share-graph configuration and the issuer id.
 //!
 //! [`WireClock`] is the contract the networked deployment (`prcc-service`)
-//! builds on: expose the counters for encoding, and load decoded counters
-//! into a freshly minted template clock (`Protocol::new_clock(issuer)`).
+//! builds on: expose the counters for encoding, and decode counters in
+//! place into a freshly minted template clock (`Protocol::new_clock(issuer)`).
 
 use crate::encoding;
 use crate::traits::ClockState;
@@ -17,17 +17,14 @@ use crate::traits::ClockState;
 ///
 /// Implementations must guarantee that for any clock `c` and a template
 /// `t` created for the same replica under the same protocol configuration,
-/// `t.load_counters(c.counter_values())` succeeds and makes `t == c`.
+/// copying `c.counter_values()` into `t.counters_mut()` makes `t == c`.
 pub trait WireClock: ClockState {
     /// The dense counter vector, in the clock's canonical index order.
     fn counter_values(&self) -> &[u64];
 
-    /// Replaces the counters with `counters`.
-    ///
-    /// Returns `false` (leaving the clock untouched) when the length does
-    /// not match this clock's index set — the sign of a configuration
-    /// mismatch between endpoints.
-    fn load_counters(&mut self, counters: &[u64]) -> bool;
+    /// The same counters, writable in place; the length is fixed by the
+    /// clock's index set.
+    fn counters_mut(&mut self) -> &mut [u64];
 
     /// Appends the varint encoding of the counters (count prefix included).
     fn encode_wire(&self, out: &mut Vec<u8>) {
@@ -48,31 +45,32 @@ pub trait WireClock: ClockState {
     }
 
     /// Decodes counters produced by [`WireClock::encode_wire`] from the
-    /// front of `buf` into `self`, advancing `offset`.
+    /// front of `buf` straight into `self` (a template clock), advancing
+    /// `offset`.
     ///
-    /// Returns `false` on malformed input or an index-set length mismatch.
+    /// Returns `false` on malformed input or a count that does not match
+    /// this clock's index set — the sign of a configuration mismatch
+    /// between endpoints. `offset` is untouched on failure; the template
+    /// may be partly overwritten and is meant to be discarded.
     fn decode_wire(&mut self, buf: &[u8], offset: &mut usize) -> bool {
         let Some(rest) = buf.get(*offset..) else {
             return false;
         };
-        let Some((n, used)) = encoding::read_varint(rest) else {
+        let Some((n, mut at)) = encoding::read_varint(rest) else {
             return false;
         };
-        let mut at = *offset + used;
-        // Clamp the pre-allocation: `n` is attacker-controlled on a real
-        // wire, and an absurd claim must fail on decode, not on alloc.
-        let mut counters = Vec::with_capacity((n as usize).min(1 << 16));
-        for _ in 0..n {
-            let Some((v, used)) = encoding::read_varint(&buf[at..]) else {
-                return false;
-            };
-            counters.push(v);
-            at += used;
-        }
-        if !self.load_counters(&counters) {
+        let counters = self.counters_mut();
+        if n != counters.len() as u64 {
             return false;
         }
-        *offset = at;
+        for c in counters {
+            let Some((v, used)) = encoding::read_varint(&rest[at..]) else {
+                return false;
+            };
+            *c = v;
+            at += used;
+        }
+        *offset += at;
         true
     }
 }

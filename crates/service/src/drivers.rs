@@ -626,7 +626,7 @@ where
         // Ids arrive without their node bits; the handshake says whose
         // they are.
         restore_sender(&mut sections, peer);
-        for (partition, _) in &sections {
+        for (partition, updates) in &sections {
             if partition.0 >= self.map.num_partitions() {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
@@ -634,11 +634,30 @@ where
                     format!("batch for out-of-range {partition}"),
                 ));
             }
-            if self.map.role_on(*partition, self.node).is_none() {
+            let Some(role) = self.map.role_on(*partition, self.node) else {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
                     // lint: allow(alloc) protocol-violation error, cold
                     format!("peer {peer} misrouted {partition} updates here"),
+                ));
+            };
+            // A link carries its sender's own issues, on registers its
+            // role shares with ours: anything else would be judged by `J`
+            // against another replica's FIFO edge.
+            let sender = self.map.role_on(*partition, peer);
+            let shared = |issuer| self.map.graph().shared(issuer, role);
+            if let Some((_, u)) = updates
+                .iter()
+                .find(|(_, u)| Some(u.issuer) != sender || !shared(u.issuer).contains(u.register))
+            {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    // lint: allow(alloc) protocol-violation error, cold
+                    format!(
+                        "peer {peer} sent a {partition} update on {} as {}, which it \
+                         could not have issued",
+                        u.register, u.issuer
+                    ),
                 ));
             }
         }

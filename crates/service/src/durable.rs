@@ -207,7 +207,15 @@ where
     let new_clock = |k: prcc_graph::ReplicaId| (k.index() < roles).then(|| protocol.new_clock(k));
     let (mut core, mut high) = match read_snapshot(&snapshot_path)? {
         Some((version, payload)) => {
-            let snap = decode_snapshot(version, &payload, roles, new_clock)?;
+            let snap = decode_snapshot(version, &payload, roles, new_clock).map_err(|e| {
+                io::Error::new(
+                    e.kind(),
+                    format!(
+                        "{} does not decode under this deployment ({e}); refusing to boot",
+                        snapshot_path.display()
+                    ),
+                )
+            })?;
             let high = snap.wal_high;
             (
                 Core::from_snapshot(protocol, map, node, cfg.window_cap, snap, tel)?,
@@ -233,7 +241,17 @@ where
     // rebuilt windows on their first handshake instead.
     let mut unsent = Vec::new();
     for &(start, end) in &scan.spans {
-        let (index, record) = decode_record(&image[start..end], new_clock)?;
+        let payload = &image[start..end];
+        // A record that passed its checksum but does not decode was written
+        // for another deployment — e.g. a clock with another counter layout
+        // (wire v10 and earlier shipped one counter per edge): refuse it
+        // by name rather than reinterpret it.
+        let (index, record) = decode_record(payload, new_clock).map_err(|e| {
+            let index = prcc_clock::encoding::read_varint(payload).map_or(0, |(i, _)| i);
+            corrupt(format!(
+                "WAL record {index} does not decode under this deployment ({e}); refusing to boot"
+            ))
+        })?;
         if index <= high {
             // Already folded into the snapshot (a crash landed between
             // snapshot write and log truncation), or a duplicate.
@@ -338,6 +356,54 @@ mod tests {
         };
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("magic"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A clique data dir whose WAL holds a receipt stamped with one counter
+    /// per edge (12 on a 4-clique, as wire v10 nodes logged them) must stop
+    /// the boot, naming the record: this build keeps 4 counters per clique
+    /// timestamp, and the old counters must never be reinterpreted.
+    #[test]
+    fn a_per_edge_clock_in_a_clique_wal_refuses_to_boot() {
+        use prcc_clock::EdgeClock;
+        use prcc_core::Update;
+        use prcc_graph::ReplicaId;
+        use prcc_net::VirtualTime;
+
+        let dir = scratch("per-edge-clique");
+        let graph = topologies::clique_full(4, 2);
+        let map = PartitionMap::single(graph.clone());
+        let protocol = EdgeProtocol::new(graph);
+        let issuer = ReplicaId(1);
+        let mut clock = EdgeClock::zero_over(protocol.keys_of(issuer).iter().copied());
+        assert_eq!(clock.counter_values().len(), 12);
+        for k in [0, 2, 3] {
+            clock.bump_edge(prcc_graph::Edge::new(issuer, ReplicaId(k)));
+        }
+        let update = Update {
+            id: prcc_checker::UpdateId((1 << crate::wire::WIRE_SEQ_BITS) | 1),
+            issuer,
+            register: RegisterId(0),
+            value: 5,
+            clock,
+            issued_at: VirtualTime::ZERO,
+            received_at: VirtualTime::ZERO,
+        };
+        let receipt = WalRecord::Receipt {
+            peer: 1,
+            sections: vec![(PartitionId(0), vec![(1, update)])],
+        };
+        let (mut wal, _) = Wal::open(&dir.join("node-0/wal.bin")).expect("open wal");
+        wal.append(&prcc_storage::encode_record(1, &receipt))
+            .expect("append");
+        wal.sync().expect("sync");
+        drop(wal);
+
+        let Err(err) = boot(&protocol, &map, &dir, &ServiceConfig::default()) else {
+            panic!("a per-edge clique receipt booted");
+        };
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("WAL record 1 "), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

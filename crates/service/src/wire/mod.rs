@@ -1,5 +1,6 @@
-//! The length-prefixed wire protocol (version 10: partition-aware,
-//! acknowledged, bounded-memory aware, observable, audited, trimmed).
+//! The length-prefixed wire protocol (version 11: partition-aware,
+//! acknowledged, bounded-memory aware, observable, audited, trimmed,
+//! class-compressed clocks).
 //!
 //! Every message is a *frame*: a little-endian `u32` payload length followed
 //! by the payload; the first payload byte is a message tag. Peer frames
@@ -61,9 +62,16 @@
 //! * **v10** ends a flush frame at its last section (v8/v9 frames could
 //!   trail a varint that told the receiver nothing its link watermark did
 //!   not already answer); the status payload is 27 fields.
+//! * **v11** ships a timestamp as one counter per class of provably-equal
+//!   edge counters instead of one per edge ([`prcc_clock::EdgeClock`]
+//!   docs): a 4-clique update carries 4 counters, not 12. The layout is
+//!   derived from the share graph the handshake already matches, so no
+//!   byte announces it; ring, line and tree layouts are the identity and
+//!   their frames, WAL records and snapshots are byte-identical to v10's.
 //!
-//! Causal timestamps ship counters only; index sets and the partition
-//! layout are static configuration carried once in the handshake.
+//! Causal timestamps ship counters only; index sets, counter layouts and
+//! the partition layout are static configuration carried once in the
+//! handshake.
 
 use prcc_clock::encoding::{read_varint_at as get_varint, write_varint};
 use prcc_graph::{PartitionMap, RegisterId, ShareGraph};
@@ -77,7 +85,7 @@ pub use peer::*;
 
 /// The protocol version spoken by this build; peers at any other version
 /// are refused at the handshake. The module docs say what each bump added.
-pub const WIRE_VERSION: u64 = 10;
+pub const WIRE_VERSION: u64 = 11;
 
 /// Bits of a wire id that hold the issuing node's node-global sequence;
 /// the node's index sits above them (`node << WIRE_SEQ_BITS | seq`). The
@@ -469,7 +477,7 @@ mod tests {
         // peer, which predates flush-section issue stamps and would
         // misparse every multi-batch frame.
         assert_eq!(payload[1], WIRE_VERSION as u8);
-        for old in [1u8, 2, 3, 4, 5, 8, 9] {
+        for old in [1u8, 2, 3, 4, 5, 8, 9, 10] {
             payload[1] = old;
             let err = decode_peer_hello(&payload).unwrap_err();
             assert!(
@@ -581,6 +589,64 @@ mod tests {
                 assert_eq!(a.1.id.0, b.1.id.0 & WIRE_SEQ_MASK);
             }
         }
+    }
+
+    /// A ring-4 flush frame as v10 encoded it: two sections, sampled and
+    /// unsampled stamps, multi-byte counters. Ring labels are unique, so the
+    /// v11 counter layout is the identity and not one byte moves.
+    fn ring4_flush() -> (EdgeProtocol, FlushSections<prcc_clock::EdgeClock>) {
+        let p = EdgeProtocol::new(topologies::ring(4));
+        let (me, left) = (ReplicaId(1), ReplicaId(0));
+        let mut theirs = p.new_clock(left);
+        for _ in 0..300 {
+            p.advance(left, &mut theirs, RegisterId(0));
+        }
+        let mut clock = p.new_clock(me);
+        p.merge(me, &mut clock, left, &theirs);
+        let mut sections = Vec::new();
+        for (partition, registers) in [(3u32, [1u32, 0, 1]), (5, [0, 0, 1])] {
+            let updates = registers
+                .iter()
+                .enumerate()
+                .map(|(k, &r)| {
+                    p.advance(me, &mut clock, RegisterId(r));
+                    let seq = 40 + u64::from(partition) * 10 + k as u64;
+                    let update = Update {
+                        id: UpdateId(((SENDER as u64) << WIRE_SEQ_BITS) | (1 << 33) | seq),
+                        issuer: me,
+                        register: RegisterId(r),
+                        value: 1000 + seq,
+                        clock: clock.clone(),
+                        issued_at: VirtualTime(if k == 0 { 1_700_000_000_123_456 } else { 0 }),
+                        received_at: VirtualTime::ZERO,
+                    };
+                    (seq, update)
+                })
+                .collect();
+            sections.push((PartitionId(partition), updates));
+        }
+        (p, sections)
+    }
+
+    /// [`ring4_flush`] as the v10 encoder wrote it.
+    const RING4_FLUSH_V10: [u8; 152] = [
+        3, 2, 3, 3, 70, 192, 196, 128, 193, 193, 196, 130, 3, 198, 128, 128, 128, 32, 1, 1, 174, 8,
+        8, 172, 2, 0, 0, 1, 0, 0, 0, 0, 0, 71, 0, 199, 128, 128, 128, 32, 1, 0, 175, 8, 8, 172, 2,
+        0, 1, 1, 0, 0, 0, 0, 0, 72, 0, 200, 128, 128, 128, 32, 1, 1, 176, 8, 8, 172, 2, 0, 1, 2, 0,
+        0, 0, 0, 0, 5, 3, 90, 192, 196, 128, 193, 193, 196, 130, 3, 218, 128, 128, 128, 32, 1, 0,
+        194, 8, 8, 172, 2, 0, 2, 2, 0, 0, 0, 0, 0, 91, 0, 219, 128, 128, 128, 32, 1, 0, 195, 8, 8,
+        172, 2, 0, 3, 2, 0, 0, 0, 0, 0, 92, 0, 220, 128, 128, 128, 32, 1, 1, 196, 8, 8, 172, 2, 0,
+        3, 3, 0, 0, 0, 0, 0,
+    ];
+
+    #[test]
+    fn a_ring4_flush_frame_is_pinned_byte_for_byte() {
+        let (p, sections) = ring4_flush();
+        let payload = encode_multi_batch(&sections, 0);
+        assert_eq!(payload, RING4_FLUSH_V10);
+        let back = decode_multi_batch(&payload, |i| Some(p.new_clock(i))).unwrap();
+        assert_eq!(back.len(), 2);
+        assert_eq!(back[1].1[2].1.clock, sections[1].1[2].1.clock);
     }
 
     #[test]

@@ -15,15 +15,19 @@
 mod common;
 
 use common::{accept_handshake, read_hello, write_hello_ack};
+use prcc_checker::UpdateId;
 use prcc_clock::{EdgeProtocol, Protocol};
-use prcc_graph::{topologies, PartitionMap, RegisterId};
+use prcc_core::Update;
+use prcc_graph::{topologies, PartitionId, PartitionMap, RegisterId, ReplicaId};
+use prcc_net::VirtualTime;
 use prcc_service::node::{spawn_node, NodeSeed, ServiceConfig};
 use prcc_service::wire::{
-    decode_cut_marker, decode_hello_ack, decode_multi_batch, encode_peer_hello, read_frame,
-    write_frame, PeerHello, TAG_CUT_MARKER,
+    decode_cut_marker, decode_hello_ack, decode_multi_batch, encode_multi_batch_into,
+    encode_peer_hello, read_frame, write_frame, PeerHello, TAG_CUT_MARKER,
 };
 use prcc_service::ServiceClient;
 use std::collections::BTreeSet;
+use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -347,4 +351,93 @@ fn a_hello_claiming_this_nodes_own_index_is_refused() {
 
     rig.client.shutdown().expect("shutdown");
     rig.node.join();
+}
+
+/// A peer may only ship its own role's issues, on registers that role
+/// shares with the receiver's. Node 0 of a 3-ring (role 0) takes a
+/// well-formed update from its peer node 1 (role 1), then a frame on the
+/// same link claiming role 2's write to the register 2 and 0 share — one
+/// `J` would judge against the wrong FIFO edge. The frame is refused: the
+/// connection closes and the node's counters do not move.
+#[test]
+fn a_flush_claiming_another_replicas_issue_is_refused() {
+    let graph = topologies::ring(3);
+    let map = PartitionMap::single(graph.clone());
+    let protocol = Arc::new(EdgeProtocol::new(graph));
+    let peer0 = TcpListener::bind("127.0.0.1:0").expect("bind peer0");
+    let client0 = TcpListener::bind("127.0.0.1:0").expect("bind client0");
+    let fakes = [
+        TcpListener::bind("127.0.0.1:0").expect("bind fake peer 1"),
+        TcpListener::bind("127.0.0.1:0").expect("bind fake peer 2"),
+    ];
+    let mut peer_addrs = vec![peer0.local_addr().expect("addr")];
+    peer_addrs.extend(fakes.iter().map(|l| l.local_addr().expect("addr")));
+    let mut node = spawn_node(
+        Arc::clone(&protocol),
+        map.clone(),
+        NodeSeed {
+            node: 0,
+            peer_listener: peer0,
+            client_listener: client0,
+            peer_addrs,
+        },
+        ServiceConfig::default(),
+    )
+    .expect("spawn node 0");
+    let mut client = ServiceClient::connect(node.client_addr).expect("client");
+
+    let mut conn = TcpStream::connect(node.peer_addr).expect("dial the peer listener");
+    write_frame(&mut conn, &encode_peer_hello(&PeerHello { node: 1, map })).expect("hello");
+    conn.set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    let ack = read_frame(&mut conn).expect("frame io").expect("hello-ack");
+    assert_eq!(decode_hello_ack(&ack).expect("hello-ack"), 0);
+    let flush = |seq: u64, issuer: usize, register: u32| {
+        let (issuer, register) = (ReplicaId(issuer), RegisterId(register));
+        let mut clock = protocol.new_clock(issuer);
+        protocol.advance(issuer, &mut clock, register);
+        let update = Update {
+            id: UpdateId(seq),
+            issuer,
+            register,
+            value: 7,
+            clock,
+            issued_at: VirtualTime::ZERO,
+            received_at: VirtualTime::ZERO,
+        };
+        let mut payload = Vec::new();
+        encode_multi_batch_into(
+            &vec![(PartitionId(0), vec![(seq, update)])],
+            0,
+            &mut payload,
+        );
+        payload
+    };
+
+    // Role 1's own write to register 0 (shared by replicas 0 and 1).
+    write_frame(&mut conn, &flush(1, 1, 0)).expect("honest flush");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while client.status().expect("status").messages_received < 1 {
+        assert!(Instant::now() < deadline, "the honest update never arrived");
+        thread::sleep(Duration::from_millis(5));
+    }
+    // Role 2's write to register 2, shipped by node 1.
+    write_frame(&mut conn, &flush(2, 2, 2)).expect("hostile flush");
+    match read_frame(&mut conn) {
+        Ok(None) => {}
+        Err(e) => assert!(
+            !matches!(
+                e.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+            ),
+            "the link stayed open: {e}"
+        ),
+        Ok(Some(frame)) => panic!("the node answered the forged frame: {frame:?}"),
+    }
+    let status = client.status().expect("status");
+    assert_eq!(status.messages_received, 1, "the forged update was counted");
+    assert_eq!(status.pending, 0);
+
+    client.shutdown().expect("shutdown");
+    node.join();
 }
