@@ -24,11 +24,10 @@ use prcc_clock::{EdgeProtocol, Protocol as _};
 use prcc_core::{Cluster, ClusterStats, CoreError};
 use prcc_graph::{RegisterId, ReplicaId, ShareGraph};
 use prcc_net::{DeliveryPolicy, VirtualTime};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Statistics specific to the relayed `x` register.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RingBreakerStats {
     /// Logical `x` updates issued at replica 0.
     pub x_updates: u64,

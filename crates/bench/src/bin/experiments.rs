@@ -1,7 +1,8 @@
 //! Experiment driver: `cargo run -p prcc-bench --bin experiments -- [id…|all]`.
 //!
-//! Regenerates the paper's figures and quantitative claims (E01–E15; see
-//! DESIGN.md for the index and EXPERIMENTS.md for recorded outputs).
+//! Regenerates the paper's figures and quantitative claims, E01–E16 (the
+//! index is `prcc_bench::all_experiments`; each table is produced by its
+//! function in `tables.rs`).
 
 #![forbid(unsafe_code)]
 

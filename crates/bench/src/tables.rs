@@ -5,7 +5,7 @@
 use crate::helpers::table;
 use crate::row;
 use prcc_baselines::{edge_sets, DummyProtocol, RingBreaker};
-use prcc_clock::{ClockState, CompressedProtocol, EdgeProtocol, Protocol, VectorProtocol};
+use prcc_clock::{ClockState, CompressedProtocol, EdgeProtocol, Protocol, WireClock};
 use prcc_core::Cluster;
 use prcc_graph::{
     analysis, topologies, AugmentedShareGraph, RegisterId, ReplicaId, ShareGraph, TimestampGraph,
@@ -276,8 +276,10 @@ pub fn e11_dummies() -> String {
         ));
     }
     {
-        let p = VectorProtocol::new(g.clone());
-        let entries = p.new_clock(ReplicaId(0)).entries();
+        // Full emulation over the metadata clique: its class-compressed
+        // clock ships one counter per replica, a vector clock.
+        let p = DummyProtocol::full_emulation(g.clone());
+        let entries = p.new_clock(ReplicaId(0)).counter_values().len();
         let r = run_workload(p, policy(3), cfg);
         rows.push(report_row("vector clock (broadcast)", &r, entries, 5));
     }
@@ -562,7 +564,7 @@ pub fn e15_protocol_matrix() -> String {
                 )
             },
             {
-                let p = VectorProtocol::new(g.clone());
+                let p = DummyProtocol::full_emulation(g.clone());
                 let e = g.num_replicas() * g.num_replicas();
                 (
                     "vector-bcast".into(),
@@ -627,7 +629,7 @@ pub fn e16_scaling() -> String {
             cfg,
         );
         let vector = run_workload(
-            VectorProtocol::new(g.clone()),
+            DummyProtocol::full_emulation(g.clone()),
             Box::new(UniformDelay::new(5, 1, 30)),
             cfg,
         );

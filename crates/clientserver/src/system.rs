@@ -5,7 +5,6 @@ use prcc_checker::{Oracle, SafetyViolation, UpdateId};
 use prcc_clock::{ClockState, EdgeClock};
 use prcc_graph::{AugmentedShareGraph, ClientId, RegisterId, ReplicaId};
 use prcc_net::{DeliveryPolicy, Network, VirtualTime};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Errors returned by client operations.
@@ -71,7 +70,7 @@ impl CsVerdict {
 }
 
 /// Run statistics.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CsStats {
     /// Writes served.
     pub writes: u64,

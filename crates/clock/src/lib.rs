@@ -8,11 +8,6 @@
 //!   delivery predicate `J` exactly as specified — stored one counter per
 //!   class of edges whose counters are provably equal (a vector clock
 //!   under full replication, the identity on rings and trees).
-//! * [`VectorClock`] / [`VectorProtocol`] — traditional replica-indexed
-//!   vector timestamps (Lazy Replication style), the full-replication
-//!   baseline of Section 4's discussion. Correct under partial replication
-//!   only when metadata is broadcast to every replica (the dummy-register
-//!   emulation of Appendix D), which is how the baseline wires it.
 //! * [`CompressedClock`] / [`CompressedProtocol`] — the register-level
 //!   refinement sketched in Appendix D ("count the number of updates on x,
 //!   y and z separately"): one counter per (source replica, register)
@@ -32,11 +27,9 @@ mod compressed;
 mod edge_clock;
 pub mod encoding;
 mod traits;
-mod vector_clock;
 pub mod wire;
 
 pub use compressed::{CompressedClock, CompressedProtocol};
 pub use edge_clock::{EdgeClock, EdgeProtocol};
 pub use traits::{ClockState, Protocol};
-pub use vector_clock::{VectorClock, VectorProtocol};
 pub use wire::WireClock;

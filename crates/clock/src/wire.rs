@@ -78,7 +78,7 @@ pub trait WireClock: ClockState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CompressedProtocol, EdgeProtocol, Protocol, VectorProtocol};
+    use crate::{CompressedProtocol, EdgeProtocol, Protocol};
     use prcc_graph::{topologies, RegisterId, ReplicaId};
 
     fn round_trip<P: Protocol>(p: &P)
@@ -104,8 +104,7 @@ mod tests {
     fn all_protocols_round_trip() {
         let g = topologies::ring(5);
         round_trip(&EdgeProtocol::new(g.clone()));
-        round_trip(&CompressedProtocol::new(g.clone()));
-        round_trip(&VectorProtocol::new(g));
+        round_trip(&CompressedProtocol::new(g));
     }
 
     #[test]

@@ -271,7 +271,7 @@ impl<P: Protocol> std::fmt::Debug for Cluster<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prcc_clock::{CompressedProtocol, EdgeProtocol, VectorProtocol};
+    use prcc_clock::{CompressedProtocol, EdgeProtocol};
     use prcc_graph::topologies;
     use prcc_net::{FixedDelay, UniformDelay};
 
@@ -347,22 +347,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn vector_protocol_broadcasts_metadata() {
-        let g = topologies::line(3);
-        let mut c = Cluster::new(VectorProtocol::new(g), Box::new(FixedDelay(2)));
-        c.write(ReplicaId(0), RegisterId(0), 1).unwrap();
-        c.run_to_quiescence();
-        let stats = c.stats();
-        // Register 0 is shared by replicas 0,1 — but metadata goes to 2 as
-        // well.
-        assert_eq!(stats.messages_sent, 2);
-        assert_eq!(stats.metadata_only_messages, 1);
-        assert!(c.verdict().is_consistent());
-        // The dummy copy must not materialize a value at replica 2.
-        assert!(c.replica(ReplicaId(2)).peek(RegisterId(0)).is_none());
     }
 
     #[test]

@@ -12,10 +12,9 @@ use crate::CoreError;
 use prcc_clock::EdgeProtocol;
 use prcc_graph::{GraphError, RegisterId, ReplicaId, ShareGraph};
 use prcc_net::DeliveryPolicy;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a multicast group (one group per shared register).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GroupId(pub u32);
 
 impl std::fmt::Display for GroupId {
@@ -25,7 +24,7 @@ impl std::fmt::Display for GroupId {
 }
 
 /// A delivered multicast message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeliveredMessage {
     /// The sending process.
     pub sender: ReplicaId,

@@ -1,11 +1,10 @@
 //! Aggregate run statistics.
 
 use prcc_telemetry::HistSummary;
-use serde::{Deserialize, Serialize};
 
 /// Summary of a cluster run: traffic, metadata and latency figures used by
 /// the experiment tables.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ClusterStats {
     /// Updates issued by clients.
     pub updates_issued: u64,

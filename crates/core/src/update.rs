@@ -107,7 +107,7 @@ impl<C: prcc_clock::WireClock> Update<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prcc_clock::{EdgeProtocol, Protocol, VectorProtocol};
+    use prcc_clock::{EdgeProtocol, Protocol};
     use prcc_graph::topologies;
 
     #[test]
@@ -172,7 +172,7 @@ mod tests {
     #[test]
     fn wire_size_accounts_for_value_and_clock() {
         let g = topologies::line(2);
-        let p = VectorProtocol::new(g);
+        let p = EdgeProtocol::new(g);
         let u = Update {
             id: UpdateId(0),
             issuer: ReplicaId(0),

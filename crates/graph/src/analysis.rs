@@ -13,10 +13,9 @@
 //! alternative (`|∪_k X_jk|` counters, one per register).
 
 use crate::{ReplicaId, ShareGraph, TimestampGraph};
-use serde::{Deserialize, Serialize};
 
 /// Compression statistics for one replica's timestamp (Appendix D).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompressionReport {
     /// The replica whose timestamp is analysed.
     pub replica: ReplicaId,

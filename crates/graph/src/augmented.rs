@@ -12,14 +12,11 @@
 
 use crate::loops::{find_loop_augmented, LoopWitness};
 use crate::{Edge, GraphError, ReplicaId, ShareGraph, TimestampGraph};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// Identifier of a client in the client-server architecture.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ClientId(pub usize);
 
 impl ClientId {
@@ -37,7 +34,7 @@ impl fmt::Display for ClientId {
 
 /// The augmented share graph `Ĝ` (Definition 16): a share graph plus the
 /// client access sets `R_c`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AugmentedShareGraph {
     base: ShareGraph,
     /// `R_c` for each client, sorted and deduplicated.

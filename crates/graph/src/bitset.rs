@@ -6,13 +6,12 @@
 //! 64-bit-word bitsets rather than tree sets.
 
 use crate::RegisterId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 const WORD_BITS: usize = 64;
 
 /// A fixed-universe set of [`RegisterId`]s backed by packed `u64` words.
-#[derive(Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Default)]
 pub struct RegSet {
     words: Vec<u64>,
     universe: usize,

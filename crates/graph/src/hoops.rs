@@ -15,13 +15,12 @@
 //!   for the executable demonstration).
 
 use crate::{RegSet, RegisterId, ReplicaId, ShareGraph};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// An `x`-hoop (Definition 9): a path between two holders of `x` whose
 /// interior avoids `C(x)` and whose every edge shares some register `≠ x`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Hoop {
     /// The register the hoop is about.
     pub x: RegisterId,

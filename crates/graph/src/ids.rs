@@ -1,15 +1,12 @@
 //! Identifier newtypes shared across the workspace.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a replica (a vertex of the share graph).
 ///
 /// Replicas are numbered `0..R`, matching the paper's `1..R` shifted to
 /// zero-based indexing.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ReplicaId(pub usize);
 
 impl ReplicaId {
@@ -32,9 +29,7 @@ impl From<usize> for ReplicaId {
 }
 
 /// Identifier of a shared read/write register.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct RegisterId(pub u32);
 
 impl RegisterId {
@@ -63,7 +58,7 @@ impl From<u32> for RegisterId {
 /// Definition 3), but timestamp graphs contain *directed* edges and are not
 /// necessarily symmetric (the paper's Figure 5b example), so the directed
 /// form is the primitive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Edge {
     /// Source replica (`j` in `e_jk`): the issuer of tracked updates.
     pub from: ReplicaId,

@@ -37,12 +37,11 @@
 //! tests cross-check structured topologies against closed forms.
 
 use crate::{Edge, RegSet, ReplicaId, ShareGraph};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
 
 /// A concrete `(i, e_jk)`-loop, returned as a witness by [`find_loop`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LoopWitness {
     /// The replica `i` whose timestamp graph is being computed.
     pub replica: ReplicaId,

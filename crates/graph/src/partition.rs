@@ -14,13 +14,10 @@
 //! hosting table ([`PartitionMap::node_of`]).
 
 use crate::{GraphError, RegisterId, ReplicaId, ShareGraph};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a partition (an independent share-graph instance).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PartitionId(pub u32);
 
 impl PartitionId {
@@ -47,7 +44,7 @@ impl fmt::Display for PartitionId {
 /// * keys — the global key universe is `partitions × num_registers` keys;
 ///   partition `p` owns the contiguous range
 ///   `[p · num_registers, (p + 1) · num_registers)`.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct PartitionMap {
     graph: ShareGraph,
     nodes: usize,

@@ -1,7 +1,6 @@
 //! The share graph `G` (Definition 3).
 
 use crate::{Edge, GraphError, RegSet, RegisterId, ReplicaId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The share graph `G = (V, E)` of a partially replicated system
@@ -13,7 +12,7 @@ use std::fmt;
 ///
 /// Construct with [`ShareGraphBuilder`] or one of the generators in
 /// [`crate::topologies`].
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct ShareGraph {
     /// `X_i` for each replica.
     regs: Vec<RegSet>,

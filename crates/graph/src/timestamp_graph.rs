@@ -2,7 +2,6 @@
 
 use crate::loops;
 use crate::{Edge, ReplicaId, ShareGraph};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -17,7 +16,7 @@ use std::fmt;
 /// the Section 3.3 algorithm shows tracking exactly `E_i` is sufficient.
 /// `E_i` is directed and in general asymmetric (`e_43 ∈ G_1`, `e_34 ∉ G_1`
 /// in the paper's Figure 5).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TimestampGraph {
     replica: ReplicaId,
     edges: BTreeSet<Edge>,

@@ -1,14 +1,13 @@
 //! Causal pasts as explicit update sets.
 
 use prcc_graph::{Edge, RegisterId, ReplicaId, ShareGraph};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// An update identified by issuer, register and per-(issuer, register)
 /// sequence number — enough structure to evaluate the `S|e` restrictions of
 /// Section 4 without carrying values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AbstractUpdate {
     /// The issuing replica.
     pub issuer: ReplicaId,
@@ -25,7 +24,7 @@ impl fmt::Display for AbstractUpdate {
 }
 
 /// A causal past `S`: a set of updates (Definition 6's vertex set).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub struct CausalPast {
     updates: BTreeSet<AbstractUpdate>,
 }

@@ -1,11 +1,10 @@
 //! Traffic accounting for metadata-overhead experiments.
 
 use crate::{NodeIndex, VirtualTime};
-use serde::{Deserialize, Serialize};
 
 /// Counters of messages and bytes per link and in aggregate, plus delivery
 /// latency accumulation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetStats {
     num_nodes: usize,
     /// Flattened `src * n + dst` message counts.

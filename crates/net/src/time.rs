@@ -1,13 +1,10 @@
 //! Virtual time for the discrete-event simulation.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Add;
 
 /// A point in simulated time, in abstract ticks.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct VirtualTime(pub u64);
 
 impl VirtualTime {

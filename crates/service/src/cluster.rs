@@ -27,10 +27,8 @@ use std::time::{Duration, Instant};
 pub struct LoopbackCluster {
     map: PartitionMap,
     nodes: Vec<NodeHandle>,
-    /// The real peer-listener addresses, by node.
-    peer_addrs: Vec<SocketAddr>,
-    /// What each node actually dials for each peer — identical to
-    /// `peer_addrs` in a plain deployment, rewired through proxy
+    /// What each node actually dials for each peer — the real peer
+    /// listeners in a plain deployment, rewired through proxy
     /// addresses when a fault injector interposes on the links.
     /// `restart_node` reuses these, so a restarted node redials through
     /// the same interposition its first life used.
@@ -149,7 +147,6 @@ impl LoopbackCluster {
         Ok(LoopbackCluster {
             map,
             nodes,
-            peer_addrs,
             dial_addrs,
             durable: cfg.data_dir.is_some(),
             spawner,
@@ -195,13 +192,6 @@ impl LoopbackCluster {
             .iter()
             .map(|node| ServiceClient::connect(node.client_addr)?.status())
             .collect()
-    }
-
-    /// Cluster-wide count of updates dropped because a peer routed them to
-    /// a node not hosting their partition. Always zero under a correct
-    /// routing layer; the partitioned test suite asserts exactly that.
-    pub fn misrouted_drops(&self) -> io::Result<u64> {
-        Ok(self.statuses()?.iter().map(|s| s.dropped_misrouted).sum())
     }
 
     /// Scrapes every node's live metrics snapshot (wire-v6 `Metrics`
@@ -265,12 +255,6 @@ impl LoopbackCluster {
             peer_addrs: self.dial_addrs[i].clone(),
         })?;
         Ok(())
-    }
-
-    /// The real peer-listener addresses, by node (what an interposer
-    /// proxies to).
-    pub fn real_peer_addrs(&self) -> &[SocketAddr] {
-        &self.peer_addrs
     }
 
     /// Runs one online consistent-cut audit *without stopping traffic*:

@@ -2,65 +2,59 @@
 //! files or clocks.
 //!
 //! A node hosts one replica *role* of every partition the
-//! [`PartitionMap`] places on it, each an independent [`Replica`] with its
-//! own share-graph-derived clock. [`Core`] composes three layers and owns
+//! [`PartitionMap`] places on it. [`Core`] composes three layers and owns
 //! none of their rules:
 //!
-//! * **Reliable link** ([`PeerLink`], `link.rs`). Sequencing, the resend
-//!   window, acknowledgement accounting and exact duplicate suppression
-//!   for one peer, behind `enqueue` / `on_ack` / `resume` on the sending
-//!   side and `accept` / `on_update` / `on_frame` on the receiving side.
-//!   The core never reads a sequence counter or a window: it asks the link
+//! * **Reliable link** ([`PeerLink`], `link.rs`): sequencing, the resend
+//!   window, acknowledgements and duplicate suppression for one peer. The
+//!   core never reads a sequence counter or a window: it asks the link
 //!   whether a copy is [`PeerLink::settled`] and snapshots it as plain
 //!   parts.
-//! * **Causal delivery** ([`PartitionSlot`]). The paper's replica: issue
-//!   advances the clock and sends; receive buffers until predicate `J`
-//!   holds; apply merges. Updates carry globally unique wire ids
-//!   (`node << WIRE_SEQ_BITS | seq`, `seq` node-global across partitions and
-//!   recovered on restart), which key the post-hoc per-partition oracle
-//!   replay over collected traces.
-//! * **Durability** ([`Stage`], `stage.rs`). Every state-mutating input is a
-//!   [`WalRecord`] — a client write is an `Issue`, a decoded peer flush
-//!   frame a `Receipt`, a trace compaction a `Checkpoint` — and
-//!   [`Core::apply`] is the *only* path that mutates durable state: the
-//!   live loop builds the record, `apply` stages it (encoded, in memory)
-//!   and runs the transition; boot-time replay feeds the decoded records
-//!   of `snapshot + log` through the very same function. Because the
-//!   transitions are deterministic, replay rebuilds the exact pre-crash
-//!   state — clocks, stores, pending buffers, event logs and resend
-//!   windows.
+//! * **Causal delivery** ([`PartitionSlot`], `slot.rs`): the paper's
+//!   replica, one per hosted partition — issue advances the clock and
+//!   sends; receive buffers until predicate `J` holds; apply merges — and
+//!   the one admission rule for peer input ([`admit`]), which
+//!   [`Core::step`] checks before staging a frame and [`Core::apply`] on
+//!   every receipt. Updates carry globally unique wire ids (`node <<
+//!   WIRE_SEQ_BITS | seq`, `seq` node-global and recovered on restart),
+//!   which key the post-hoc per-partition oracle replay.
+//! * **Durability** ([`Stage`], `stage.rs`): every state-mutating input is
+//!   a [`WalRecord`] — a client write an `Issue`, a peer flush frame a
+//!   `Receipt`, a trace compaction a `Checkpoint` — and [`Core::apply`] is
+//!   the *only* path that mutates durable state. The live loop builds the
+//!   record and `apply` stages it and runs the transition; boot-time
+//!   replay feeds `snapshot + log` through the very same function, so it
+//!   rebuilds the exact pre-crash state.
 //!
 //! [`Core::step`] is the single entry point for live input. It returns
 //! *what the driver must do next* as a [`Flow`] and appends *everything
 //! that must leave the node* to an [`Effect`] list, which the driver
 //! releases only after the sweep's staged records are on disk. Time enters
-//! through the injected `now` alone, and lazily: the transition functions
-//! never read it — they note sampled lifecycle stamps in a scratch list,
-//! which `step`/`apply` settle against one clock read — so an unsampled
-//! step with the flight recorder off reads no clock at all, and replay
-//! (which injects a stopped clock) records nothing through the same code.
+//! through the injected `now` alone, and lazily: transitions note sampled
+//! lifecycle stamps, which `step`/`apply` settle against one clock read —
+//! an unsampled step with the flight recorder off reads no clock, and
+//! replay (a stopped clock) records nothing through the same code.
 //!
 //! # Telemetry
 //!
-//! The core mirrors its logical state into `core_*`/`trace_*` gauges when
-//! asked, and the update-lifecycle stage histograms (`wire_us`,
-//! `pending_stall_us`, `visibility_us`, `ack_us`, `seal_us`) record stage
-//! latencies for 1-in-N sampled updates. Sampling is decided once, at the
-//! origin: a sampled write carries its issue stamp in `issued_at` over the
-//! live wire, and every downstream stage keys off that stamp being
-//! non-zero. The durable codecs deliberately drop the stamps, keeping
-//! recovery byte-deterministic. The core also keeps a [`FlightRecorder`]
-//! ring of recent structured events for the driver's crash dump.
+//! The core mirrors its state into `core_*`/`trace_*` gauges on a scrape,
+//! and the stage histograms (`wire_us`, `pending_stall_us`,
+//! `visibility_us`, `ack_us`, `seal_us`) time 1-in-N sampled updates. A
+//! sampled write carries its issue stamp in `issued_at` over the live wire
+//! only (the durable codecs drop it, keeping recovery byte-deterministic),
+//! and every downstream stage keys off that stamp. A [`FlightRecorder`]
+//! ring keeps recent events for the driver's crash dump.
 
 use crate::link::PeerLink;
 use crate::node::ServiceConfig;
+use crate::slot::{admit, PartitionSlot};
 use crate::stage::Stage;
 use crate::wire::{FlushSections, NodeStatus, PartitionCounters, WIRE_SEQ_BITS, WIRE_SEQ_MASK};
 use prcc_checker::trace::TraceEvent;
-use prcc_checker::{CutSnapshot, PartitionCut, TraceCheckpoint, UpdateId};
+use prcc_checker::{CutSnapshot, TraceCheckpoint};
 use prcc_clock::{Protocol, WireClock};
-use prcc_core::{Replica, Update};
-use prcc_graph::{PartitionId, PartitionMap, RegisterId, ReplicaId};
+use prcc_core::Update;
+use prcc_graph::{PartitionId, PartitionMap, RegisterId};
 use prcc_net::VirtualTime;
 use prcc_reactor::ConnId;
 use prcc_storage::WalRecord;
@@ -201,8 +195,8 @@ pub(crate) enum Effect<C> {
     /// link's command queue first, one processed after it reaches the
     /// queue after — command order is exactly marker order on the wire.
     Marker(u64),
-    /// A redial replaced this inbound connection: close the stale one so a
-    /// half-open socket cannot keep the peer writing into a black hole.
+    /// Close this inbound connection: a redial replaced it (no half-open
+    /// black hole), or it carried a frame [`admit`] refused.
     Close(ConnId),
 }
 
@@ -224,26 +218,6 @@ pub(crate) enum Flow {
     /// — indistinguishable from a crash landing before this sweep's
     /// messages arrived. Carries the flight-recorder event to close on.
     Halt(&'static str),
-}
-
-/// One hosted partition: the role this node plays in it, the replica state
-/// machine, the sealed-prefix checkpoint summary, and the live tail of the
-/// partition-local event log.
-struct PartitionSlot<P: Protocol> {
-    role: ReplicaId,
-    replica: Replica<P>,
-    /// Summary of the sealed (fully acknowledged, verified-by-construction)
-    /// trace prefix — what the post-hoc oracle stitches under `log`.
-    checkpoint: TraceCheckpoint,
-    /// The live trace suffix; bounded by the compaction threshold plus the
-    /// unacknowledged in-flight tail.
-    log: Vec<TraceEvent>,
-    issued: u64,
-    /// Own issues not yet acknowledged by every remote recipient:
-    /// `(wire id, remaining (peer, link seq) pairs)`, ascending by wire
-    /// id. An issue may be sealed out of the trace log only once it has
-    /// left this queue — the seal rule the stitched oracle relies on.
-    unacked: VecDeque<(u64, Vec<(usize, u64)>)>,
 }
 
 /// A sampled lifecycle observation a transition noted, awaiting the clock
@@ -364,10 +338,8 @@ pub(crate) struct Core<P: Protocol> {
     links: Vec<PeerLink<(PartitionId, Update<P::Clock>)>>,
     /// Node-global wire-id sequence (low 40 bits of issued update ids).
     seq: u64,
-    issued: u64,
     sent: u64,
     received: u64,
-    dropped_misrouted: u64,
     /// Duplicate deliveries suppressed by the link watermarks.
     duplicates_dropped: u64,
     /// Stage histograms, sampling, and the flight recorder (live-only
@@ -384,6 +356,14 @@ fn corrupt(what: fmt::Arguments<'_>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, what.to_string())
 }
 
+/// The slot of `partition`, if this node hosts it.
+fn slot_mut<P: Protocol>(
+    slots: &mut [Option<PartitionSlot<P>>],
+    partition: PartitionId,
+) -> Option<&mut PartitionSlot<P>> {
+    slots.get_mut(partition.index()).and_then(Option::as_mut)
+}
+
 impl<P: Protocol> Core<P> {
     pub(crate) fn new(
         protocol: &P,
@@ -392,19 +372,11 @@ impl<P: Protocol> Core<P> {
         window_cap: usize,
         tel: CoreTelemetry,
     ) -> Self {
-        let roles = map.graph().num_replicas();
-        let registers = map.graph().num_registers();
         let partitions = map
             .partitions()
             .map(|p| {
-                map.role_on(p, node).map(|role| PartitionSlot {
-                    role,
-                    replica: Replica::new(protocol, role),
-                    checkpoint: TraceCheckpoint::new(roles, registers),
-                    log: Vec::new(),
-                    issued: 0,
-                    unacked: VecDeque::new(),
-                })
+                map.role_on(p, node)
+                    .map(|role| PartitionSlot::new(protocol, p, role))
             })
             .collect();
         Core {
@@ -414,10 +386,8 @@ impl<P: Protocol> Core<P> {
                 .map(|peer| PeerLink::new(node, peer, window_cap))
                 .collect(),
             seq: 0,
-            issued: 0,
             sent: 0,
             received: 0,
-            dropped_misrouted: 0,
             duplicates_dropped: 0,
             tel,
             cuts: VecDeque::new(),
@@ -483,26 +453,31 @@ impl<P: Protocol> Core<P> {
                 register,
                 conn,
             } => {
-                let (ok, value) = match self
-                    .partitions
-                    .get(partition.index())
-                    .and_then(Option::as_ref)
-                    .map(|slot| slot.replica.read(env.protocol, register))
-                {
-                    Some(Ok(value)) => (true, value),
-                    Some(Err(_)) | None => (false, None),
-                };
-                out.push(Effect::ReadReply(conn, ok, value));
+                let read = self.slot(partition).map(|s| s.read(env.protocol, register));
+                let value = read.and_then(Result::ok);
+                out.push(Effect::ReadReply(conn, value.is_some(), value.flatten()));
             }
             CoreMsg::Updates {
                 peer,
                 sections,
                 conn,
             } => {
-                if peer >= self.links.len() {
+                let updates: u64 = sections.iter().map(|(_, us)| us.len() as u64).sum();
+                // Checked *before* staging, like a write: a refused frame
+                // never enters the durable history, and its link closes.
+                // Frames behind it are judged on their own; its sequences
+                // hold the link's contiguous ack line until the redial.
+                let node = self.node;
+                if let Err(e) = admit(&self.partitions, env.map, node, peer as u64, &sections) {
+                    eprintln!("prcc-service[{node}]: closing peer {peer}'s link: {e}");
+                    self.tel.flight.record(
+                        now,
+                        "refuse_frame",
+                        &[("peer", peer as u64), ("updates", updates)],
+                    );
+                    out.push(Effect::Close(conn));
                     return Ok(Flow::Continue);
                 }
-                let updates: u64 = sections.iter().map(|(_, us)| us.len() as u64).sum();
                 self.tel.flight.record(
                     now,
                     "recv_frame",
@@ -575,7 +550,9 @@ impl<P: Protocol> Core<P> {
                     // later ones outside it.
                     self.sight_cut(env.map, token, "cut_start", now, out);
                 }
-                out.push(Effect::CutReply(conn, self.cut_snapshot(token)));
+                let cut = self.cuts.iter().find(|(t, _)| *t == token);
+                // lint: allow(alloc) cut replies are the cold audit path
+                out.push(Effect::CutReply(conn, cut.map(|(_, snap)| snap.clone())));
             }
             CoreMsg::PeerMarker { token } => {
                 self.sight_cut(env.map, token, "cut_marker", now, out);
@@ -671,8 +648,8 @@ impl<P: Protocol> Core<P> {
     /// # Errors
     ///
     /// `InvalidData` for a record this deployment cannot have produced
-    /// (an issue for an unhosted register, a receipt from an out-of-range
-    /// peer): replay refuses to boot on it.
+    /// (an issue for an unhosted register, a receipt [`admit`] refuses):
+    /// replay refuses to boot on it.
     pub(crate) fn apply(
         &mut self,
         env: &Env<'_, P>,
@@ -701,12 +678,8 @@ impl<P: Protocol> Core<P> {
                     0
                 }
             }
-            WalRecord::Receipt { peer, .. } => {
-                if *peer >= self.links.len() as u64 {
-                    return Err(corrupt(format_args!(
-                        "receipt from out-of-range peer {peer}"
-                    )));
-                }
+            WalRecord::Receipt { peer, sections } => {
+                admit(&self.partitions, env.map, self.node, *peer, sections)?;
                 if stage.is_some() && self.tel.sampler.hit() {
                     now()
                 } else {
@@ -730,26 +703,9 @@ impl<P: Protocol> Core<P> {
                 register,
                 value,
                 wire_id,
-            } => {
-                let sends = self
-                    .apply_write(
-                        env.protocol,
-                        env.map,
-                        partition,
-                        register,
-                        value,
-                        wire_id,
-                        stamp_us,
-                    )
-                    .ok_or_else(|| corrupt(format_args!("issue failed to apply")))?;
-                out.extend(
-                    sends
-                        .into_iter()
-                        .map(|(peer, seq, p, update)| Effect::Send(peer, (seq, p, update))),
-                );
-            }
+            } => self.issue(env, partition, register, value, wire_id, stamp_us, out)?,
             WalRecord::Receipt { peer, sections } => {
-                self.apply_sections(env.protocol, peer as usize, sections);
+                self.deliver(env.protocol, peer as usize, sections);
             }
             WalRecord::Checkpoint { seals } => self.apply_seal(env.map, &seals),
             // A snapshot's integrity guard, not a transition: recovery
@@ -761,9 +717,10 @@ impl<P: Protocol> Core<P> {
     }
     // lint: end-hot-path
 
-    /// Records this node's side of cut `token` at its first sighting and
-    /// floods the marker onward; later sightings of the same token are the
-    /// expected echoes from the other peer links.
+    /// Records this node's side of cut `token` — every hosted partition's
+    /// frontier at this instant — at its first sighting, and floods the
+    /// marker onward; later sightings are the expected echoes from the
+    /// other peer links.
     fn sight_cut(
         &mut self,
         map: &PartitionMap,
@@ -775,62 +732,9 @@ impl<P: Protocol> Core<P> {
         if self.cuts.iter().any(|(t, _)| *t == token) {
             return;
         }
-        self.record_cut(map, token);
         self.tel.flight.record(now, what, &[("token", token)]);
         out.push(Effect::Marker(token));
-    }
-
-    /// The recorded snapshot for `token`, if it is still retained.
-    fn cut_snapshot(&self, token: u64) -> Option<CutSnapshot> {
-        self.cuts
-            .iter()
-            .find(|(t, _)| *t == token)
-            .map(|(_, snap)| snap.clone())
-    }
-
-    /// Records this node's side of consistent cut `token`: for every
-    /// hosted partition, the issued frontier and the per-issuer-role
-    /// applied frontiers *at this instant* — the sealed checkpoint summary
-    /// joined with the live log tail, which is exactly the state the
-    /// post-hoc oracle would reconstruct up to this point. Wire ids are
-    /// monotone per issuer and applied in issue order per issuer, so these
-    /// frontiers completely describe the cut for the closure check in
-    /// [`prcc_checker::verify_cut_closure`].
-    fn record_cut(&mut self, map: &PartitionMap, token: u64) {
-        let mut partitions = Vec::with_capacity(self.partitions.len());
-        for (index, slot) in self.partitions.iter().enumerate() {
-            let Some(slot) = slot else { continue };
-            let partition = PartitionId(index as u32);
-            let mut issued_high = slot.checkpoint.last_issue;
-            let mut applied = slot.checkpoint.applied_high.clone();
-            for event in &slot.log {
-                match event {
-                    TraceEvent::Issue { update, .. } => {
-                        issued_high = issued_high.max(*update);
-                        // An issue is applied at its issuer the moment it
-                        // is issued (step 2 of the prototype).
-                        if let Some(high) = applied.get_mut(slot.role.index()) {
-                            *high = (*high).max(*update);
-                        }
-                    }
-                    TraceEvent::Apply { update, .. } => {
-                        let issuer_node = (*update >> WIRE_SEQ_BITS) as usize;
-                        if let Some(role) = map.role_on(partition, issuer_node) {
-                            if let Some(high) = applied.get_mut(role.index()) {
-                                *high = (*high).max(*update);
-                            }
-                        }
-                    }
-                }
-            }
-            partitions.push(PartitionCut {
-                partition: partition.0,
-                role: slot.role.index(),
-                issued_high,
-                applied,
-                pending: slot.replica.pending_len() as u64,
-            });
-        }
+        let partitions = self.slots().map(|slot| slot.cut(map)).collect();
         self.cuts.push_back((
             token,
             CutSnapshot {
@@ -847,10 +751,19 @@ impl<P: Protocol> Core<P> {
     /// Whether a client write to `(partition, register)` can be accepted
     /// here.
     fn can_write(&self, protocol: &P, partition: PartitionId, register: RegisterId) -> bool {
+        self.slot(partition)
+            .is_some_and(|slot| slot.stores(protocol, register))
+    }
+
+    fn slot(&self, partition: PartitionId) -> Option<&PartitionSlot<P>> {
         self.partitions
             .get(partition.index())
             .and_then(Option::as_ref)
-            .is_some_and(|slot| protocol.share_graph().stores(slot.role, register))
+    }
+
+    /// The hosted partitions' slots, in partition order.
+    fn slots(&self) -> impl Iterator<Item = &PartitionSlot<P>> {
+        self.partitions.iter().flatten()
     }
 
     fn next_wire_id(&mut self) -> u64 {
@@ -858,92 +771,57 @@ impl<P: Protocol> Core<P> {
         ((self.node as u64) << WIRE_SEQ_BITS) | self.seq
     }
 
-    /// Applies an accepted client write: advances the replica, records the
-    /// trace event, and parks a copy in every recipient peer's window.
-    /// Returns the `(peer, seq, partition, update)` copies to send.
-    ///
-    /// `stamp_us` is the issue stamp of a *sampled* live write (0 =
-    /// unsampled, and always 0 on replay).
-    #[allow(clippy::type_complexity, clippy::too_many_arguments)]
-    fn apply_write(
+    /// Issues an accepted client write through its slot, parking a copy in
+    /// each recipient peer's window and pushing its [`Effect::Send`].
+    /// `stamp_us` stamps a *sampled* live write (0 otherwise, and on replay).
+    #[allow(clippy::too_many_arguments)]
+    fn issue(
         &mut self,
-        protocol: &P,
-        map: &PartitionMap,
+        env: &Env<'_, P>,
         partition: PartitionId,
         register: RegisterId,
         value: u64,
         wire_id: u64,
         stamp_us: u64,
-    ) -> Option<Vec<(usize, u64, PartitionId, Update<P::Clock>)>> {
+        out: &mut Vec<Effect<P::Clock>>,
+    ) -> io::Result<()> {
         self.seq = self.seq.max(wire_id & WIRE_SEQ_MASK);
-        let node = self.node;
-        let slot = self
-            .partitions
-            .get_mut(partition.index())
-            .and_then(Option::as_mut)?;
-        let clock = slot.replica.write(protocol, register, value).ok()?;
-        slot.log.push(TraceEvent::Issue {
-            replica: slot.role,
-            register,
-            update: wire_id,
-        });
-        slot.issued += 1;
-        self.issued += 1;
-        let update = Update {
-            id: UpdateId(wire_id),
-            issuer: slot.role,
+        let slot = slot_mut(&mut self.partitions, partition)
+            .ok_or_else(|| corrupt(format_args!("issue for unhosted {partition}")))?;
+        let (node, links, sent) = (self.node, &mut self.links, &mut self.sent);
+        slot.issue(
+            env.protocol,
             register,
             value,
-            clock,
-            issued_at: VirtualTime(stamp_us),
-            received_at: VirtualTime::ZERO,
-        };
+            wire_id,
+            VirtualTime(stamp_us),
+            |recipient, update| {
+                let peer = env.map.node_of(partition, recipient);
+                if peer == node {
+                    return None;
+                }
+                let seq = links[peer].enqueue((partition, update.clone()));
+                *sent += 1;
+                out.push(Effect::Send(peer, (seq, partition, update.clone())));
+                Some((peer, seq))
+            },
+        )
+        .map_err(|e| corrupt(format_args!("issue failed to apply: {e}")))?;
         if stamp_us != 0 {
             self.tel.seal_stamps.insert(wire_id, stamp_us);
         }
-        let mut sends = Vec::new();
-        let mut pairs = Vec::new();
-        for recipient in protocol.recipients(slot.role, register) {
-            let peer = map.node_of(partition, recipient);
-            if peer == node {
-                continue;
-            }
-            let seq = self.links[peer].enqueue((partition, update.clone()));
-            self.sent += 1;
-            pairs.push((peer, seq));
-            sends.push((peer, seq, partition, update.clone()));
-        }
-        if !pairs.is_empty() {
-            // Track until every recipient acks: only then may the issue's
-            // trace event be sealed out of the live log.
-            slot.unacked.push_back((wire_id, pairs));
-        }
-        Some(sends)
+        Ok(())
     }
 
-    /// Applies one peer flush frame's sections: hands up what the link
-    /// says is fresh, feeds the replicas, and records apply events.
-    ///
-    /// Every copy passes the link — the wire decoder refuses link sequence
-    /// 0, so nothing arrives unsequenced — because a re-delivered copy
-    /// reaching [`Replica::receive`] would pin the pending buffer forever.
-    fn apply_sections(&mut self, protocol: &P, peer: usize, sections: FlushSections<P::Clock>) {
-        let node = self.node;
+    /// Delivers an admitted receipt: each slot receives what its link says
+    /// is fresh (a re-delivered copy would pin the pending buffer forever),
+    /// then drains.
+    fn deliver(&mut self, protocol: &P, peer: usize, sections: FlushSections<P::Clock>) {
         for (partition, updates) in sections {
-            let Some(slot) = self
-                .partitions
-                .get_mut(partition.index())
-                .and_then(Option::as_mut)
-            else {
-                // Misrouted section: the reader already validated the
-                // partition range, so this is a hosting mismatch.
-                self.dropped_misrouted += updates.len() as u64;
-                eprintln!(
-                    "prcc-service[{node}]: dropped {} updates for unhosted {partition}",
-                    updates.len()
-                );
-                continue;
+            let Some(slot) = slot_mut(&mut self.partitions, partition) else {
+                continue; // Unreachable: `admit` vouched for the partition.
             };
+            let due = &mut self.tel.due;
             for (seq, update) in updates {
                 self.received += 1;
                 if !self.links[peer].on_update(seq) {
@@ -951,150 +829,72 @@ impl<P: Protocol> Core<P> {
                     continue;
                 }
                 if update.issued_at.0 != 0 {
-                    self.tel
-                        .due
-                        .push(Sampled::Received(update.id.0, update.issued_at.0));
+                    due.push(Sampled::Received(update.id.0, update.issued_at.0));
                 }
-                // The replica's own `received_at` stays at virtual zero:
-                // pending-buffer state is snapshotted, and real time in it
-                // would break byte-identical recovery. Stall accounting
-                // lives in the telemetry side-table instead.
-                slot.replica.receive(update, VirtualTime::ZERO);
+                slot.receive(update);
             }
-            for done in slot.replica.drain(protocol) {
+            slot.drain(protocol, |done| {
                 if done.issued_at.0 != 0 {
-                    self.tel
-                        .due
-                        .push(Sampled::Applied(done.id.0, done.issued_at.0));
+                    due.push(Sampled::Applied(done.id.0, done.issued_at.0));
                 }
-                if protocol.stores_value(slot.role, done.register) {
-                    slot.log.push(TraceEvent::Apply {
-                        replica: slot.role,
-                        update: done.id.0,
-                    });
-                }
-            }
+            });
         }
     }
 
-    /// Plans a trace compaction: for every hosted partition whose live log
-    /// holds at least `min_events` entries, the longest log prefix whose
-    /// issues have all been acknowledged by every remote recipient.
-    /// Applies may always seal; an unacknowledged issue blocks itself and
-    /// everything after it (the stitched oracle's liveness guarantee rests
-    /// on sealed issues being durable at all their recipients).
-    ///
-    /// Consumes fully-acknowledged entries off the `unacked` queues (an
-    /// un-logged mutation: which entries are acked is derived state, only
-    /// the resulting seal lengths are logged and replayed).
+    /// Plans a trace compaction over every slot. A copy settles once its
+    /// link acknowledged it or evicted it (`window_evicted` records that
+    /// loss); a copy on no link keeps blocking, as unblocking would
+    /// falsely seal.
     fn plan_seal(&mut self, min_events: usize) -> Vec<(PartitionId, u64)> {
-        let mut seals = Vec::new();
         let links = &self.links;
-        for (p, slot) in self.partitions.iter_mut().enumerate() {
-            let Some(slot) = slot.as_mut() else { continue };
-            if slot.log.len() < min_events.max(1) {
-                continue;
-            }
-            while let Some((_, pairs)) = slot.unacked.front_mut() {
-                // A pair stops blocking once its link settles it:
-                // acknowledged — or evicted by the window cap (it can never
-                // be acknowledged then; `window_evicted` records the loss).
-                // No such link: keep blocking (this cannot happen for a
-                // validated map, but silently unblocking would falsely
-                // seal).
-                pairs.retain(|&(peer, seq)| links.get(peer).is_none_or(|link| !link.settled(seq)));
-                if pairs.is_empty() {
-                    slot.unacked.pop_front();
-                } else {
-                    break;
-                }
-            }
-            // Entries sit in wire-id order, so the first still-unacked
-            // issue bounds the sealable prefix.
-            let blocked = slot.unacked.front().map(|&(wire, _)| wire);
-            let sealable = slot
-                .log
-                .iter()
-                .take_while(|event| match event {
-                    TraceEvent::Issue { update, .. } => blocked.is_none_or(|b| *update < b),
-                    TraceEvent::Apply { .. } => true,
-                })
-                .count();
-            if sealable > 0 {
-                seals.push((PartitionId(p as u32), sealable as u64));
-            }
-        }
-        seals
+        let settled = |peer: usize, seq| links.get(peer).is_some_and(|link| link.settled(seq));
+        self.partitions
+            .iter_mut()
+            .flatten()
+            .filter_map(|slot| slot.seal_plan(min_events, settled))
+            .collect()
     }
 
-    /// Applies a (planned or replayed) trace compaction: absorbs each
-    /// partition's prefix into its checkpoint summary and discards it, so
-    /// recovered checkpoint + suffix pairs match the pre-crash state
-    /// exactly.
+    /// Applies a (planned or replayed) trace compaction. Sampled own issues
+    /// leaving a live log record their seal stage; replay has an empty
+    /// side-table, so recorded seals replay silently.
     fn apply_seal(&mut self, map: &PartitionMap, seals: &[(PartitionId, u64)]) {
         for &(partition, events) in seals {
-            let Some(slot) = self
-                .partitions
-                .get_mut(partition.index())
-                .and_then(Option::as_mut)
-            else {
+            let tel = &mut self.tel;
+            let Some(slot) = slot_mut(&mut self.partitions, partition) else {
                 continue;
             };
-            let events = (events as usize).min(slot.log.len());
-            // Seal stage for sampled own issues leaving the live log.
-            // Replay reaches here with an empty side-table, so recorded
-            // seals replay silently.
-            for event in &slot.log[..events] {
-                if let TraceEvent::Issue { update, .. } = event {
-                    if let Some(stamp) = self.tel.seal_stamps.remove(update) {
-                        self.tel.due.push(Sampled::Sealed(stamp));
-                    }
+            slot.seal(map, events, |wire| {
+                if let Some(stamp) = tel.seal_stamps.remove(&wire) {
+                    tel.due.push(Sampled::Sealed(stamp));
                 }
-            }
-            slot.checkpoint.absorb(&slot.log[..events], |w| {
-                map.role_on(partition, (w >> WIRE_SEQ_BITS) as usize)
             });
-            slot.log.drain(..events);
-            // Drop queue entries the seal covered (replay reaches here
-            // with post-snapshot ack state, where they may still linger).
-            while slot
-                .unacked
-                .front()
-                .is_some_and(|&(wire, _)| wire <= slot.checkpoint.last_issue)
-            {
-                slot.unacked.pop_front();
-            }
         }
     }
 
     /// The core's own counters; socket, reactor and WAL fields stay zero
     /// for the driver to fill in.
     fn status(&self) -> NodeStatus {
-        let hosted = || self.partitions.iter().flatten();
+        let hosted = || self.slots();
         let links = || self.links.iter();
         NodeStatus {
             node: self.node as u64,
-            issued: self.issued,
+            issued: hosted().map(|s| s.counters().issued).sum(),
             messages_sent: self.sent,
             messages_received: self.received,
-            applies: hosted().map(|s| s.replica.applies()).sum(),
-            pending: hosted().map(|s| s.replica.pending_len() as u64).sum(),
+            applies: hosted().map(|s| s.counters().applies).sum(),
+            pending: hosted().map(|s| s.counters().pending).sum(),
             duplicates_dropped: self.duplicates_dropped,
-            dropped_misrouted: self.dropped_misrouted,
-            trace_events: hosted().map(|s| s.log.len() as u64).sum(),
-            sealed_events: hosted().map(|s| s.checkpoint.events).sum(),
+            trace_events: hosted().map(PartitionSlot::live_events).sum(),
+            sealed_events: hosted().map(|s| s.digest().1).sum(),
             max_window: links().map(PeerLink::max_window).max().unwrap_or(0),
             window_evicted: links().map(PeerLink::evicted).sum(),
             per_partition: self
                 .partitions
                 .iter()
-                .map(|slot| match slot {
-                    Some(slot) => PartitionCounters {
-                        issued: slot.issued,
-                        applies: slot.replica.applies(),
-                        pending: slot.replica.pending_len() as u64,
-                    },
-                    None => PartitionCounters::default(),
+                .map(|slot| {
+                    slot.as_ref()
+                        .map_or_else(PartitionCounters::default, PartitionSlot::counters)
                 })
                 .collect(),
             ..NodeStatus::default()
@@ -1112,8 +912,6 @@ impl<P: Protocol> Core<P> {
         r.gauge("core_pending").set(status.pending);
         r.gauge("core_duplicates_dropped")
             .set(status.duplicates_dropped);
-        r.gauge("core_dropped_misrouted")
-            .set(status.dropped_misrouted);
         r.gauge("core_max_window").set(status.max_window);
         r.gauge("core_window_evicted").set(status.window_evicted);
         r.gauge("trace_events_live").set(status.trace_events);
@@ -1123,11 +921,13 @@ impl<P: Protocol> Core<P> {
     fn traces(&self) -> Vec<(TraceCheckpoint, Vec<TraceEvent>)> {
         self.partitions
             .iter()
-            .map(|slot| match slot.as_ref() {
-                Some(s) => (s.checkpoint.clone(), s.log.clone()),
-                // Unhosted: an empty placeholder (the collector regroups
-                // by hosted role and never reads these).
-                None => (TraceCheckpoint::new(0, 0), Vec::new()),
+            // Unhosted: an empty placeholder (the collector regroups by
+            // hosted role and never reads these).
+            .map(|slot| {
+                slot.as_ref().map_or_else(
+                    || (TraceCheckpoint::new(0, 0), Vec::new()),
+                    PartitionSlot::trace,
+                )
             })
             .collect()
     }
@@ -1166,17 +966,18 @@ mod tests {
         Update<<EdgeProtocol as Protocol>::Clock>,
     ) {
         let partition = PartitionId(0);
+        let env = Env::new(protocol, map, &ServiceConfig::default());
         for r in 0..map.graph().num_registers() {
             let register = RegisterId(r as u32);
             if !core.can_write(protocol, partition, register) {
                 continue;
             }
             let wire_id = core.next_wire_id();
-            let sends = core
-                .apply_write(protocol, map, partition, register, 7, wire_id, 0)
+            let mut out = Vec::new();
+            core.issue(&env, partition, register, 7, wire_id, 0, &mut out)
                 .expect("can_write gated");
-            if let Some(send) = sends.into_iter().find(|(peer, ..)| *peer != core.node) {
-                return send;
+            if let Some(Effect::Send(peer, (seq, p, update))) = out.pop() {
+                return (peer, seq, p, update);
             }
         }
         panic!("no register with a remote recipient");
@@ -1289,6 +1090,116 @@ mod tests {
         assert_eq!(acks(0, &[3, 1, 2]), []);
     }
 
+    /// One update of `partition` on `register`, stamped as `issuer`'s first
+    /// write and shipped by node 1 under link seq 1.
+    fn forged(
+        protocol: &EdgeProtocol,
+        partition: u32,
+        issuer: usize,
+        register: RegisterId,
+    ) -> FlushSections<EdgeClock> {
+        let issuer = prcc_graph::ReplicaId(issuer);
+        let mut clock = protocol.new_clock(issuer);
+        protocol.advance(issuer, &mut clock, register);
+        let update = Update {
+            id: prcc_checker::UpdateId((1 << WIRE_SEQ_BITS) | 1),
+            issuer,
+            register,
+            value: 7,
+            clock,
+            issued_at: VirtualTime::ZERO,
+            received_at: VirtualTime::ZERO,
+        };
+        vec![(PartitionId(partition), vec![(1, update)])]
+    }
+
+    /// Every frame `admit` refuses closes its connection and changes
+    /// nothing: no record staged, no snapshot byte moved. Node 0 of a
+    /// 3-ring sharded twice over four nodes hosts partition 0 as role 0;
+    /// node 1 plays role 1 there and role 0 in partition 1.
+    #[test]
+    fn forged_frames_close_the_link_and_change_nothing() {
+        let graph = topologies::ring(3);
+        let map = PartitionMap::rotated(graph.clone(), 2, 4).expect("valid map");
+        let protocol = EdgeProtocol::new(graph.clone());
+        let tel = CoreTelemetry::new(Arc::new(Registry::new()), &ServiceConfig::default());
+        let mut core = Core::new(&protocol, &map, 0, 64, tel);
+        let cfg = ServiceConfig::default();
+        let env = Env::new(&protocol, &map, &cfg);
+        let shared = |a, b| {
+            let set = graph.shared(prcc_graph::ReplicaId(a), prcc_graph::ReplicaId(b));
+            set.iter().next().expect("ring neighbours share a register")
+        };
+        let hostile = [
+            ("a foreign issuer", 1, forged(&protocol, 0, 2, shared(2, 0))),
+            (
+                "an unshared register",
+                1,
+                forged(&protocol, 0, 1, shared(1, 2)),
+            ),
+            (
+                "an unhosted partition",
+                1,
+                forged(&protocol, 1, 0, shared(0, 1)),
+            ),
+            (
+                "an out-of-range peer",
+                4,
+                forged(&protocol, 0, 1, shared(1, 0)),
+            ),
+        ];
+        let bytes = |core: &Core<EdgeProtocol>| prcc_storage::encode_snapshot(&core.to_snapshot(0));
+        let before = bytes(&core);
+        let mut stage = Stage::new(1, 0);
+        for (what, peer, sections) in hostile {
+            let mut out = Vec::new();
+            let frame = CoreMsg::Updates {
+                peer,
+                sections,
+                conn: 22,
+            };
+            let flow = core.step(&env, frame, &|| 0, Some(&mut stage), &mut out);
+            assert_eq!(flow.expect("a refusal is not a fault"), Flow::Continue);
+            assert!(matches!(out[..], [Effect::Close(22)]), "{what}: {out:?}");
+            assert!(stage.is_empty(), "{what} was staged");
+            assert!(bytes(&core) == before, "{what} moved the snapshot");
+        }
+
+        // The honest frame passes the same gate.
+        let honest = CoreMsg::Updates {
+            peer: 1,
+            sections: forged(&protocol, 0, 1, shared(1, 0)),
+            conn: 22,
+        };
+        core.step(&env, honest, &|| 0, Some(&mut stage), &mut Vec::new())
+            .expect("step");
+        assert_eq!((stage.appends, core.status().applies), (1, 1));
+    }
+
+    /// The same rule guards the mutation path replay uses: a receipt
+    /// claiming another replica's issue is refused, not applied.
+    #[test]
+    fn apply_refuses_a_forged_receipt() {
+        let (protocol, map, mut core) = ring_core(0, 64);
+        let cfg = ServiceConfig::default();
+        let env = Env::new(&protocol, &map, &cfg);
+        let register = map
+            .graph()
+            .shared(prcc_graph::ReplicaId(2), prcc_graph::ReplicaId(0))
+            .iter()
+            .next()
+            .expect("ring neighbours share a register");
+        let receipt = WalRecord::Receipt {
+            peer: 1,
+            sections: forged(&protocol, 0, 2, register),
+        };
+        let err = core
+            .apply(&env, receipt, &|| 0, None, &mut Vec::new())
+            .expect_err("a forged receipt applied");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(core.status().messages_received, 0);
+    }
+
     /// The seam, socket-free: a write steps through one core, its send
     /// effect is carried by hand into the ring neighbour as an `Updates`
     /// message, and the neighbour applies and acknowledges it — all on a
@@ -1376,6 +1287,7 @@ mod tests {
             ("core/snapshot.rs", include_str!("core/snapshot.rs")),
             ("stage.rs", include_str!("stage.rs")),
             ("link.rs", include_str!("link.rs")),
+            ("slot.rs", include_str!("slot.rs")),
         ];
         for (file, source) in sources {
             let code: String = source

@@ -3,12 +3,12 @@
 
 use super::{corrupt, Core, CoreTelemetry};
 use crate::link::LinkParts;
+use crate::slot::PartitionSlot;
 use crate::wire::{WIRE_SEQ_BITS, WIRE_SEQ_MASK};
 use prcc_clock::{Protocol, WireClock};
-use prcc_core::Replica;
 use prcc_graph::{PartitionId, PartitionMap};
-use prcc_storage::{NodeSnapshot, PartitionSnapshot, PeerSnapshot};
-use std::collections::HashMap;
+use prcc_storage::{NodeSnapshot, PeerSnapshot};
+use std::collections::BTreeMap;
 use std::io;
 
 impl<P: Protocol> Core<P> {
@@ -16,19 +16,7 @@ impl<P: Protocol> Core<P> {
     /// partition, ascending by partition index — what a snapshot's
     /// `WalRecord::Digest` guard records and recovery re-checks.
     pub(crate) fn sealed_digests(&self) -> Vec<(PartitionId, u64, u64)> {
-        self.partitions
-            .iter()
-            .enumerate()
-            .filter_map(|(i, slot)| {
-                slot.as_ref().map(|s| {
-                    (
-                        PartitionId(i as u32),
-                        s.checkpoint.events,
-                        s.checkpoint.digest,
-                    )
-                })
-            })
-            .collect()
+        self.slots().map(PartitionSlot::digest).collect()
     }
 
     /// Folds the core into a snapshot covering WAL records `..= wal_high`.
@@ -39,22 +27,17 @@ impl<P: Protocol> Core<P> {
         NodeSnapshot {
             wal_high,
             seq: self.seq,
-            issued: self.issued,
+            issued: self.slots().map(|s| s.counters().issued).sum(),
             sent: self.sent,
             received: self.received,
-            dropped_misrouted: self.dropped_misrouted,
+            // Always 0: `admit` refuses a misrouted frame before it is
+            // staged. The field stays for the snapshot format.
+            dropped_misrouted: 0,
             duplicates_dropped: self.duplicates_dropped,
             partitions: self
                 .partitions
                 .iter()
-                .map(|slot| {
-                    slot.as_ref().map(|slot| PartitionSnapshot {
-                        state: slot.replica.export_state(),
-                        issued: slot.issued,
-                        checkpoint: slot.checkpoint.clone(),
-                        log: slot.log.clone(),
-                    })
-                })
+                .map(|slot| slot.as_ref().map(PartitionSlot::to_snapshot))
                 .collect(),
             peers: self
                 .links
@@ -95,16 +78,7 @@ impl<P: Protocol> Core<P> {
         for (slot, part) in core.partitions.iter_mut().zip(snap.partitions) {
             match (slot, part) {
                 (None, None) => {}
-                (Some(slot), Some(part)) => {
-                    if part.state.id != slot.role {
-                        return Err(bad("partition role differs from the map"));
-                    }
-                    slot.replica = Replica::from_state(protocol, part.state)
-                        .map_err(|e| bad(&format!("replica state: {e}")))?;
-                    slot.checkpoint = part.checkpoint;
-                    slot.log = part.log;
-                    slot.issued = part.issued;
-                }
+                (Some(slot), Some(part)) => slot.restore(protocol, part).map_err(|e| bad(&e))?,
                 _ => return Err(bad("hosted partitions differ from the map")),
             }
         }
@@ -119,10 +93,8 @@ impl<P: Protocol> Core<P> {
             });
         }
         core.seq = snap.seq;
-        core.issued = snap.issued;
         core.sent = snap.sent;
         core.received = snap.received;
-        core.dropped_misrouted = snap.dropped_misrouted;
         core.duplicates_dropped = snap.duplicates_dropped;
         core.rebuild_unacked();
         Ok(core)
@@ -135,7 +107,7 @@ impl<P: Protocol> Core<P> {
     /// partitions' entries resolve through the wire id's node bits.
     fn rebuild_unacked(&mut self) {
         let own = (self.node as u64) << WIRE_SEQ_BITS;
-        let mut by_wire: HashMap<u64, (PartitionId, Vec<(usize, u64)>)> = HashMap::new();
+        let mut by_wire: BTreeMap<u64, (PartitionId, Vec<(usize, u64)>)> = BTreeMap::new();
         for (peer, link) in self.links.iter().enumerate() {
             for &(seq, (partition, ref update)) in link.window() {
                 if update.id.0 & !WIRE_SEQ_MASK != own {
@@ -148,15 +120,9 @@ impl<P: Protocol> Core<P> {
                     .push((peer, seq));
             }
         }
-        let mut queued: Vec<_> = by_wire.into_iter().collect();
-        queued.sort_unstable_by_key(|&(wire, _)| wire);
-        for (wire, (partition, pairs)) in queued {
-            if let Some(slot) = self
-                .partitions
-                .get_mut(partition.index())
-                .and_then(Option::as_mut)
-            {
-                slot.unacked.push_back((wire, pairs));
+        for (wire, (partition, pairs)) in by_wire {
+            if let Some(slot) = super::slot_mut(&mut self.partitions, partition) {
+                slot.track(wire, pairs);
             }
         }
     }

@@ -14,10 +14,10 @@
 //!   cut marker must go out behind it): there is no flush timer, the tick
 //!   *is* the batch. Each `batch_max`-sized chunk of it is emitted as
 //!   *one* multi-partition frame carrying a section per partition present;
-//! * [`PeerIn`] validates the versioned handshake (the core answers it
-//!   with the acknowledged resume offset), incrementally decoded flush
-//!   frames and cut markers fan out to the core as [`CoreMsg`]s, and
-//!   acknowledgement frames stream back on the same connection;
+//! * [`PeerIn`] checks the versioned handshake (the core answers it with
+//!   the acknowledged resume offset), then fans decoded flush frames and
+//!   cut markers out to the core as [`CoreMsg`]s — whether a frame's
+//!   updates may be applied is the core's to judge;
 //! * [`ClientConn`] serves the request/response API of
 //!   [`crate::wire::ClientRequest`], including the [`PartitionMap`]
 //!   itself (`Config`) so clients can route by key.
@@ -27,10 +27,6 @@
 //! instead of parking a thread); a connection whose queue exceeds the
 //! bound is torn down loudly rather than ballooning memory — peers redial
 //! and resend from their acknowledged windows, slow clients reconnect.
-//!
-//! The socket-level counters live in the node's registry as `net_*`
-//! handles ([`NetMetrics`]) shared by every driver, and `send_us` times
-//! the issue→first-socket-enqueue stage for sampled updates.
 
 use crate::core::{CoreMsg, Sequenced};
 use crate::node::ServiceConfig;
@@ -111,6 +107,15 @@ pub(crate) struct Hub<C> {
     pub(crate) core_tx: mpsc::Sender<CoreMsg<C>>,
     pub(crate) counters: Arc<NetMetrics>,
     pub(crate) stop: Arc<AtomicBool>,
+}
+
+impl<C> Hub<C> {
+    /// Hands `msg` to the core; a core that shut down closes `ctx`.
+    fn to_core(&self, ctx: &mut Ctx<'_>, msg: CoreMsg<C>) {
+        if self.core_tx.send(msg).is_err() {
+            ctx.close();
+        }
+    }
 }
 
 /// Groups a run of `(seq, partition, update)` entries into multi-batch
@@ -415,35 +420,17 @@ impl<C: WireClock> Driver for PeerOut<C> {
                 self.state = OutState::AwaitResume;
                 // Fetch the unacked window past the peer's offset; the
                 // core replies with a Resume command on this connection.
-                if self
-                    .hub
-                    .core_tx
-                    .send(CoreMsg::PeerResume {
-                        peer: self.peer,
-                        acked: self.acked,
-                        conn: ctx.conn_id(),
-                    })
-                    .is_err()
-                {
-                    ctx.close(); // Core shut down.
-                }
+                let (peer, acked, conn) = (self.peer, self.acked, ctx.conn_id());
+                let resume = CoreMsg::PeerResume { peer, acked, conn };
+                self.hub.to_core(ctx, resume);
                 Ok(())
             }
             _ => {
                 // Streamed acknowledgements: forward to the core for
                 // window pruning.
                 let seq = decode_peer_ack(&frame)?;
-                if self
-                    .hub
-                    .core_tx
-                    .send(CoreMsg::PeerAcked {
-                        peer: self.peer,
-                        seq,
-                    })
-                    .is_err()
-                {
-                    ctx.close(); // Core shut down.
-                }
+                let peer = self.peer;
+                self.hub.to_core(ctx, CoreMsg::PeerAcked { peer, seq });
                 Ok(())
             }
         }
@@ -544,10 +531,10 @@ impl<C: WireClock> Driver for PeerOut<C> {
     }
 }
 
-/// The inbound half of one peer link: validates the versioned handshake,
+/// The inbound half of one peer link: checks the versioned handshake,
 /// binds itself to the sender's node index, then decodes flush frames and
-/// cut markers and fans them to the core. Acknowledgements travel the
-/// other way on the same connection, pushed by the core at sweep end.
+/// cut markers and fans them to the core. Acknowledgements — and the close
+/// of a refused link — come back from the core at sweep end.
 pub(crate) struct PeerIn<P: Protocol> {
     pub(crate) node: usize,
     pub(crate) protocol: Arc<P>,
@@ -586,17 +573,8 @@ where
                 ));
             }
             self.peer = Some(hello.node);
-            if self
-                .hub
-                .core_tx
-                .send(CoreMsg::PeerJoin {
-                    peer: hello.node,
-                    conn: ctx.conn_id(),
-                })
-                .is_err()
-            {
-                ctx.close(); // Core shut down.
-            }
+            let (peer, conn) = (hello.node, ctx.conn_id());
+            self.hub.to_core(ctx, CoreMsg::PeerJoin { peer, conn });
             return Ok(());
         };
         // Cut markers travel in the update stream — that is what gives
@@ -605,19 +583,12 @@ where
         // updates around them (arrival order is cut order).
         if frame.first() == Some(&TAG_CUT_MARKER) {
             let token = decode_cut_marker(&frame)?;
-            if self
-                .hub
-                .core_tx
-                .send(CoreMsg::PeerMarker { token })
-                .is_err()
-            {
-                ctx.close(); // Core shut down.
-            }
+            self.hub.to_core(ctx, CoreMsg::PeerMarker { token });
             return Ok(());
         }
-        // One frame, many `(partition, [(seq, update)])` sections:
-        // validate each section, then hand the whole frame to the core as
-        // one delivery (and one WAL receipt).
+        // One frame, many `(partition, [(seq, update)])` sections, handed
+        // to the core as one delivery (and one WAL receipt). Whether the
+        // sender may ship them is the core's to judge: `slot::admit`.
         let roles = self.map.graph().num_replicas();
         let protocol = &self.protocol;
         let mut sections = decode_multi_batch(&frame, |k| {
@@ -626,53 +597,13 @@ where
         // Ids arrive without their node bits; the handshake says whose
         // they are.
         restore_sender(&mut sections, peer);
-        for (partition, updates) in &sections {
-            if partition.0 >= self.map.num_partitions() {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    // lint: allow(alloc) protocol-violation error, cold
-                    format!("batch for out-of-range {partition}"),
-                ));
-            }
-            let Some(role) = self.map.role_on(*partition, self.node) else {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    // lint: allow(alloc) protocol-violation error, cold
-                    format!("peer {peer} misrouted {partition} updates here"),
-                ));
-            };
-            // A link carries its sender's own issues, on registers its
-            // role shares with ours: anything else would be judged by `J`
-            // against another replica's FIFO edge.
-            let sender = self.map.role_on(*partition, peer);
-            let shared = |issuer| self.map.graph().shared(issuer, role);
-            if let Some((_, u)) = updates
-                .iter()
-                .find(|(_, u)| Some(u.issuer) != sender || !shared(u.issuer).contains(u.register))
-            {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    // lint: allow(alloc) protocol-violation error, cold
-                    format!(
-                        "peer {peer} sent a {partition} update on {} as {}, which it \
-                         could not have issued",
-                        u.register, u.issuer
-                    ),
-                ));
-            }
-        }
-        if self
-            .hub
-            .core_tx
-            .send(CoreMsg::Updates {
-                peer,
-                sections,
-                conn: ctx.conn_id(),
-            })
-            .is_err()
-        {
-            ctx.close(); // Core shut down.
-        }
+        let conn = ctx.conn_id();
+        let updates = CoreMsg::Updates {
+            peer,
+            sections,
+            conn,
+        };
+        self.hub.to_core(ctx, updates);
         Ok(())
     }
     // lint: end-hot-path
@@ -745,9 +676,7 @@ impl<C: WireClock> Driver for ClientConn<C> {
                 return Ok(());
             }
         };
-        if self.hub.core_tx.send(msg).is_err() {
-            ctx.close(); // Core shut down.
-        }
+        self.hub.to_core(ctx, msg);
         Ok(())
     }
 }

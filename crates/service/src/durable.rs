@@ -407,6 +407,54 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A WAL receipt that passes its checksum and decodes, but claims a
+    /// replica's issue its sender could not have shipped (node 1 relaying
+    /// role 2's write), stops the boot naming the record: replay runs the
+    /// same admission rule as the live loop.
+    #[test]
+    fn a_forged_receipt_in_the_wal_refuses_to_boot() {
+        use prcc_core::Update;
+        use prcc_graph::ReplicaId;
+        use prcc_net::VirtualTime;
+
+        let dir = scratch("forged-receipt");
+        let (protocol, map) = ring3();
+        let issuer = ReplicaId(2);
+        let register = map
+            .graph()
+            .shared(issuer, ReplicaId(0))
+            .iter()
+            .next()
+            .expect("ring neighbours share a register");
+        let mut clock = protocol.new_clock(issuer);
+        protocol.advance(issuer, &mut clock, register);
+        let update = Update {
+            id: prcc_checker::UpdateId((1 << crate::wire::WIRE_SEQ_BITS) | 1),
+            issuer,
+            register,
+            value: 5,
+            clock,
+            issued_at: VirtualTime::ZERO,
+            received_at: VirtualTime::ZERO,
+        };
+        let receipt = WalRecord::Receipt {
+            peer: 1,
+            sections: vec![(PartitionId(0), vec![(1, update)])],
+        };
+        let (mut wal, _) = Wal::open(&dir.join("node-0/wal.bin")).expect("open wal");
+        wal.append(&prcc_storage::encode_record(1, &receipt))
+            .expect("append");
+        wal.sync().expect("sync");
+        drop(wal);
+
+        let Err(err) = boot(&protocol, &map, &dir, &ServiceConfig::default()) else {
+            panic!("a forged receipt booted");
+        };
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("WAL record 1: "), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     /// The sweep-scoped group commit, stated as counts: however many
     /// records a sweep stages through `Core::apply`, one `commit` is one
     /// physical WAL write, and a reopened log holds every one of them. A

@@ -5,7 +5,7 @@
 //! crate takes the same generic [`prcc_clock::Protocol`] replicas across
 //! real sockets, as layers composed around one sans-I/O state machine:
 //!
-//! * [`wire`] — the length-prefixed binary wire protocol (version 10):
+//! * [`wire`] — the length-prefixed binary wire protocol (version 11):
 //!   `wire/peer.rs` has the versioned handshake (carrying the serialized
 //!   [`prcc_graph::PartitionMap`], answered with the link's acknowledged
 //!   resume offset), multi-partition flush frames (a `(partition, [(link
@@ -17,24 +17,22 @@
 //!   [`link::PeerLink`] sequences outbound updates into a capped resend
 //!   window, refuses acknowledgements for what it never sent, and hands
 //!   each inbound update up exactly once however often it is redelivered.
-//! * `core` — causal delivery and the composition, sans I/O: one
-//!   [`prcc_core::Replica`] per hosted partition, fed by the links'
-//!   hand-ups and feeding their windows. `Core::step` turns one message
-//!   into staged WAL records and a list of effects without touching a
-//!   socket, thread, file or clock; `Core::apply` is the single mutation
-//!   path shared by the live loop and WAL replay.
+//! * `slot` — causal delivery, sans I/O and sans link: one
+//!   `PartitionSlot` (a [`prcc_core::Replica`] plus its trace) per hosted
+//!   partition, and `admit`, the one rule for which peer updates it sees.
+//! * `core` — the composition, sans I/O: slots fed by the links' hand-ups
+//!   and feeding their windows. `Core::step` turns one message into staged
+//!   WAL records and effects without touching a socket, thread, file or
+//!   clock; `Core::apply` is the one mutation path, shared with replay.
 //! * `durable` — the durability layer under it: group commit of the
 //!   core's staged records into a `prcc-storage` write-ahead log,
 //!   periodic snapshots that truncate it, and boot-time recovery that
-//!   replays `snapshot + log` through `Core::apply` — deterministically
-//!   rebuilding clocks, stores, event logs and resend windows after a
-//!   crash.
+//!   replays `snapshot + log` through `Core::apply`, rebuilding clocks,
+//!   stores, event logs and resend windows after a crash.
 //! * `drivers` — every socket as a non-blocking `prcc-reactor` driver:
-//!   peer senders that ship what each reactor tick delivered — no flush
-//!   timer — packing each flush into a single multi-partition frame
-//!   (reconnecting with backoff on link loss and
-//!   resending the unacked window), peer receivers, and client
-//!   connections.
+//!   peer senders that ship what each reactor tick delivered (no flush
+//!   timer) as one multi-partition frame, redialing with backoff and
+//!   resending the unacked window; peer receivers; client connections.
 //! * [`node`] — configuration, [`spawn_node`], and the sweep loop: the one
 //!   core thread that feeds messages to `Core::step`, commits the sweep's
 //!   records, and only then releases its effects into the reactor.
@@ -66,6 +64,7 @@ mod drivers;
 mod durable;
 pub mod link;
 pub mod node;
+mod slot;
 mod stage;
 pub mod wire;
 

@@ -1,15 +1,14 @@
 //! Spawning a node: configuration, the handle, and the sweep loop that
-//! drives the sans-I/O [`Core`] against real sockets and a real disk.
+//! drives the sans-I/O `Core` against real sockets and a real disk.
 //!
 //! A node runs on a **fixed thread budget** — `reactor_threads` event-loop
-//! workers carrying every socket (see [`crate::drivers`]) plus one core
-//! thread — independent of how many connections are open. The core thread
+//! workers carrying every socket (see `drivers.rs`) plus one core thread —
+//! independent of how many connections are open. The core thread
 //! serializes all state access through one channel: it feeds each message
-//! to [`Core::step`], and owns the only things the core itself may not
-//! touch — the blocking receive, the WAL commit and sync
-//! ([`crate::durable`]), the snapshot file write, the wall clock, the
-//! release of the sweep's [`Effect`]s into the reactor, and the crash
-//! flight dump.
+//! to `Core::step`, and owns the only things the core itself may not touch
+//! — the blocking receive, the WAL commit and sync (`durable.rs`), the
+//! snapshot file write, the wall clock, the release of the sweep's
+//! `Effect`s into the reactor, and the crash flight dump.
 
 use crate::core::{Core, CoreMsg, CoreTelemetry, Effect, Env, Flow};
 use crate::drivers::{ClientConn, Hub, NetMetrics, PeerCmd, PeerIn, PeerOut};
@@ -161,7 +160,7 @@ impl fmt::Debug for NodeHandle {
 
 impl NodeHandle {
     /// Blocks until the node's core thread exits (a client sent
-    /// [`ClientRequest::Shutdown`], or the node was crashed).
+    /// [`crate::wire::ClientRequest::Shutdown`], or the node was crashed).
     pub fn join(&mut self) {
         if let Some(handle) = self.core.take() {
             let _ = handle.join();
@@ -180,16 +179,10 @@ impl NodeHandle {
     }
 }
 
-/// Spawns a node: a small fixed pool of reactor event-loop threads plus
-/// one core thread. With `cfg.data_dir` set, the node first recovers its
-/// state from `<data_dir>/node-<i>/` (snapshot + WAL replay) and appends
-/// every subsequent state-mutating input before applying it.
-///
-/// All socket I/O — both listeners, every peer link (inbound and
-/// outbound, including redials), every client connection — lives on the
-/// reactor's `cfg.reactor_threads` event-loop workers, so the node's
-/// thread count is `reactor_threads + 1` regardless of how many clients
-/// connect.
+/// Spawns a node: `cfg.reactor_threads` event-loop workers carrying every
+/// socket, plus one core thread. With `cfg.data_dir` set, the node first
+/// recovers its state from `<data_dir>/node-<i>/` (snapshot + WAL replay)
+/// and appends every subsequent state-mutating input before applying it.
 ///
 /// `protocol` must be configured for the partition map's per-partition
 /// share graph; each hosted partition gets an independent replica over

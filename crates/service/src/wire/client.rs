@@ -228,8 +228,8 @@ pub struct NodeStatus {
     pub pending: u64,
     /// Duplicate deliveries dropped.
     pub duplicates_dropped: u64,
-    /// Updates dropped because a peer routed them to a partition this node
-    /// does not host (nonzero only under a routing bug).
+    /// Always 0: a frame routing updates to a partition this node does not
+    /// host is refused whole, and its link closed. Kept for the format.
     pub dropped_misrouted: u64,
     /// Bytes written to peer sockets (frames included).
     pub bytes_out: u64,

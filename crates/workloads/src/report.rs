@@ -3,10 +3,9 @@
 
 use prcc_checker::Verdict;
 use prcc_core::ClusterStats;
-use serde::{Deserialize, Serialize};
 
 /// Outcome of an oracle check, reduced to what reports track.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VerdictSummary {
     /// Whether the run was causally consistent.
     pub consistent: bool,
@@ -28,7 +27,7 @@ impl VerdictSummary {
 }
 
 /// Everything an experiment table needs from one run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunReport {
     /// Protocol name.
     pub protocol: String,

@@ -3,7 +3,7 @@
 //! simulator.
 
 use prcc::baselines::{edge_sets, DummyProtocol};
-use prcc::clock::{CompressedProtocol, EdgeProtocol, VectorProtocol};
+use prcc::clock::{CompressedProtocol, EdgeProtocol};
 use prcc::graph::{topologies, RegisterId, ReplicaId, ShareGraph};
 use prcc::net::UniformDelay;
 use prcc::workloads::{run_workload, WorkloadConfig};
@@ -78,12 +78,6 @@ fn safe_baselines_consistent_everywhere() {
             cfg(3),
         );
         assert!(hoop.consistent(), "hoop-original on {name}");
-        let vector = run_workload(
-            VectorProtocol::new(g.clone()),
-            Box::new(UniformDelay::new(23, 1, 50)),
-            cfg(4),
-        );
-        assert!(vector.consistent(), "vector on {name}");
         let dummies = run_workload(
             DummyProtocol::full_emulation(g.clone()),
             Box::new(UniformDelay::new(29, 1, 50)),
