@@ -1,9 +1,10 @@
 //! Experiment harness: regenerates every figure and quantitative claim of
-//! the paper (see DESIGN.md's experiment index E01–E15).
+//! the paper as experiments E01–E16 (the id table below).
 //!
 //! Each `eXX_*` function returns a plain-text report (the "table" the paper
-//! would print); the `experiments` binary runs them by id or all at once.
-//! EXPERIMENTS.md records the outputs next to the paper's statements.
+//! would print); the `experiments` binary runs them by id or all at once
+//! (`experiments e03`, `experiments all`), and `tests/paper_claims.rs`
+//! runs every one and pins the headline claims.
 
 #![forbid(unsafe_code)]
 

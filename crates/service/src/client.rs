@@ -36,7 +36,8 @@ pub struct ServiceClient {
 }
 
 /// Read-ahead on a client connection: write acks and read replies are a
-/// handful of bytes, a status reply a few hundred.
+/// handful of bytes; a metrics scrape's histograms run to a few KiB and
+/// read past the read-ahead in one more `read`.
 const READ_AHEAD: usize = 1024;
 
 fn protocol_error(what: &str) -> io::Error {
@@ -115,12 +116,10 @@ impl ServiceClient {
         self.read_in(PartitionId(0), x)
     }
 
-    /// Fetches the node's counter snapshot.
+    /// Fetches the node's counters: one [`ServiceClient::metrics`] scrape,
+    /// read through [`NodeStatus::from_metrics`].
     pub fn status(&mut self) -> io::Result<NodeStatus> {
-        match self.round_trip(&ClientRequest::Status)? {
-            ClientResponse::Status(status) => Ok(status),
-            _ => Err(protocol_error("unexpected response to status")),
-        }
+        self.metrics().map(|m| NodeStatus::from_metrics(&m))
     }
 
     /// Fetches the node's local event logs, indexed by partition: per

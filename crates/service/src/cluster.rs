@@ -186,7 +186,8 @@ impl LoopbackCluster {
         )
     }
 
-    /// Snapshot of every node's counters.
+    /// Snapshot of every node's counters (one `Metrics` scrape per node,
+    /// read as a [`NodeStatus`]).
     pub fn statuses(&self) -> io::Result<Vec<NodeStatus>> {
         self.nodes
             .iter()
@@ -314,7 +315,7 @@ impl LoopbackCluster {
             let duplicates: u64 = statuses.iter().map(|s| s.duplicates_dropped).sum();
             let pending: u64 = statuses.iter().map(|s| s.pending).sum();
             let settled = pending == 0 && received.saturating_sub(duplicates) >= sent;
-            // Reactor telemetry moves with this drain's own status polling
+            // Reactor telemetry moves with this drain's own scrapes
             // (every request wakes an event-loop worker), so it must not
             // count against the two-identical-polls stability check.
             let mut normalized = statuses;

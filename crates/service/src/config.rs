@@ -89,7 +89,8 @@ impl Args {
 
     /// Refuses what the other methods would silently skip: an argument
     /// that is neither one of `valued` (flags that take a value) nor one
-    /// of `switches` (flags that take none), a valued flag at the end of
+    /// of `switches` (flags that take none), a flag given twice (the
+    /// others read only its first occurrence), a valued flag at the end of
     /// the list, and a valued flag followed by another `--flag`.
     ///
     /// # Errors
@@ -97,12 +98,17 @@ impl Args {
     /// Names the offending argument.
     pub fn check(&self, valued: &[&str], switches: &[&str]) -> Result<(), String> {
         let mut rest = self.raw.iter().map(String::as_str);
+        let mut seen = Vec::new();
         while let Some(arg) = rest.next() {
+            if !switches.contains(&arg) && !valued.contains(&arg) {
+                return Err(format!("unrecognised argument '{arg}'"));
+            }
+            if seen.contains(&arg) {
+                return Err(format!("{arg} given twice"));
+            }
+            seen.push(arg);
             if switches.contains(&arg) {
                 continue;
-            }
-            if !valued.contains(&arg) {
-                return Err(format!("unrecognised argument '{arg}'"));
             }
             match rest.next() {
                 None => return Err(format!("{arg} needs a value")),
@@ -193,5 +199,11 @@ mod tests {
         refused(&["--data-dir", "--fsync"], "'--fsync'");
         // A switch is not a value-taker: its "value" is a stray argument.
         refused(&["--fsync", "1"], "'1'");
+        // A repeated flag or switch: the second occurrence would be ignored.
+        refused(&["--nodes", "4", "--nodes", "8"], "--nodes given twice");
+        refused(
+            &["--fsync", "--data-dir", "d", "--fsync"],
+            "--fsync given twice",
+        );
     }
 }

@@ -37,8 +37,9 @@
 //!
 //! # Telemetry
 //!
-//! The core mirrors its state into `core_*`/`trace_*` gauges on a scrape,
-//! and the stage histograms (`wire_us`, `pending_stall_us`,
+//! The core mirrors its state into `core_*`/`trace_*` gauges on a scrape
+//! (its half of the [`NodeStatus`](crate::NodeStatus) schema), and the
+//! stage histograms (`wire_us`, `pending_stall_us`,
 //! `visibility_us`, `ack_us`, `seal_us`) time 1-in-N sampled updates. A
 //! sampled write carries its issue stamp in `issued_at` over the live wire
 //! only (the durable codecs drop it, keeping recovery byte-deterministic),
@@ -46,10 +47,12 @@
 //! ring keeps recent events for the driver's crash dump.
 
 use crate::link::PeerLink;
-use crate::node::ServiceConfig;
+use crate::node::{ServiceConfig, FLIGHT_EVENTS};
 use crate::slot::{admit, PartitionSlot};
 use crate::stage::Stage;
-use crate::wire::{FlushSections, NodeStatus, PartitionCounters, WIRE_SEQ_BITS, WIRE_SEQ_MASK};
+use crate::wire::{
+    partition_metric_names, FlushSections, PartitionCounters, WIRE_SEQ_BITS, WIRE_SEQ_MASK,
+};
 use prcc_checker::trace::TraceEvent;
 use prcc_checker::{CutSnapshot, TraceCheckpoint};
 use prcc_clock::{Protocol, WireClock};
@@ -153,7 +156,6 @@ pub(crate) enum CoreMsg<C> {
     PeerMarker {
         token: u64,
     },
-    Status(ConnId),
     Trace(ConnId),
     /// A live metrics scrape: mirror core state into the registry's gauges.
     Metrics(ConnId),
@@ -182,9 +184,6 @@ pub(crate) enum Effect<C> {
     JoinReply(ConnId, u64),
     /// The resume window for a reconnected outbound link.
     ResumeReply(ConnId, Vec<Sequenced<C>>),
-    /// The core's counters; the driver fills in the socket, reactor and
-    /// WAL fields only it can see.
-    Status(ConnId, Box<NodeStatus>),
     Trace(ConnId, Vec<(TraceCheckpoint, Vec<TraceEvent>)>),
     /// Core gauges are mirrored; the driver adds its own and replies with
     /// the registry snapshot.
@@ -287,7 +286,7 @@ impl CoreTelemetry {
     pub(crate) fn new(registry: Arc<Registry>, cfg: &ServiceConfig) -> Self {
         CoreTelemetry {
             sampler: Sampler::new(cfg.sample_every),
-            flight: FlightRecorder::new(cfg.flight_events),
+            flight: FlightRecorder::new(FLIGHT_EVENTS),
             wal_append_us: registry.histogram("wal_append_us"),
             wire_us: registry.histogram("wire_us"),
             visibility_us: registry.histogram("visibility_us"),
@@ -556,10 +555,6 @@ impl<P: Protocol> Core<P> {
             }
             CoreMsg::PeerMarker { token } => {
                 self.sight_cut(env.map, token, "cut_marker", now, out);
-            }
-            CoreMsg::Status(conn) => {
-                // lint: allow(alloc) status scrape is the cold admin path
-                out.push(Effect::Status(conn, Box::new(self.status())));
             }
             CoreMsg::Trace(conn) => out.push(Effect::Trace(conn, self.traces())),
             CoreMsg::Metrics(conn) => {
@@ -872,50 +867,42 @@ impl<P: Protocol> Core<P> {
         }
     }
 
-    /// The core's own counters; socket, reactor and WAL fields stay zero
-    /// for the driver to fill in.
-    fn status(&self) -> NodeStatus {
-        let hosted = || self.slots();
-        let links = || self.links.iter();
-        NodeStatus {
-            node: self.node as u64,
-            issued: hosted().map(|s| s.counters().issued).sum(),
-            messages_sent: self.sent,
-            messages_received: self.received,
-            applies: hosted().map(|s| s.counters().applies).sum(),
-            pending: hosted().map(|s| s.counters().pending).sum(),
-            duplicates_dropped: self.duplicates_dropped,
-            trace_events: hosted().map(PartitionSlot::live_events).sum(),
-            sealed_events: hosted().map(|s| s.digest().1).sum(),
-            max_window: links().map(PeerLink::max_window).max().unwrap_or(0),
-            window_evicted: links().map(PeerLink::evicted).sum(),
-            per_partition: self
-                .partitions
-                .iter()
-                .map(|slot| {
-                    slot.as_ref()
-                        .map_or_else(PartitionCounters::default, PartitionSlot::counters)
-                })
-                .collect(),
-            ..NodeStatus::default()
-        }
-    }
-
     /// Mirrors the core's logical state into the registry's gauges, so a
-    /// metrics snapshot taken right after reflects this instant. Cold
-    /// path: runs only per scrape.
+    /// metrics snapshot taken right after reflects this instant: the
+    /// totals, and the per-partition triples for every partition of the
+    /// map (zero where not hosted). Cold path: runs only per scrape.
     fn mirror_gauges(&self) {
-        let status = self.status();
         let r = &self.tel.registry;
-        r.gauge("core_issued").set(status.issued);
-        r.gauge("core_applies").set(status.applies);
-        r.gauge("core_pending").set(status.pending);
+        let mut total = PartitionCounters::default();
+        for (p, slot) in self.partitions.iter().enumerate() {
+            let c = slot
+                .as_ref()
+                .map_or_else(Default::default, PartitionSlot::counters);
+            let [issued, applies, pending] = partition_metric_names(p);
+            r.gauge(&issued).set(c.issued);
+            r.gauge(&applies).set(c.applies);
+            r.gauge(&pending).set(c.pending);
+            total.issued += c.issued;
+            total.applies += c.applies;
+            total.pending += c.pending;
+        }
+        let links = || self.links.iter();
+        r.gauge("node").set(self.node as u64);
+        r.gauge("core_issued").set(total.issued);
+        r.gauge("core_sent").set(self.sent);
+        r.gauge("core_received").set(self.received);
+        r.gauge("core_applies").set(total.applies);
+        r.gauge("core_pending").set(total.pending);
         r.gauge("core_duplicates_dropped")
-            .set(status.duplicates_dropped);
-        r.gauge("core_max_window").set(status.max_window);
-        r.gauge("core_window_evicted").set(status.window_evicted);
-        r.gauge("trace_events_live").set(status.trace_events);
-        r.gauge("trace_events_sealed").set(status.sealed_events);
+            .set(self.duplicates_dropped);
+        r.gauge("core_max_window")
+            .set(links().map(PeerLink::max_window).max().unwrap_or(0));
+        r.gauge("core_window_evicted")
+            .set(links().map(PeerLink::evicted).sum());
+        r.gauge("trace_events_live")
+            .set(self.slots().map(PartitionSlot::live_events).sum());
+        r.gauge("trace_events_sealed")
+            .set(self.slots().map(|s| s.digest().1).sum());
     }
 
     fn traces(&self) -> Vec<(TraceCheckpoint, Vec<TraceEvent>)> {
@@ -936,8 +923,15 @@ impl<P: Protocol> Core<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::NodeStatus;
     use prcc_clock::{EdgeClock, EdgeProtocol};
     use prcc_graph::topologies;
+
+    /// The core's counters as a scrape reads them.
+    fn scraped(core: &Core<EdgeProtocol>) -> NodeStatus {
+        core.mirror_gauges();
+        NodeStatus::from_metrics(&core.tel.registry.snapshot())
+    }
 
     fn ring_core(
         node: usize,
@@ -1024,7 +1018,7 @@ mod tests {
         let (peer, first_seq, partition, _) = remote_write(&protocol, &map, &mut core);
         let (_, second_seq, _, _) = remote_write(&protocol, &map, &mut core);
         assert_eq!((first_seq, second_seq), (1, 2), "cap 1 evicts the first");
-        assert_eq!(core.status().window_evicted, 1);
+        assert_eq!(scraped(&core).window_evicted, 1);
 
         assert_eq!(
             core.plan_seal(1),
@@ -1173,7 +1167,7 @@ mod tests {
         };
         core.step(&env, honest, &|| 0, Some(&mut stage), &mut Vec::new())
             .expect("step");
-        assert_eq!((stage.appends, core.status().applies), (1, 1));
+        assert_eq!((stage.appends, scraped(&core).applies), (1, 1));
     }
 
     /// The same rule guards the mutation path replay uses: a receipt
@@ -1197,7 +1191,7 @@ mod tests {
             .apply(&env, receipt, &|| 0, None, &mut Vec::new())
             .expect_err("a forged receipt applied");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert_eq!(core.status().messages_received, 0);
+        assert_eq!(scraped(&core).messages_received, 0);
     }
 
     /// The seam, socket-free: a write steps through one core, its send
@@ -1257,7 +1251,7 @@ mod tests {
             neighbour
                 .step(&env, updates, now, None, &mut neighbour_out)
                 .expect("step");
-            let status = neighbour.status();
+            let status = scraped(&neighbour);
             assert_eq!(
                 (status.applies, status.pending),
                 (1, 0),

@@ -648,7 +648,6 @@ impl<C: WireClock> Driver for ClientConn<C> {
                 register,
                 conn,
             },
-            ClientRequest::Status => CoreMsg::Status(conn),
             ClientRequest::Trace => CoreMsg::Trace(conn),
             ClientRequest::Metrics => CoreMsg::Metrics(conn),
             ClientRequest::Cut { token, start } => CoreMsg::Cut { token, start, conn },

@@ -15,7 +15,7 @@
 //! transitions of its own.
 
 use crate::core::{Core, CoreTelemetry, Env};
-use crate::node::ServiceConfig;
+use crate::node::{ServiceConfig, WINDOW_CAP};
 use crate::stage::Stage;
 use prcc_clock::{Protocol, WireClock};
 use prcc_graph::PartitionMap;
@@ -76,22 +76,16 @@ impl Durable {
         Ok(())
     }
 
-    /// Fills the WAL and snapshot fields of a status reply.
-    pub(crate) fn fill_status(&self, status: &mut crate::wire::NodeStatus) {
-        status.wal_appends = self.stage.appends;
-        status.snapshots_written = self.snapshots_written;
-        status.wal_bytes = self.wal.bytes();
-        status.snapshot_bytes = self.snapshot_bytes;
-        status.first_snapshot_bytes = self.first_snapshot_bytes;
-    }
-
-    /// Mirrors the durability counters into the registry's gauges.
+    /// Mirrors the durability counters into the registry's gauges (a
+    /// volatile node has none of them, and a scrape reads them as 0).
     pub(crate) fn mirror_gauges(&self, r: &Registry) {
         r.gauge("wal_appends").set(self.stage.appends);
         r.gauge("wal_writes").set(self.wal_writes);
         r.gauge("wal_bytes").set(self.wal.bytes());
         r.gauge("snapshots_written").set(self.snapshots_written);
         r.gauge("snapshot_bytes").set(self.snapshot_bytes);
+        r.gauge("first_snapshot_bytes")
+            .set(self.first_snapshot_bytes);
     }
 
     /// Where the crash flight dump goes: next to the node's WAL, so a
@@ -218,11 +212,11 @@ where
             })?;
             let high = snap.wal_high;
             (
-                Core::from_snapshot(protocol, map, node, cfg.window_cap, snap, tel)?,
+                Core::from_snapshot(protocol, map, node, WINDOW_CAP, snap, tel)?,
                 high,
             )
         }
-        None => (Core::new(protocol, map, node, cfg.window_cap, tel), 0),
+        None => (Core::new(protocol, map, node, WINDOW_CAP, tel), 0),
     };
     // The whole-file image lives in a pooled lease: replay decodes records
     // as borrowed spans of it instead of one `Vec` per record, and the

@@ -5,14 +5,16 @@
 //! crate takes the same generic [`prcc_clock::Protocol`] replicas across
 //! real sockets, as layers composed around one sans-I/O state machine:
 //!
-//! * [`wire`] — the length-prefixed binary wire protocol (version 11):
+//! * [`wire`] — the length-prefixed binary wire protocol (version 12):
 //!   `wire/peer.rs` has the versioned handshake (carrying the serialized
 //!   [`prcc_graph::PartitionMap`], answered with the link's acknowledged
 //!   resume offset), multi-partition flush frames (a `(partition, [(link
 //!   seq, update)])` section per partition present, ids without the
 //!   sender's node bits, per-update issue stamps), streamed acks and
 //!   consistent-cut markers; `wire/client.rs` the partition-addressed
-//!   client API and version-stamped `Status`/`Metrics`/`Cut` responses.
+//!   client API and version-stamped `Metrics`/`Cut` responses. A node's
+//!   counters have one surface, its metric registry: [`NodeStatus`] is the
+//!   typed read of a `Metrics` scrape.
 //! * [`link`] — the reliable link, sans I/O and sans replica:
 //!   [`link::PeerLink`] sequences outbound updates into a capped resend
 //!   window, refuses acknowledgements for what it never sent, and hands
@@ -49,7 +51,7 @@
 //! build environment has no tokio, so sockets are multiplexed onto a fixed
 //! pool of epoll event-loop threads via the dependency-free `compat/mio`
 //! shim and the `prcc-reactor` driver runtime. A node's thread count is a
-//! configuration constant (`reactor_threads` workers plus the core loop),
+//! constant (`REACTOR_THREADS` workers plus the core loop),
 //! independent of how many peers or clients are connected, while the core
 //! keeps identical semantics: a run-to-completion loop fed by channels.
 

@@ -1,7 +1,7 @@
 //! Spawning a node: configuration, the handle, and the sweep loop that
 //! drives the sans-I/O `Core` against real sockets and a real disk.
 //!
-//! A node runs on a **fixed thread budget** — `reactor_threads` event-loop
+//! A node runs on a **fixed thread budget** — `REACTOR_THREADS` event-loop
 //! workers carrying every socket (see `drivers.rs`) plus one core thread —
 //! independent of how many connections are open. The core thread
 //! serializes all state access through one channel: it feeds each message
@@ -34,6 +34,25 @@ use std::time::Duration;
 /// any one reply can be held back and the staged-batch memory of a
 /// flooded node; an idle node commits after every single message.
 const SWEEP_MAX: usize = 256;
+
+/// Hard cap on a per-peer resend window: a peer stranded past this many
+/// unacknowledged updates has its oldest entries evicted (counted in
+/// `NodeStatus::window_evicted`) instead of growing without bound.
+/// Eviction gives up on delivering those updates to that peer — its
+/// receive watermark will hold a permanent gap, so the link cannot heal by
+/// resend; restoring the peer takes a full state transfer (today:
+/// operator-driven, from a surviving holder's data) — a bounded node
+/// cannot replay unbounded absence.
+pub(crate) const WINDOW_CAP: usize = 1 << 16;
+
+/// Flight-recorder capacity: how many recent core events the in-memory
+/// ring retains for the crash dump.
+pub(crate) const FLIGHT_EVENTS: usize = 1024;
+
+/// Event-loop worker threads driving every socket of a node (peer links,
+/// inbound peers, clients). The node's total thread count is
+/// `REACTOR_THREADS + 1` (the core), independent of connection count.
+const REACTOR_THREADS: usize = 2;
 
 /// Tuning knobs of a node deployment.
 #[derive(Debug, Clone)]
@@ -73,32 +92,16 @@ pub struct ServiceConfig {
     /// discards it; 0 = compact only when a snapshot is written. Keeps
     /// in-memory trace logs (and therefore snapshots) O(live state).
     pub trace_compact_at: usize,
-    /// Hard cap on a per-peer resend window: a peer stranded past this
-    /// many unacknowledged updates has its oldest entries evicted (counted
-    /// in `NodeStatus::window_evicted`) instead of growing without bound.
-    /// Eviction gives up on delivering those updates to that peer — its
-    /// receive watermark will hold a permanent gap, so the link cannot
-    /// heal by resend; restoring the peer takes a full state transfer
-    /// (today: operator-driven, from a surviving holder's data) — a
-    /// bounded node cannot replay unbounded absence.
-    pub window_cap: usize,
     /// Update-lifecycle tracing period: 1 in `sample_every` issued updates
     /// carries a wall-clock issue stamp across the wire, feeding the
     /// per-stage latency histograms at every node it touches. 0 disables
     /// tracing entirely, 1 stamps every update. The unsampled hot path
     /// pays no clock reads.
     pub sample_every: u64,
-    /// Flight-recorder capacity: how many recent core events the in-memory
-    /// ring retains for the crash dump. 0 disables the recorder.
-    pub flight_events: usize,
-    /// Event-loop worker threads driving every socket of this node (peer
-    /// links, inbound peers, clients). The node's total thread count is
-    /// `reactor_threads + 1` (the core), independent of connection count.
-    pub reactor_threads: usize,
     /// Per-connection outbound queue bound in bytes — the backpressure
     /// contract: a connection whose unflushed output exceeds this is torn
     /// down loudly instead of buffering without bound. Must comfortably
-    /// hold a full resend window (`window_cap` updates) for peer links.
+    /// hold a full resend window (`WINDOW_CAP` updates) for peer links.
     pub outbound_queue_bytes: usize,
 }
 
@@ -113,10 +116,7 @@ impl Default for ServiceConfig {
             ack_every: 32,
             fsync_every: 0,
             trace_compact_at: 1024,
-            window_cap: 1 << 16,
             sample_every: 16,
-            flight_events: 1024,
-            reactor_threads: 2,
             outbound_queue_bytes: 16 << 20,
         }
     }
@@ -179,7 +179,7 @@ impl NodeHandle {
     }
 }
 
-/// Spawns a node: `cfg.reactor_threads` event-loop workers carrying every
+/// Spawns a node: `REACTOR_THREADS` event-loop workers carrying every
 /// socket, plus one core thread. With `cfg.data_dir` set, the node first
 /// recovers its state from `<data_dir>/node-<i>/` (snapshot + WAL replay)
 /// and appends every subsequent state-mutating input before applying it.
@@ -237,7 +237,7 @@ where
             let (core, durable) = recover(&*protocol, &map, node, dir, &cfg, tel, &pool)?;
             (core, Some(durable))
         }
-        None => (Core::new(&*protocol, &map, node, cfg.window_cap, tel), None),
+        None => (Core::new(&*protocol, &map, node, WINDOW_CAP, tel), None),
     };
 
     let (core_tx, core_rx) = mpsc::channel::<CoreMsg<P::Clock>>();
@@ -252,7 +252,7 @@ where
     // peers, clients) are removed when they die.
     let reactor = Reactor::new(
         &format!("prcc-{node}"),
-        cfg.reactor_threads,
+        REACTOR_THREADS,
         cfg.outbound_queue_bytes,
         pool.clone(),
         &registry,
@@ -561,31 +561,11 @@ where
             // lint: allow(alloc) one boxed command per reconnect
             io.handle.command(conn, Box::new(PeerCmd::Resume(window)));
         }
-        Effect::Status(conn, mut status) => {
-            // Fold in what only the driver can see: the durability
-            // sidecar, the shared socket counters, and the reactor's own
-            // telemetry.
-            if let Some(d) = durable {
-                d.fill_status(&mut status);
-            }
-            status.bytes_out = io.counters.bytes_out.get();
-            status.bytes_in = io.counters.bytes_in.get();
-            status.batches_sent = io.counters.batches_sent.get();
-            status.frames_sent = io.counters.frames_sent.get();
-            status.flushes = io.counters.flushes.get();
-            status.resent = io.counters.resent.get();
-            let rm = io.handle.metrics();
-            status.reactor_wakeups = rm.wakeups.get();
-            status.reactor_events = rm.events.get();
-            status.reactor_rearms = rm.rearms.get();
-            status.reactor_outq_hiwat = rm.outq_hiwat.get();
-            io.respond(conn, &ClientResponse::Status(*status));
-        }
         Effect::Trace(conn, traces) => io.respond(conn, &ClientResponse::Trace(traces)),
         Effect::Metrics(conn) => {
-            // Gauges mirror authoritative state at scrape time; counters
-            // and histograms are already live in the registry the reactor
-            // workers share.
+            // The core mirrored its gauges when the scrape arrived, this
+            // adds the WAL's; counters and histograms are already live in
+            // the registry the reactor workers share.
             if let Some(d) = durable {
                 d.mirror_gauges(&core.tel.registry);
             }

@@ -1,16 +1,19 @@
-//! Client frames: the request/response API, the [`NodeStatus`] counter
-//! snapshot, and the consistent-cut snapshot a `Cut` response carries.
+//! Client frames: the request/response API, the consistent-cut snapshot a
+//! `Cut` response carries, and [`NodeStatus`] — the typed read of a
+//! `Metrics` scrape.
 
 use super::{
     bad_data, decode_partition_map, encode_partition_map, TAG_BYE, TAG_CONFIG, TAG_CONFIG_RESP,
     TAG_CUT, TAG_CUT_RESP, TAG_METRICS, TAG_METRICS_RESP, TAG_READ, TAG_READ_RESP, TAG_SHUTDOWN,
-    TAG_STATUS, TAG_STATUS_RESP, TAG_TRACE, TAG_TRACE_RESP, TAG_WRITE, TAG_WRITE_ACK, WIRE_VERSION,
+    TAG_TRACE, TAG_TRACE_RESP, TAG_WRITE, TAG_WRITE_ACK, WIRE_VERSION,
 };
 use prcc_checker::trace::TraceEvent;
 use prcc_checker::{CutSnapshot, PartitionCut, TraceCheckpoint};
 use prcc_clock::encoding::{read_varint_at as get_varint, write_varint};
-use prcc_graph::{PartitionId, PartitionMap, RegisterId, ReplicaId};
-use prcc_storage::{decode_trace_checkpoint, encode_trace_checkpoint};
+use prcc_graph::{PartitionId, PartitionMap, RegisterId};
+use prcc_storage::{
+    decode_trace_checkpoint, decode_trace_event, encode_trace_checkpoint, encode_trace_event,
+};
 use prcc_telemetry::MetricsSnapshot;
 use std::io;
 
@@ -89,8 +92,6 @@ pub enum ClientRequest {
         /// Register to read.
         register: RegisterId,
     },
-    /// Counters snapshot.
-    Status,
     /// The node's local event logs, grouped by partition.
     Trace,
     /// The node's sharding configuration (version + partition map), for
@@ -140,7 +141,6 @@ pub fn encode_request_into(req: &ClientRequest, out: &mut Vec<u8>) {
             write_varint(out, u64::from(partition.0));
             write_varint(out, u64::from(register.0));
         }
-        ClientRequest::Status => out.push(TAG_STATUS),
         ClientRequest::Trace => out.push(TAG_TRACE),
         ClientRequest::Config => out.push(TAG_CONFIG),
         ClientRequest::Metrics => out.push(TAG_METRICS),
@@ -185,7 +185,6 @@ pub fn decode_request(payload: &[u8]) -> io::Result<ClientRequest> {
                 register: RegisterId(register),
             })
         }
-        Some(&TAG_STATUS) => Ok(ClientRequest::Status),
         Some(&TAG_TRACE) => Ok(ClientRequest::Trace),
         Some(&TAG_CONFIG) => Ok(ClientRequest::Config),
         Some(&TAG_METRICS) => Ok(ClientRequest::Metrics),
@@ -211,7 +210,11 @@ pub struct PartitionCounters {
     pub pending: u64,
 }
 
-/// A node's counter snapshot, returned by [`ClientRequest::Status`].
+/// A node's counters, as one typed read of its [`MetricsSnapshot`]: every
+/// scalar field is one registry counter or gauge ([`NodeStatus::metric_names`]
+/// lists them beside the fields they fill), and `per_partition` is the
+/// [`partition_metric_names`] gauges. [`NodeStatus::from_metrics`] is the
+/// only constructor.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NodeStatus {
     /// The reporting node.
@@ -228,43 +231,28 @@ pub struct NodeStatus {
     pub pending: u64,
     /// Duplicate deliveries dropped.
     pub duplicates_dropped: u64,
-    /// Always 0: a frame routing updates to a partition this node does not
-    /// host is refused whole, and its link closed. Kept for the format.
-    pub dropped_misrouted: u64,
     /// Bytes written to peer sockets (frames included).
     pub bytes_out: u64,
     /// Bytes read from peer sockets (frames included).
     pub bytes_in: u64,
-    /// Per-partition update runs shipped to peers (one run per partition
-    /// present in a flush — the v2 "batch" unit, kept so `updates_per_batch`
-    /// stays comparable across versions).
+    /// Per-partition update runs shipped (one per partition in a flush).
     pub batches_sent: u64,
-    /// Peer update frames written. With v3 multi-partition framing every
-    /// flush is one frame, so `frames_sent <= batches_sent`; the gap is the
-    /// framing overhead v3 amortizes away.
+    /// Peer update frames written: one per flush, so `<= batches_sent`.
     pub frames_sent: u64,
-    /// Sender flush cycles, counted when a drained batch exists — before
-    /// (and independently of) the frame write succeeding, so
-    /// frames-per-flush stays an honest ratio of two separately
-    /// instrumented events.
+    /// Sender flush cycles, counted apart from the frame write, so frames
+    /// per flush is a ratio of two separately instrumented events.
     pub flushes: u64,
-    /// Update copies resent from the durable window after a reconnect
-    /// (zero on a healthy link).
+    /// Update copies resent from the window after a reconnect.
     pub resent: u64,
-    /// WAL records appended since this process started (0 when running
-    /// without a data dir).
+    /// WAL records appended since this process started.
     pub wal_appends: u64,
     /// Snapshots written since this process started.
     pub snapshots_written: u64,
-    /// Current WAL size in bytes (0 without a data dir). Bounded by the
-    /// snapshot cadence: every snapshot truncates the log.
+    /// Current WAL size in bytes; every snapshot truncates the log.
     pub wal_bytes: u64,
-    /// Payload size of the most recent snapshot in bytes. With
-    /// checkpointed trace compaction this stays O(live state) — flat over
-    /// the run length, which the load harness gates on.
+    /// Payload size of the most recent snapshot: O(live state).
     pub snapshot_bytes: u64,
-    /// Payload size of the first snapshot this process wrote (the baseline
-    /// for the flat-snapshot regression gate).
+    /// Payload size of the first snapshot this process wrote.
     pub first_snapshot_bytes: u64,
     /// Live (uncompacted) trace events across hosted partitions.
     pub trace_events: u64,
@@ -272,88 +260,87 @@ pub struct NodeStatus {
     pub sealed_events: u64,
     /// Largest per-peer resend window observed since this process started.
     pub max_window: u64,
-    /// Window entries evicted by the per-peer cap (nonzero only when a
-    /// peer was stranded past `window_cap` unacknowledged updates).
+    /// Window entries evicted by the per-peer cap (a stranded peer).
     pub window_evicted: u64,
-    /// Reactor worker wakeups (epoll_wait returns) since start (v8).
+    /// Reactor worker wakeups (epoll_wait returns).
     pub reactor_wakeups: u64,
-    /// Readiness events delivered across all wakeups (v8);
-    /// `reactor_events / reactor_wakeups` is the batching ratio.
+    /// Readiness events delivered across all wakeups.
     pub reactor_events: u64,
-    /// Interest re-arms after a partial (`WouldBlock`) flush (v8) — each
-    /// is a write the event loop parked instead of blocking a thread on.
+    /// Write-interest re-arms after a partial (`WouldBlock`) flush.
     pub reactor_rearms: u64,
-    /// High-water mark of any single connection's outbound queue in bytes
-    /// (v8); the backpressure bound caps this.
+    /// Largest outbound queue of any one connection, in bytes.
     pub reactor_outq_hiwat: u64,
     /// Counters broken out per partition, indexed by partition id.
     pub per_partition: Vec<PartitionCounters>,
 }
 
+/// Where a scalar [`NodeStatus`] field lives in the node's registry.
+type Field = fn(&mut NodeStatus) -> &mut u64;
+
+/// The registry schema of [`NodeStatus`]: each scalar field beside the one
+/// counter or gauge that holds it.
+const SCHEMA: [(&str, Field); 26] = [
+    ("node", |s| &mut s.node),
+    ("core_issued", |s| &mut s.issued),
+    ("core_sent", |s| &mut s.messages_sent),
+    ("core_received", |s| &mut s.messages_received),
+    ("core_applies", |s| &mut s.applies),
+    ("core_pending", |s| &mut s.pending),
+    ("core_duplicates_dropped", |s| &mut s.duplicates_dropped),
+    ("net_bytes_out", |s| &mut s.bytes_out),
+    ("net_bytes_in", |s| &mut s.bytes_in),
+    ("net_batches_sent", |s| &mut s.batches_sent),
+    ("net_frames_sent", |s| &mut s.frames_sent),
+    ("net_flushes", |s| &mut s.flushes),
+    ("net_resent", |s| &mut s.resent),
+    ("wal_appends", |s| &mut s.wal_appends),
+    ("snapshots_written", |s| &mut s.snapshots_written),
+    ("wal_bytes", |s| &mut s.wal_bytes),
+    ("snapshot_bytes", |s| &mut s.snapshot_bytes),
+    ("first_snapshot_bytes", |s| &mut s.first_snapshot_bytes),
+    ("trace_events_live", |s| &mut s.trace_events),
+    ("trace_events_sealed", |s| &mut s.sealed_events),
+    ("core_max_window", |s| &mut s.max_window),
+    ("core_window_evicted", |s| &mut s.window_evicted),
+    ("reactor_wakeups", |s| &mut s.reactor_wakeups),
+    ("reactor_events", |s| &mut s.reactor_events),
+    ("reactor_rearms", |s| &mut s.reactor_rearms),
+    ("reactor_outq_hiwat", |s| &mut s.reactor_outq_hiwat),
+];
+
+/// Registry names of partition `p`'s `(issued, applies, pending)` gauges,
+/// written for every partition of the map (0 where `p` is not hosted).
+pub fn partition_metric_names(p: usize) -> [String; 3] {
+    ["issued", "applies", "pending"].map(|what| format!("core_{what}_p{p}"))
+}
+
 impl NodeStatus {
-    fn fields(&self) -> [u64; 27] {
-        [
-            self.node,
-            self.issued,
-            self.messages_sent,
-            self.messages_received,
-            self.applies,
-            self.pending,
-            self.duplicates_dropped,
-            self.dropped_misrouted,
-            self.bytes_out,
-            self.bytes_in,
-            self.batches_sent,
-            self.frames_sent,
-            self.flushes,
-            self.resent,
-            self.wal_appends,
-            self.snapshots_written,
-            self.wal_bytes,
-            self.snapshot_bytes,
-            self.first_snapshot_bytes,
-            self.trace_events,
-            self.sealed_events,
-            self.max_window,
-            self.window_evicted,
-            self.reactor_wakeups,
-            self.reactor_events,
-            self.reactor_rearms,
-            self.reactor_outq_hiwat,
-        ]
+    /// Reads a node's status out of its metrics scrape. A metric the scrape
+    /// lacks reads as 0 — the WAL and snapshot gauges of a volatile node. A
+    /// scrape from another wire version never gets here: the `Metrics`
+    /// response is version-stamped.
+    pub fn from_metrics(metrics: &MetricsSnapshot) -> Self {
+        let read = |name: &str| metrics.counter(name).or(metrics.gauge(name)).unwrap_or(0);
+        let mut status = NodeStatus::default();
+        for (name, field) in SCHEMA {
+            *field(&mut status) = read(name);
+        }
+        status.per_partition = (0..)
+            .map_while(|p| {
+                let [issued, applies, pending] = partition_metric_names(p);
+                Some(PartitionCounters {
+                    issued: metrics.gauge(&issued)?,
+                    applies: read(&applies),
+                    pending: read(&pending),
+                })
+            })
+            .collect();
+        status
     }
 
-    fn from_fields(f: [u64; 27]) -> Self {
-        NodeStatus {
-            node: f[0],
-            issued: f[1],
-            messages_sent: f[2],
-            messages_received: f[3],
-            applies: f[4],
-            pending: f[5],
-            duplicates_dropped: f[6],
-            dropped_misrouted: f[7],
-            bytes_out: f[8],
-            bytes_in: f[9],
-            batches_sent: f[10],
-            frames_sent: f[11],
-            flushes: f[12],
-            resent: f[13],
-            wal_appends: f[14],
-            snapshots_written: f[15],
-            wal_bytes: f[16],
-            snapshot_bytes: f[17],
-            first_snapshot_bytes: f[18],
-            trace_events: f[19],
-            sealed_events: f[20],
-            max_window: f[21],
-            window_evicted: f[22],
-            reactor_wakeups: f[23],
-            reactor_events: f[24],
-            reactor_rearms: f[25],
-            reactor_outq_hiwat: f[26],
-            per_partition: Vec::new(),
-        }
+    /// The registry name behind every scalar field, in field order.
+    pub fn metric_names() -> impl Iterator<Item = &'static str> {
+        SCHEMA.iter().map(|&(name, _)| name)
     }
 }
 
@@ -373,8 +360,6 @@ pub enum ClientResponse {
         /// The value, if any write has reached this node.
         value: Option<u64>,
     },
-    /// Counter snapshot.
-    Status(NodeStatus),
     /// The node's local event logs, indexed by partition id: per
     /// partition, the sealed-prefix checkpoint summary plus the live
     /// suffix (v5 — a compacting node no longer retains full history).
@@ -406,24 +391,6 @@ pub fn encode_response_into(resp: &ClientResponse, out: &mut Vec<u8>) {
             out.extend_from_slice(&[TAG_READ_RESP, u8::from(*ok), u8::from(value.is_some())]);
             write_varint(out, value.unwrap_or(0));
         }
-        ClientResponse::Status(status) => {
-            // The status field set changes across wire versions (v3 added
-            // frames_sent/flushes/dropped_misrouted, v4 added
-            // resent/wal_appends/snapshots_written), so the payload opens
-            // with the version: a client built against another version
-            // fails loudly instead of misparsing shifted varints.
-            out.push(TAG_STATUS_RESP);
-            write_varint(out, WIRE_VERSION);
-            for v in status.fields() {
-                write_varint(out, v);
-            }
-            write_varint(out, status.per_partition.len() as u64);
-            for pc in &status.per_partition {
-                write_varint(out, pc.issued);
-                write_varint(out, pc.applies);
-                write_varint(out, pc.pending);
-            }
-        }
         ClientResponse::Trace(partitions) => {
             out.push(TAG_TRACE_RESP);
             write_varint(out, partitions.len() as u64);
@@ -431,23 +398,7 @@ pub fn encode_response_into(resp: &ClientResponse, out: &mut Vec<u8>) {
                 encode_trace_checkpoint(checkpoint, out);
                 write_varint(out, events.len() as u64);
                 for event in events {
-                    match *event {
-                        TraceEvent::Issue {
-                            replica,
-                            register,
-                            update,
-                        } => {
-                            out.push(0);
-                            write_varint(out, replica.index() as u64);
-                            write_varint(out, u64::from(register.0));
-                            write_varint(out, update);
-                        }
-                        TraceEvent::Apply { replica, update } => {
-                            out.push(1);
-                            write_varint(out, replica.index() as u64);
-                            write_varint(out, update);
-                        }
-                    }
+                    encode_trace_event(event, out);
                 }
             }
         }
@@ -457,9 +408,10 @@ pub fn encode_response_into(resp: &ClientResponse, out: &mut Vec<u8>) {
             encode_partition_map(map, out);
         }
         ClientResponse::Metrics(snapshot) => {
-            // Version-stamped like Status: metric names and histogram
-            // bucketing are a per-version contract, so a cross-version
-            // scrape fails loudly instead of merging incompatible data.
+            // Version-stamped: metric names (the `NodeStatus` schema
+            // among them) and histogram bucketing are a per-version
+            // contract, so a cross-version scrape fails loudly instead of
+            // being read under the wrong names.
             out.push(TAG_METRICS_RESP);
             write_varint(out, WIRE_VERSION);
             snapshot.encode(out);
@@ -494,30 +446,6 @@ pub fn decode_response(payload: &[u8]) -> io::Result<ClientResponse> {
                 value: present.then_some(value),
             })
         }
-        Some(&TAG_STATUS_RESP) => {
-            let version = get_varint(payload, &mut at)?;
-            if version != WIRE_VERSION {
-                return Err(bad_data(&format!(
-                    "status response version mismatch: node speaks v{version}, \
-                     this client v{WIRE_VERSION}"
-                )));
-            }
-            let mut fields = [0u64; 27];
-            for f in &mut fields {
-                *f = get_varint(payload, &mut at)?;
-            }
-            let mut status = NodeStatus::from_fields(fields);
-            let parts = get_varint(payload, &mut at)? as usize;
-            status.per_partition = Vec::with_capacity(parts.min(1 << 20));
-            for _ in 0..parts {
-                status.per_partition.push(PartitionCounters {
-                    issued: get_varint(payload, &mut at)?,
-                    applies: get_varint(payload, &mut at)?,
-                    pending: get_varint(payload, &mut at)?,
-                });
-            }
-            Ok(ClientResponse::Status(status))
-        }
         Some(&TAG_TRACE_RESP) => {
             let parts = get_varint(payload, &mut at)? as usize;
             let mut partitions = Vec::with_capacity(parts.min(1 << 20));
@@ -526,27 +454,7 @@ pub fn decode_response(payload: &[u8]) -> io::Result<ClientResponse> {
                 let count = get_varint(payload, &mut at)? as usize;
                 let mut events = Vec::with_capacity(count.min(1 << 20));
                 for _ in 0..count {
-                    let kind = *payload.get(at).ok_or_else(|| bad_data("event kind"))?;
-                    at += 1;
-                    let replica = ReplicaId(get_varint(payload, &mut at)? as usize);
-                    let event = match kind {
-                        0 => {
-                            let register = u32::try_from(get_varint(payload, &mut at)?)
-                                .map_err(|_| bad_data("register id"))?;
-                            let update = get_varint(payload, &mut at)?;
-                            TraceEvent::Issue {
-                                replica,
-                                register: RegisterId(register),
-                                update,
-                            }
-                        }
-                        1 => TraceEvent::Apply {
-                            replica,
-                            update: get_varint(payload, &mut at)?,
-                        },
-                        _ => return Err(bad_data("unknown event kind")),
-                    };
-                    events.push(event);
+                    events.push(decode_trace_event(payload, &mut at)?);
                 }
                 partitions.push((checkpoint, events));
             }

@@ -1,6 +1,6 @@
-//! The length-prefixed wire protocol (version 11: partition-aware,
+//! The length-prefixed wire protocol (version 12: partition-aware,
 //! acknowledged, bounded-memory aware, observable, audited, trimmed,
-//! class-compressed clocks).
+//! class-compressed clocks, one counter surface).
 //!
 //! Every message is a *frame*: a little-endian `u32` payload length followed
 //! by the payload; the first payload byte is a message tag. Peer frames
@@ -9,7 +9,8 @@
 //! [`Update::encode_wire`](prcc_core::Update::encode_wire) codecs); client
 //! frames carry the read/write/ops API. This file holds the framing, the
 //! version, the tags and the topology codecs; `peer.rs` what nodes say to
-//! each other, `client.rs` the request/response API and [`NodeStatus`].
+//! each other, `client.rs` the request/response API and [`NodeStatus`],
+//! the typed read of a `Metrics` scrape.
 //!
 //! Only the current version is spoken or decoded: the versioned handshake
 //! refuses every other peer outright, so a mixed-version cluster fails
@@ -34,8 +35,7 @@
 //!   [`encode_peer_ack_into`] frames back so the sender can prune.
 //! * **v5** is the bounded-memory protocol: the `Trace` response ships a
 //!   [`prcc_checker::TraceCheckpoint`] summary plus the live suffix per
-//!   partition instead of the full history, and the status payload grew
-//!   the memory-boundedness gauges.
+//!   partition instead of the full history.
 //! * **v6** made live clusters inspectable: each update in a flush carries
 //!   its origin's *issue stamp* (micros since epoch, varint; 0 = not
 //!   sampled for lifecycle tracing), and the client API grew a `Metrics`
@@ -50,7 +50,6 @@
 //!   [`prcc_checker::CutSnapshot`]. Markers carry no link sequence and are
 //!   not resent, so a lost marker makes the audit *inconclusive*, never
 //!   wrong.
-//! * **v8** grew the status payload by the reactor gauges.
 //! * **v9** trimmed the flush frame to what the link does not already
 //!   know, so a frame per reactor tick costs no more bytes than the timed
 //!   batches it replaced: an update's wire id ships as its low
@@ -61,13 +60,18 @@
 //!   (`Update::encode_wire`), so data dirs are unchanged.
 //! * **v10** ends a flush frame at its last section (v8/v9 frames could
 //!   trail a varint that told the receiver nothing its link watermark did
-//!   not already answer); the status payload is 27 fields.
+//!   not already answer).
 //! * **v11** ships a timestamp as one counter per class of provably-equal
 //!   edge counters instead of one per edge ([`prcc_clock::EdgeClock`]
 //!   docs): a 4-clique update carries 4 counters, not 12. The layout is
 //!   derived from the share graph the handshake already matches, so no
 //!   byte announces it; ring, line and tree layouts are the identity and
 //!   their frames, WAL records and snapshots are byte-identical to v10's.
+//! * **v12** deleted the `Status` request/response pair: a node's counters
+//!   have one surface, the version-stamped `Metrics` scrape, which
+//!   [`NodeStatus::from_metrics`] reads into the typed struct (tags 18 and
+//!   34 are unassigned). Peer frames, WAL records and snapshots are
+//!   byte-identical to v11's.
 //!
 //! Causal timestamps ship counters only; index sets, counter layouts and
 //! the partition layout are static configuration carried once in the
@@ -85,7 +89,7 @@ pub use peer::*;
 
 /// The protocol version spoken by this build; peers at any other version
 /// are refused at the handshake. The module docs say what each bump added.
-pub const WIRE_VERSION: u64 = 11;
+pub const WIRE_VERSION: u64 = 12;
 
 /// Bits of a wire id that hold the issuing node's node-global sequence;
 /// the node's index sits above them (`node << WIRE_SEQ_BITS | seq`). The
@@ -115,7 +119,6 @@ const TAG_PEER_ACK: u8 = 5;
 pub const TAG_CUT_MARKER: u8 = 6;
 const TAG_WRITE: u8 = 16;
 const TAG_READ: u8 = 17;
-const TAG_STATUS: u8 = 18;
 const TAG_TRACE: u8 = 19;
 const TAG_SHUTDOWN: u8 = 20;
 const TAG_CONFIG: u8 = 21;
@@ -123,7 +126,6 @@ const TAG_METRICS: u8 = 22;
 const TAG_CUT: u8 = 23;
 const TAG_WRITE_ACK: u8 = 32;
 const TAG_READ_RESP: u8 = 33;
-const TAG_STATUS_RESP: u8 = 34;
 const TAG_TRACE_RESP: u8 = 35;
 const TAG_BYE: u8 = 36;
 const TAG_CONFIG_RESP: u8 = 37;
@@ -478,7 +480,7 @@ mod tests {
         // peer, which predates flush-section issue stamps and would
         // misparse every multi-batch frame.
         assert_eq!(payload[1], WIRE_VERSION as u8);
-        for old in [1u8, 2, 3, 4, 5, 8, 9, 10] {
+        for old in [1u8, 2, 3, 4, 5, 8, 9, 10, 11] {
             payload[1] = old;
             let err = decode_peer_hello(&payload).unwrap_err();
             assert!(
@@ -753,7 +755,6 @@ mod tests {
                 partition: PartitionId(0),
                 register: RegisterId(0),
             },
-            ClientRequest::Status,
             ClientRequest::Trace,
             ClientRequest::Config,
             ClientRequest::Metrics,
@@ -772,47 +773,6 @@ mod tests {
                 ok: false,
                 value: None,
             },
-            ClientResponse::Status(NodeStatus {
-                node: 2,
-                issued: 10,
-                messages_sent: 20,
-                messages_received: 19,
-                applies: 18,
-                pending: 1,
-                duplicates_dropped: 0,
-                dropped_misrouted: 3,
-                bytes_out: 4096,
-                bytes_in: 4000,
-                batches_sent: 7,
-                frames_sent: 4,
-                flushes: 4,
-                resent: 2,
-                wal_appends: 29,
-                snapshots_written: 1,
-                wal_bytes: 8192,
-                snapshot_bytes: 900,
-                first_snapshot_bytes: 850,
-                trace_events: 120,
-                sealed_events: 4000,
-                max_window: 64,
-                window_evicted: 0,
-                reactor_wakeups: 510,
-                reactor_events: 1200,
-                reactor_rearms: 9,
-                reactor_outq_hiwat: 65536,
-                per_partition: vec![
-                    PartitionCounters {
-                        issued: 6,
-                        applies: 12,
-                        pending: 1,
-                    },
-                    PartitionCounters {
-                        issued: 4,
-                        applies: 6,
-                        pending: 0,
-                    },
-                ],
-            }),
             ClientResponse::Trace(vec![
                 (
                     sealed_checkpoint(),
@@ -921,8 +881,9 @@ mod tests {
 
     #[test]
     fn metrics_responses_are_version_stamped() {
-        // Like Status: a scrape from a node speaking another version must
-        // fail loudly — metric names and bucket layout are per-version.
+        // A scrape from a node speaking another version must fail loudly:
+        // metric names (the `NodeStatus` schema) and bucket layout are
+        // per-version.
         let mut payload = encode_response(&ClientResponse::Metrics(sample_metrics()));
         assert_eq!(payload[1], WIRE_VERSION as u8);
         payload[1] = 5;
@@ -934,19 +895,105 @@ mod tests {
         );
     }
 
+    /// `from_metrics` reads every field from its own metric: a registry in
+    /// which each name holds a distinct value — its position in field
+    /// order — rebuilds exactly those values, so no two names can be
+    /// swapped unnoticed. Counters and gauges sit where a node keeps them.
     #[test]
-    fn foreign_version_status_responses_refused() {
-        // Status payloads are version-stamped: the field set grew in v3,
-        // and a cross-version client must get a loud mismatch, not counters
-        // parsed out of shifted varints.
-        let mut payload = encode_response(&ClientResponse::Status(NodeStatus::default()));
-        assert_eq!(payload[1], WIRE_VERSION as u8);
-        payload[1] = 2;
-        let err = decode_response(&payload).unwrap_err();
-        assert!(
-            err.to_string().contains("status response version mismatch"),
-            "unexpected error: {err}"
-        );
+    fn node_status_reads_each_field_from_its_own_metric() {
+        let names = "node core_issued core_sent core_received core_applies core_pending \
+            core_duplicates_dropped net_bytes_out net_bytes_in net_batches_sent net_frames_sent \
+            net_flushes net_resent wal_appends snapshots_written wal_bytes snapshot_bytes \
+            first_snapshot_bytes trace_events_live trace_events_sealed core_max_window \
+            core_window_evicted reactor_wakeups reactor_events reactor_rearms reactor_outq_hiwat \
+            core_issued_p0 core_applies_p0 core_pending_p0 core_issued_p1 core_applies_p1 \
+            core_pending_p1";
+        let registry = prcc_telemetry::Registry::new();
+        for (value, name) in (1..).zip(names.split_whitespace()) {
+            let counter = name.starts_with("net_") || name.starts_with("reactor_");
+            if counter && name != "reactor_outq_hiwat" {
+                registry.counter(name).add(value);
+            } else {
+                registry.gauge(name).set(value);
+            }
+        }
+        let snapshot = registry.snapshot();
+        let expected = NodeStatus {
+            node: 1,
+            issued: 2,
+            messages_sent: 3,
+            messages_received: 4,
+            applies: 5,
+            pending: 6,
+            duplicates_dropped: 7,
+            bytes_out: 8,
+            bytes_in: 9,
+            batches_sent: 10,
+            frames_sent: 11,
+            flushes: 12,
+            resent: 13,
+            wal_appends: 14,
+            snapshots_written: 15,
+            wal_bytes: 16,
+            snapshot_bytes: 17,
+            first_snapshot_bytes: 18,
+            trace_events: 19,
+            sealed_events: 20,
+            max_window: 21,
+            window_evicted: 22,
+            reactor_wakeups: 23,
+            reactor_events: 24,
+            reactor_rearms: 25,
+            reactor_outq_hiwat: 26,
+            per_partition: [27, 30]
+                .map(|n| PartitionCounters {
+                    issued: n,
+                    applies: n + 1,
+                    pending: n + 2,
+                })
+                .to_vec(),
+        };
+        assert_eq!(NodeStatus::from_metrics(&snapshot), expected);
+        // The schema names nothing the registry above left out.
+        for name in NodeStatus::metric_names() {
+            let held = snapshot.counter(name).or_else(|| snapshot.gauge(name));
+            assert!(held.is_some(), "{name} is not in the sample registry");
+        }
+        // An absent metric reads as 0: an empty scrape is an empty status.
+        let empty = prcc_telemetry::MetricsSnapshot::default();
+        assert_eq!(NodeStatus::from_metrics(&empty), NodeStatus::default());
+    }
+
+    /// A `Trace` response as the v11 encoder wrote it, before its event
+    /// codec became the snapshot's: not one byte moved.
+    const TRACE_V11: [u8; 63] = [
+        35, 2, 2, 1, 1, 7, 2, 7, 131, 128, 128, 128, 128, 32, 3, 0, 7, 0, 129, 201, 140, 131, 245,
+        255, 175, 235, 84, 2, 0, 1, 172, 2, 55, 1, 1, 182, 128, 128, 128, 128, 64, 0, 0, 0, 0, 2,
+        0, 0, 3, 0, 0, 0, 165, 198, 136, 161, 200, 156, 167, 249, 203, 1, 0,
+    ];
+
+    #[test]
+    fn a_trace_response_is_pinned_byte_for_byte() {
+        let response = ClientResponse::Trace(vec![
+            (
+                sealed_checkpoint(),
+                vec![
+                    TraceEvent::Issue {
+                        replica: ReplicaId(1),
+                        register: RegisterId(300),
+                        update: 55,
+                    },
+                    TraceEvent::Apply {
+                        replica: ReplicaId(1),
+                        update: (2 << 40) | 54,
+                    },
+                ],
+            ),
+            (TraceCheckpoint::new(2, 3), vec![]),
+        ]);
+        let payload = encode_response(&response);
+        assert_eq!(payload, TRACE_V11);
+        assert_eq!(decode_response(&payload).unwrap(), response);
     }
 
     #[test]
@@ -958,10 +1005,6 @@ mod tests {
                 ok: true,
                 value: Some(17),
             },
-            ClientResponse::Status(NodeStatus {
-                per_partition: vec![PartitionCounters::default(); 2],
-                ..NodeStatus::default()
-            }),
             ClientResponse::Trace(vec![(
                 sealed_checkpoint(),
                 vec![TraceEvent::Apply {
@@ -986,5 +1029,8 @@ mod tests {
         }
         assert!(decode_request(&[]).is_err());
         assert!(decode_response(&[]).is_err());
+        // v11's Status tags are unassigned since v12.
+        assert!(decode_request(&[18]).is_err());
+        assert!(decode_response(&[34, 11]).is_err());
     }
 }

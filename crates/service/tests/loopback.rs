@@ -3,12 +3,13 @@
 mod common;
 
 use common::{
-    drain_and_verify, drive_over, launch_ring, quick_cfg, spawn_redial_drivers, wait_progress,
-    DRAIN,
+    drain_and_verify, drive, drive_over, durable_cfg, launch_ring, quick_cfg, scratch_dir,
+    spawn_redial_drivers, wait_progress, DRAIN,
 };
 use prcc_clock::EdgeProtocol;
 use prcc_graph::{topologies, PartitionId, RegisterId};
-use prcc_service::{LoopbackCluster, ServiceConfig};
+use prcc_service::wire::partition_metric_names;
+use prcc_service::{LoopbackCluster, NodeStatus, PartitionCounters, ServiceConfig};
 use prcc_workloads::ops::{generate_ops, partition_by_replica};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -201,6 +202,56 @@ fn statuses_account_for_traffic() {
     // Protocol template check caught nothing; the peer knows node 0's graph.
     assert_eq!(statuses[2].messages_received, 0);
     cluster.shutdown().expect("shutdown");
+}
+
+/// The registry is the status schema. On a volatile and a durable ring-4
+/// of four partitions, after a short drive, every metric
+/// `NodeStatus::from_metrics` reads is in each node's own scrape — the WAL
+/// and snapshot ones exactly when the node is durable — and what it reads
+/// adds up: the issues are the writes driven, and each node's
+/// per-partition gauges sum to its totals.
+#[test]
+fn every_status_metric_is_in_the_scrape_and_adds_up() {
+    let dir = scratch_dir("status-schema");
+    for cfg in [quick_cfg(), durable_cfg(dir.clone(), 64)] {
+        let durable = cfg.data_dir.is_some();
+        let cluster = launch_ring(4, 4, &cfg);
+        drive(&cluster, 300, 0x5c4e);
+        assert!(cluster.drain(DRAIN).expect("drain io"));
+        let mut issued = 0;
+        for (node, scrape) in cluster
+            .metrics_per_node()
+            .expect("metrics")
+            .iter()
+            .enumerate()
+        {
+            let held = |name: &str| scrape.counter(name).or_else(|| scrape.gauge(name));
+            for name in NodeStatus::metric_names() {
+                let durable_only = name.starts_with("wal_") || name.contains("snapshot");
+                assert_eq!(
+                    held(name).is_some(),
+                    durable || !durable_only,
+                    "node {node} (durable: {durable}): {name}"
+                );
+            }
+            for name in (0..4).flat_map(partition_metric_names) {
+                assert!(scrape.gauge(&name).is_some(), "node {node}: {name}");
+            }
+            let status = NodeStatus::from_metrics(scrape);
+            assert_eq!(status.node, node as u64);
+            assert_eq!(status.per_partition.len(), 4);
+            let sum = |of: fn(&PartitionCounters) -> u64| {
+                status.per_partition.iter().map(of).sum::<u64>()
+            };
+            assert_eq!(sum(|c| c.issued), status.issued, "node {node}");
+            assert_eq!(sum(|c| c.applies), status.applies, "node {node}");
+            assert_eq!(sum(|c| c.pending), status.pending, "node {node}");
+            issued += status.issued;
+        }
+        assert_eq!(issued, 300, "durable: {durable}");
+        cluster.shutdown().expect("shutdown");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Batching coalesces: a burst of writes the node receives together must

@@ -58,19 +58,19 @@ fn slow_reader_overflows_loudly_without_collateral() {
     let cluster = launch_ring(1, 3, &cfg);
     let (_, client_addr) = cluster.addrs(0);
 
-    // Hand-rolled pipelining: fire Status requests and never read. The
-    // node keeps answering into its bounded per-connection queue; once
-    // the kernel buffers clog, the queue trips the bound and the reactor
-    // must drop *this* connection.
+    // Hand-rolled pipelining: fire Config requests and never read. The
+    // client driver answers each inline into its bounded per-connection
+    // queue; once the kernel buffers clog, the queue trips the bound and
+    // the reactor must drop *this* connection.
     let mut glutton = TcpStream::connect(client_addr).expect("connect");
     glutton
         .set_read_timeout(Some(Duration::from_secs(10)))
         .expect("timeout");
     let mut framed = Vec::new();
     prcc_service::wire::append_frame(&mut framed, |out| {
-        prcc_service::wire::encode_request_into(&prcc_service::wire::ClientRequest::Status, out)
+        prcc_service::wire::encode_request_into(&prcc_service::wire::ClientRequest::Config, out)
     })
-    .expect("frame status request");
+    .expect("frame config request");
     for _ in 0..200_000 {
         if glutton.write_all(&framed).is_err() {
             break; // already torn down mid-burst
@@ -86,7 +86,7 @@ fn slow_reader_overflows_loudly_without_collateral() {
             Ok(0) => break true,
             Ok(n) => {
                 drained += n;
-                // 200k statuses would be tens of MB; a bounded queue can
+                // 200k configs would be several MB; a bounded queue can
                 // not have delivered anywhere near that.
                 assert!(drained < 32 << 20, "queue bound did not engage");
             }

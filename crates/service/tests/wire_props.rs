@@ -401,15 +401,15 @@ proptest! {
     /// The concrete upgrade scenario: a peer still speaking an older wire
     /// version (v2 partition tagging, v3 unacknowledged frame packing, v5
     /// stamp-free updates, v6 windowed acks, v8 full ids, v9 frames that
-    /// may trail a varint) is refused by a current node at the handshake
-    /// with an error naming both versions — mixed-version clusters fail
-    /// loudly, not silently.
+    /// may trail a varint, v11 with the `Status` frame) is refused by a
+    /// current node at the handshake with an error naming both versions —
+    /// mixed-version clusters fail loudly, not silently.
     #[test]
     fn stale_version_hellos_refused_by_current(map in arb_partition_map()) {
         let mut payload = encode_peer_hello(&PeerHello { node: 0, map });
         prop_assert_eq!(u64::from(payload[1]), prcc_service::WIRE_VERSION);
         let current = prcc_service::WIRE_VERSION;
-        for old in [2u8, 3, 4, 5, 6, 8, 9] {
+        for old in [2u8, 3, 4, 5, 6, 8, 9, 11] {
             payload[1] = old; // an old peer's hello differs exactly here
             let err = decode_peer_hello(&payload).unwrap_err();
             prop_assert!(

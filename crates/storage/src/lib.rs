@@ -43,8 +43,9 @@ pub use record::{
     encode_record_into, ReceiptSections, WalRecord,
 };
 pub use snapshot::{
-    decode_snapshot, decode_trace_checkpoint, encode_snapshot, encode_trace_checkpoint,
-    read_snapshot, write_snapshot, NodeSnapshot, PartitionSnapshot, PeerSnapshot, SNAPSHOT_MAGIC,
+    decode_snapshot, decode_trace_checkpoint, decode_trace_event, encode_snapshot,
+    encode_trace_checkpoint, encode_trace_event, read_snapshot, write_snapshot, NodeSnapshot,
+    PartitionSnapshot, PeerSnapshot, SNAPSHOT_MAGIC,
 };
 pub use wal::{
     scan_wal, scan_wal_spans, Wal, WalRecovery, WalScan, WalScanSpans, MAX_WAL_RECORD, WAL_MAGIC,

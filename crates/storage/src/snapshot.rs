@@ -113,7 +113,10 @@ fn bad(what: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("snapshot: {what}"))
 }
 
-fn encode_trace_event(event: &TraceEvent, out: &mut Vec<u8>) {
+/// Serializes one trace event: a kind byte (0 issue, 1 apply), then its
+/// varint fields (shared by the snapshot codec and the service wire's
+/// `Trace` response, like [`encode_trace_checkpoint`]).
+pub fn encode_trace_event(event: &TraceEvent, out: &mut Vec<u8>) {
     match *event {
         TraceEvent::Issue {
             replica,
@@ -133,7 +136,12 @@ fn encode_trace_event(event: &TraceEvent, out: &mut Vec<u8>) {
     }
 }
 
-fn decode_trace_event(buf: &[u8], at: &mut usize) -> io::Result<TraceEvent> {
+/// Decodes a trace event encoded by [`encode_trace_event`], advancing `at`.
+///
+/// # Errors
+///
+/// [`io::ErrorKind::InvalidData`] on malformed input.
+pub fn decode_trace_event(buf: &[u8], at: &mut usize) -> io::Result<TraceEvent> {
     let kind = *buf.get(*at).ok_or_else(|| bad("missing event kind"))?;
     *at += 1;
     let replica = ReplicaId(get_varint(buf, at)? as usize);

@@ -230,9 +230,12 @@ fn merge_sorted<T: Clone>(
 
 impl MetricsSnapshot {
     /// Folds `other` into `self`: counters and gauges sum, histograms merge
-    /// bucket-wise. Metrics present on only one side pass through. Gauges
-    /// sum because every exported gauge is a cluster-additive level (queue
-    /// depths, window occupancy, byte totals).
+    /// bucket-wise. Metrics present on only one side pass through. Most
+    /// gauges are cluster-additive levels (queue depths, pending updates,
+    /// byte totals) and their sum means what it says. Three do not: a
+    /// service node's `node` (its index), `core_max_window` and
+    /// `reactor_outq_hiwat` (per-node high-water marks) sum to nothing
+    /// meaningful — read them from the per-node snapshots.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
         merge_sorted(&mut self.counters, &other.counters, |a, b| *a += *b);
         merge_sorted(&mut self.gauges, &other.gauges, |a, b| *a += *b);
