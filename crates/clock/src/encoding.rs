@@ -5,6 +5,7 @@
 //! static configuration shared by both endpoints and are not transmitted.
 
 /// Number of bytes the LEB128 encoding of `v` occupies.
+#[inline]
 pub fn varint_len(v: u64) -> usize {
     if v == 0 {
         1
@@ -14,6 +15,7 @@ pub fn varint_len(v: u64) -> usize {
 }
 
 /// Appends the LEB128 encoding of `v` to `out`.
+#[inline]
 pub fn write_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
@@ -30,6 +32,7 @@ pub fn write_varint(out: &mut Vec<u8>, mut v: u64) {
 /// the number of bytes consumed.
 ///
 /// Returns `None` on truncated or over-long (> 10 byte) input.
+#[inline]
 pub fn read_varint(buf: &[u8]) -> Option<(u64, usize)> {
     let mut v: u64 = 0;
     for (n, &byte) in buf.iter().enumerate().take(10) {
@@ -50,6 +53,7 @@ pub fn read_varint(buf: &[u8]) -> Option<(u64, usize)> {
 ///
 /// `InvalidData` when `at` is out of range or the varint is truncated or
 /// over-long.
+#[inline]
 pub fn read_varint_at(buf: &[u8], at: &mut usize) -> std::io::Result<u64> {
     let invalid =
         |what: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, what.to_string());

@@ -50,15 +50,8 @@ impl<C: prcc_clock::WireClock> Update<C> {
     /// simulator-local and intentionally not transmitted; a networked
     /// deployment measures latency with wall clocks at its own layer.
     pub fn encode_wire(&self, out: &mut Vec<u8>) {
-        self.encode_wire_with_id(self.id.0, out);
-    }
-
-    /// [`Update::encode_wire`] with `id` written in place of the update's
-    /// own — for transports that ship a shortened id the receiver can
-    /// restore (a link that already knows who issued everything on it).
-    pub fn encode_wire_with_id(&self, id: u64, out: &mut Vec<u8>) {
         use prcc_clock::encoding::write_varint;
-        write_varint(out, id);
+        write_varint(out, self.id.0);
         write_varint(out, self.issuer.index() as u64);
         write_varint(out, u64::from(self.register.0));
         write_varint(out, self.value);

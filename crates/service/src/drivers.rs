@@ -31,10 +31,10 @@
 use crate::core::{CoreMsg, Sequenced};
 use crate::node::ServiceConfig;
 use crate::wire::{
-    append_frame, decode_cut_marker, decode_hello_ack, decode_multi_batch, decode_peer_ack,
-    decode_peer_hello, decode_request, encode_cut_marker, encode_multi_batch_into,
-    encode_peer_hello, encode_response_into, restore_sender, ClientRequest, ClientResponse,
-    FlushSections, PeerHello, TAG_CUT_MARKER, WIRE_VERSION,
+    append_frame, decode_cut_marker, decode_hello_ack, decode_peer_ack, decode_peer_hello,
+    decode_request, encode_cut_marker, encode_peer_hello, encode_response_into, restore_sender,
+    ClientRequest, ClientResponse, FlushDecoder, FlushEncoder, PeerHello, TAG_CUT_MARKER,
+    WIRE_VERSION,
 };
 use prcc_clock::{Protocol, WireClock};
 use prcc_graph::PartitionMap;
@@ -118,22 +118,6 @@ impl<C> Hub<C> {
     }
 }
 
-/// Groups a run of `(seq, partition, update)` entries into multi-batch
-/// sections, preserving first-seen section order and per-partition update
-/// order (cross-partition order is irrelevant — partitions are causally
-/// independent).
-fn pack_sections<C>(entries: impl IntoIterator<Item = Sequenced<C>>) -> FlushSections<C> {
-    let mut sections: FlushSections<C> = Vec::new();
-    for (seq, partition, update) in entries {
-        // Linear scan: a flush touches at most a handful of partitions.
-        match sections.iter_mut().find(|(p, _)| *p == partition) {
-            Some((_, updates)) => updates.push((seq, update)),
-            None => sections.push((partition, vec![(seq, update)])),
-        }
-    }
-    sections
-}
-
 /// Connection lifecycle of an outbound peer link driver.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum OutState {
@@ -175,6 +159,10 @@ pub(crate) struct PeerOut<C> {
     /// Commands that arrived mid-handshake, replayed in order once the
     /// resume window has been retransmitted.
     pending: VecDeque<PeerCmd<C>>,
+    /// This connection's flush encoder: reset on every connect, so no
+    /// frame is ever encoded against a base the peer's current inbound
+    /// driver did not decode.
+    flush_codec: FlushEncoder,
     /// The open batch: the updates this reactor tick has delivered so far.
     /// `on_flush` ships all of it when the tick ends, so it never outlives
     /// a tick and is bounded by what one inbox drain can hold.
@@ -219,6 +207,7 @@ impl<C: WireClock> PeerOut<C> {
             hub,
             state: OutState::Down,
             pending: VecDeque::new(),
+            flush_codec: FlushEncoder::default(),
             batch: Vec::new(),
             covered: 0,
             acked: 0,
@@ -239,11 +228,11 @@ impl<C: WireClock> PeerOut<C> {
         ctx.dial(self.addr);
     }
 
-    /// Ships a run of `(seq, partition, update)` entries: packs each
-    /// `batch_max`-sized chunk into one multi-batch frame encoded in
-    /// place into a pooled buffer and enqueues it (the reactor coalesces
-    /// queued frames into vectored writes). Maintains the
-    /// flush/frame/batch counters.
+    /// Ships a run of `(seq, partition, update)` entries: encodes each
+    /// `batch_max`-sized chunk, as borrowed, into one multi-batch frame in
+    /// a pooled buffer (a section per partition, first-seen order) and
+    /// enqueues it (the reactor coalesces queued frames into vectored
+    /// writes). Maintains the flush/frame/batch counters.
     // lint: hot-path
     fn transmit(&mut self, ctx: &mut Ctx<'_>, entries: &[Sequenced<C>], record_send_us: bool) {
         if entries.is_empty() {
@@ -251,8 +240,6 @@ impl<C: WireClock> PeerOut<C> {
         }
         let mut batches = 0u64;
         for chunk in entries.chunks(self.batch_max) {
-            // lint: allow(alloc) sections regroup one bounded chunk per flush
-            let sections = pack_sections(chunk.iter().cloned());
             // `flushes` counts drain cycles at the moment a flush exists —
             // deliberately NOT at the same site as `frames_sent`, which counts
             // frame enqueues. Keeping the two sites apart is what makes
@@ -261,14 +248,18 @@ impl<C: WireClock> PeerOut<C> {
             // `node.frames_per_flush` metric of `prcc-perf`).
             self.hub.counters.flushes.add(1);
             let mut frame = ctx.pool().lease(256);
+            let mut sections = 0;
+            let (codec, pad) = (&mut self.flush_codec, self.pad_bytes);
             if append_frame(&mut frame, |out| {
-                encode_multi_batch_into(&sections, self.pad_bytes, out)
+                sections = codec.encode_entries_into(chunk, pad, out);
             })
             .is_err()
             {
                 // A frame over the wire cap is a config error (batch_max
                 // times update size exceeded the frame bound); drop the
-                // connection loudly rather than ship a torn frame.
+                // connection loudly rather than ship a torn frame. The
+                // encoder's bases now include it, and so would every later
+                // frame's deltas: the close discards those frames too.
                 eprintln!(
                     "prcc-service[{}]: flush frame to {} over the wire cap; dropping link",
                     self.node, self.addr
@@ -276,7 +267,7 @@ impl<C: WireClock> PeerOut<C> {
                 ctx.close();
                 return;
             }
-            batches += sections.len() as u64;
+            batches += sections as u64;
             self.hub.counters.frames_sent.add(1);
             self.hub.counters.bytes_out.add(frame.len() as u64);
             ctx.send(frame);
@@ -403,6 +394,9 @@ impl<C: WireClock> Driver for PeerOut<C> {
         // acknowledged resume offset.
         self.generation += 1;
         self.state = OutState::AwaitAck;
+        // A new connection starts from an empty base: the resume window
+        // is re-encoded whole, whatever the last one carried.
+        self.flush_codec.reset();
         let mut frame = ctx.pool().lease(self.hello.len() + 8);
         if append_frame(&mut frame, |out| out.extend_from_slice(&self.hello)).is_ok() {
             self.hub.counters.bytes_out.add(frame.len() as u64);
@@ -542,6 +536,9 @@ pub(crate) struct PeerIn<P: Protocol> {
     pub(crate) hub: Hub<P::Clock>,
     /// The sender's node index, `None` until the handshake validates.
     pub(crate) peer: Option<usize>,
+    /// This connection's flush decoder: every flush frame passes through
+    /// it in arrival order, so its bases track the sender's encoder.
+    pub(crate) flush_codec: FlushDecoder,
 }
 
 impl<P> Driver for PeerIn<P>
@@ -591,9 +588,22 @@ where
         // sender may ship them is the core's to judge: `slot::admit`.
         let roles = self.map.graph().num_replicas();
         let protocol = &self.protocol;
-        let mut sections = decode_multi_batch(&frame, |k| {
+        let was_lost = self.flush_codec.lost();
+        let mut sections = self.flush_codec.decode(&frame, |k| {
             (k.index() < roles).then(|| protocol.new_clock(k))
         })?;
+        if sections.is_empty() {
+            // A repeat, a frame held for its predecessor, or anything after
+            // a lost frame: the next connection resends past the gap.
+            if !was_lost && self.flush_codec.lost() {
+                eprintln!(
+                    "prcc-service[{}]: peer {peer}: a flush frame was lost in transit; \
+                     updates resume on the next connection",
+                    self.node
+                );
+            }
+            return Ok(());
+        }
         // Ids arrive without their node bits; the handshake says whose
         // they are.
         restore_sender(&mut sections, peer);
@@ -684,7 +694,7 @@ impl<C: WireClock> Driver for ClientConn<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{encode_hello_ack_into, read_frame, write_frame};
+    use crate::wire::{decode_multi_batch, encode_hello_ack_into, read_frame, write_frame};
     use prcc_checker::UpdateId;
     use prcc_clock::{EdgeClock, EdgeProtocol};
     use prcc_core::Update;

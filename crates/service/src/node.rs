@@ -14,7 +14,8 @@ use crate::core::{Core, CoreMsg, CoreTelemetry, Effect, Env, Flow};
 use crate::drivers::{ClientConn, Hub, NetMetrics, PeerCmd, PeerIn, PeerOut};
 use crate::durable::{recover, take_snapshot, Durable};
 use crate::wire::{
-    append_frame, encode_hello_ack_into, encode_peer_ack_into, encode_response_into, ClientResponse,
+    append_frame, encode_hello_ack_into, encode_peer_ack_into, encode_response_into,
+    ClientResponse, FlushDecoder,
 };
 use prcc_clock::{Protocol, WireClock};
 use prcc_graph::PartitionMap;
@@ -290,6 +291,7 @@ where
                         map: Arc::clone(&map),
                         hub: hub.clone(),
                         peer: None,
+                        flush_codec: FlushDecoder::default(),
                     }),
                 );
             }),

@@ -1,6 +1,6 @@
-//! The length-prefixed wire protocol (version 12: partition-aware,
+//! The length-prefixed wire protocol (version 13: partition-aware,
 //! acknowledged, bounded-memory aware, observable, audited, trimmed,
-//! class-compressed clocks, one counter surface).
+//! class-compressed clocks, one counter surface, delta flush frames).
 //!
 //! Every message is a *frame*: a little-endian `u32` payload length followed
 //! by the payload; the first payload byte is a message tag. Peer frames
@@ -72,6 +72,16 @@
 //!   [`NodeStatus::from_metrics`] reads into the typed struct (tags 18 and
 //!   34 are unassigned). Peer frames, WAL records and snapshots are
 //!   byte-identical to v11's.
+//! * **v13** ships what changed: a flush update carries its link sequence,
+//!   trimmed id and clock as deltas from the previous update of the same
+//!   partition on the same connection — the clock as a changed-counter
+//!   bitmap plus the changes, with no count prefix — through a
+//!   connection-scoped [`FlushEncoder`]/[`FlushDecoder`] pair whose state
+//!   never outlives its connection (`peer.rs` docs). A connection's
+//!   opening frame has its own tag (7 marks every later one), and a
+//!   frame's first sequence ships whole, so a frame lost, repeated or
+//!   reordered in transit is never decoded against the wrong base. WAL
+//!   records and snapshots are byte-identical to v12's.
 //!
 //! Causal timestamps ship counters only; index sets, counter layouts and
 //! the partition layout are static configuration carried once in the
@@ -89,7 +99,7 @@ pub use peer::*;
 
 /// The protocol version spoken by this build; peers at any other version
 /// are refused at the handshake. The module docs say what each bump added.
-pub const WIRE_VERSION: u64 = 12;
+pub const WIRE_VERSION: u64 = 13;
 
 /// Bits of a wire id that hold the issuing node's node-global sequence;
 /// the node's index sits above them (`node << WIRE_SEQ_BITS | seq`). The
@@ -109,7 +119,12 @@ pub use prcc_reactor::MAX_FRAME_BYTES;
 
 // Message tags.
 const TAG_PEER_HELLO: u8 = 1;
+/// A connection's opening flush frame, encoded against empty bases (v13;
+/// the absolute form).
 const TAG_MULTI_BATCH: u8 = 3;
+/// Every later flush frame of a connection, encoded against the bases its
+/// predecessors left (v13).
+const TAG_MULTI_BATCH_NEXT: u8 = 7;
 const TAG_HELLO_ACK: u8 = 4;
 const TAG_PEER_ACK: u8 = 5;
 /// Peer-frame tag of a consistent-cut marker (v7). Public so fault
@@ -494,22 +509,25 @@ mod tests {
     /// carries its index in the node bits, as a real link's updates do.
     const SENDER: usize = 2;
 
+    /// `count` successive issues of one ring-4 replica (`tag % 4`), as a
+    /// link carries them: one issuer, ascending ids, a clock that only
+    /// grows.
     fn sample_updates(
         p: &EdgeProtocol,
         count: u64,
         tag: u64,
     ) -> Vec<Update<prcc_clock::EdgeClock>> {
         let mut updates = Vec::new();
+        let i = ReplicaId(tag as usize % 4);
+        let mut clock = p.new_clock(i);
         for k in 0..count {
-            let i = ReplicaId(k as usize % 4);
-            let mut clock = p.new_clock(i);
             p.advance(i, &mut clock, RegisterId(i.index() as u32));
             updates.push(Update {
                 id: UpdateId(((SENDER as u64) << WIRE_SEQ_BITS) | (tag << 20) | k),
                 issuer: i,
                 register: RegisterId(i.index() as u32),
                 value: 1000 * (tag + 1) + k,
-                clock,
+                clock: clock.clone(),
                 issued_at: VirtualTime::ZERO,
                 received_at: VirtualTime::ZERO,
             });
@@ -594,10 +612,12 @@ mod tests {
         }
     }
 
-    /// A ring-4 flush frame as v10 encoded it: two sections, sampled and
-    /// unsampled stamps, multi-byte counters. Ring labels are unique, so the
-    /// v11 counter layout is the identity and not one byte moves.
-    fn ring4_flush() -> (EdgeProtocol, FlushSections<prcc_clock::EdgeClock>) {
+    /// Two successive flush frames of one ring-4 link. The first is the
+    /// frame v10 and v12 pinned: two sections, sampled and unsampled
+    /// stamps, multi-byte counters. The second continues the connection at
+    /// the next link sequence with one update per partition, in swapped
+    /// order.
+    fn ring4_flushes() -> (EdgeProtocol, [FlushSections<prcc_clock::EdgeClock>; 2]) {
         let p = EdgeProtocol::new(topologies::ring(4));
         let (me, left) = (ReplicaId(1), ReplicaId(0));
         let mut theirs = p.new_clock(left);
@@ -606,50 +626,77 @@ mod tests {
         }
         let mut clock = p.new_clock(me);
         p.merge(me, &mut clock, left, &theirs);
-        let mut sections = Vec::new();
+        let mut issue = |seq: u64, r: u32, sampled: bool| {
+            p.advance(me, &mut clock, RegisterId(r));
+            let update = Update {
+                id: UpdateId(((SENDER as u64) << WIRE_SEQ_BITS) | (1 << 33) | seq),
+                issuer: me,
+                register: RegisterId(r),
+                value: 1000 + seq,
+                clock: clock.clone(),
+                issued_at: VirtualTime(if sampled { 1_700_000_000_123_456 } else { 0 }),
+                received_at: VirtualTime::ZERO,
+            };
+            (seq, update)
+        };
+        let mut first = Vec::new();
         for (partition, registers) in [(3u32, [1u32, 0, 1]), (5, [0, 0, 1])] {
             let updates = registers
                 .iter()
                 .enumerate()
-                .map(|(k, &r)| {
-                    p.advance(me, &mut clock, RegisterId(r));
-                    let seq = 40 + u64::from(partition) * 10 + k as u64;
-                    let update = Update {
-                        id: UpdateId(((SENDER as u64) << WIRE_SEQ_BITS) | (1 << 33) | seq),
-                        issuer: me,
-                        register: RegisterId(r),
-                        value: 1000 + seq,
-                        clock: clock.clone(),
-                        issued_at: VirtualTime(if k == 0 { 1_700_000_000_123_456 } else { 0 }),
-                        received_at: VirtualTime::ZERO,
-                    };
-                    (seq, update)
-                })
+                .map(|(k, &r)| issue(40 + u64::from(partition) * 10 + k as u64, r, k == 0))
                 .collect();
-            sections.push((PartitionId(partition), updates));
+            first.push((PartitionId(partition), updates));
         }
-        (p, sections)
+        let second = vec![
+            (PartitionId(5), vec![issue(93, 1, false)]),
+            (PartitionId(3), vec![issue(94, 0, true)]),
+        ];
+        (p, [first, second])
     }
 
-    /// [`ring4_flush`] as the v10 encoder wrote it.
-    const RING4_FLUSH_V10: [u8; 152] = [
+    /// The first of [`ring4_flushes`] as v13 encodes it, from an empty
+    /// base: v12's 152 bytes become 93. Each clock is a changed-counter
+    /// bitmap plus zigzag changes (300 ships as 600), with no count
+    /// prefix; within a section, sequence and id ship as the distance
+    /// from the previous update, and the zero counters of a section's
+    /// first update stay off the wire.
+    const RING4_FLUSH_V13: [u8; 93] = [
         3, 2, 3, 3, 70, 192, 196, 128, 193, 193, 196, 130, 3, 198, 128, 128, 128, 32, 1, 1, 174, 8,
-        8, 172, 2, 0, 0, 1, 0, 0, 0, 0, 0, 71, 0, 199, 128, 128, 128, 32, 1, 0, 175, 8, 8, 172, 2,
-        0, 1, 1, 0, 0, 0, 0, 0, 72, 0, 200, 128, 128, 128, 32, 1, 1, 176, 8, 8, 172, 2, 0, 1, 2, 0,
-        0, 0, 0, 0, 5, 3, 90, 192, 196, 128, 193, 193, 196, 130, 3, 218, 128, 128, 128, 32, 1, 0,
-        194, 8, 8, 172, 2, 0, 2, 2, 0, 0, 0, 0, 0, 91, 0, 219, 128, 128, 128, 32, 1, 0, 195, 8, 8,
-        172, 2, 0, 3, 2, 0, 0, 0, 0, 0, 92, 0, 220, 128, 128, 128, 32, 1, 1, 196, 8, 8, 172, 2, 0,
-        3, 3, 0, 0, 0, 0, 0,
+        9, 216, 4, 2, 0, 1, 0, 1, 1, 0, 175, 8, 4, 2, 0, 1, 0, 1, 1, 1, 176, 8, 8, 2, 0, 5, 3, 90,
+        192, 196, 128, 193, 193, 196, 130, 3, 218, 128, 128, 128, 32, 1, 0, 194, 8, 13, 216, 4, 4,
+        4, 0, 1, 0, 1, 1, 0, 195, 8, 4, 2, 0, 1, 0, 1, 1, 1, 196, 8, 8, 2, 0,
+    ];
+
+    /// The second of [`ring4_flushes`], encoded on the same connection: a
+    /// later frame (tag 7), its sequence, id and clock as deltas from each
+    /// partition's previous update (the frame's first sequence ships
+    /// whole).
+    const RING4_FLUSH_V13_NEXT: [u8; 34] = [
+        7, 2, 5, 1, 93, 0, 1, 1, 1, 197, 8, 8, 2, 0, 3, 1, 22, 192, 196, 128, 193, 193, 196, 130,
+        3, 22, 1, 0, 198, 8, 12, 6, 4, 0,
     ];
 
     #[test]
     fn a_ring4_flush_frame_is_pinned_byte_for_byte() {
-        let (p, sections) = ring4_flush();
-        let payload = encode_multi_batch(&sections, 0);
-        assert_eq!(payload, RING4_FLUSH_V10);
-        let back = decode_multi_batch(&payload, |i| Some(p.new_clock(i))).unwrap();
-        assert_eq!(back.len(), 2);
-        assert_eq!(back[1].1[2].1.clock, sections[1].1[2].1.clock);
+        let (p, flushes) = ring4_flushes();
+        let (mut encoder, mut decoder) = (FlushEncoder::default(), FlushDecoder::default());
+        let mut frames = Vec::new();
+        for sections in &flushes {
+            let mut payload = Vec::new();
+            encoder.encode_into(sections, 0, &mut payload);
+            let mut back = decoder.decode(&payload, |i| Some(p.new_clock(i))).unwrap();
+            restore_sender(&mut back, SENDER);
+            assert_eq!(
+                &back, sections,
+                "the connection's decoder restores every field"
+            );
+            frames.push(payload);
+        }
+        assert_eq!(frames[0], RING4_FLUSH_V13);
+        assert_eq!(frames[1], RING4_FLUSH_V13_NEXT);
+        // A connection's first frame is the one-shot encoding.
+        assert_eq!(encode_multi_batch(&flushes[0], 0), RING4_FLUSH_V13);
     }
 
     #[test]
@@ -676,7 +723,7 @@ mod tests {
         let mut sections = vec![(PartitionId(1), with_seqs(1, updates.clone()))];
         let sound = encode_multi_batch(&sections, 0);
         assert!(decode_multi_batch(&sound, |i| Some(p.new_clock(i))).is_ok());
-        sections[0].1[1].0 = 0;
+        sections[0].1[0].0 = 0;
         let unsequenced = encode_multi_batch(&sections, 0);
         let err = decode_multi_batch(&unsequenced, |i| Some(p.new_clock(i))).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
