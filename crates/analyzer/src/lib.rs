@@ -7,8 +7,9 @@
 //! not panic on unchecked `unwrap`s, all locking must flow through the
 //! `compat/parking_lot` shim (where the lock-order detector lives),
 //! every crate root must forbid `unsafe` (with `compat/mio` confining
-//! the epoll FFI instead), and fenced reactor regions must never block
-//! the event-loop workers. This crate scans the source
+//! the epoll FFI instead), fenced reactor regions must never block
+//! the event-loop workers, and every test a README cites must exist.
+//! This crate scans the source
 //! tree at the token level and turns each convention into a `file:line`
 //! diagnostic; the `prcc-lint` binary exits nonzero when any fires.
 //!
@@ -18,10 +19,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod cited;
 mod lexer;
 mod rules;
 mod walk;
 
+pub use cited::RULE_CITED_TEST;
 pub use lexer::{lex, Directive, Lexed, TokKind, Token};
 pub use rules::{
     check_file, Finding, RULE_DIRECTIVE, RULE_FORBID_UNSAFE, RULE_HOT_PATH, RULE_REACTOR,

@@ -1,7 +1,10 @@
 //! Workspace walking: find the `.rs` files to lint, classify crate
-//! roots, and run [`crate::rules::check_file`] over each.
+//! roots, run [`crate::rules::check_file`] over each, and check the
+//! READMEs' test citations against the integration tests found.
 
+use crate::cited::{check_citations, test_fns, test_stem};
 use crate::rules::{check_file, Finding};
+use std::collections::{HashMap, HashSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -72,11 +75,12 @@ fn is_crate_root(root: &Path, rel: &str) -> bool {
     root.join(crate_dir).join("Cargo.toml").is_file()
 }
 
-/// Lints every `.rs` file under `root`; diagnostics come back sorted by
-/// path and line. Files that cannot be read are reported as diagnostics
-/// rather than skipped silently.
+/// Lints every `.rs` file under `root`, then the READMEs' test citations;
+/// diagnostics come back sorted by path and line. Files that cannot be
+/// read are reported as diagnostics rather than skipped silently.
 pub fn lint_root(root: &Path) -> Vec<Diagnostic> {
     let mut out = Vec::new();
+    let mut tests: HashMap<String, HashSet<String>> = HashMap::new();
     for path in collect_rs_files(root) {
         let rel = path
             .strip_prefix(root)
@@ -97,6 +101,12 @@ pub fn lint_root(root: &Path) -> Vec<Diagnostic> {
                 continue;
             }
         };
+        if let Some(stem) = test_stem(&rel) {
+            tests
+                .entry(stem.to_string())
+                .or_default()
+                .extend(test_fns(&src));
+        }
         let crate_root = is_crate_root(root, &rel);
         for Finding {
             line,
@@ -112,6 +122,7 @@ pub fn lint_root(root: &Path) -> Vec<Diagnostic> {
             });
         }
     }
+    out.extend(check_citations(root, &tests));
     out.sort_by(|a, b| (a.file.as_str(), a.line).cmp(&(b.file.as_str(), b.line)));
     out
 }

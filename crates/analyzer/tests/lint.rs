@@ -64,6 +64,12 @@ fn fixtures_trip_every_rule_at_the_expected_lines() {
          allow(reactor) line and unfenced code stay silent"
     );
     assert_eq!(
+        hits(&diags, "cited-test"),
+        [("README.md", 6)],
+        "the renamed test's citation; the resolving one, a path naming no \
+         test file and a fenced block stay silent"
+    );
+    assert_eq!(
         hits(&diags, "directive"),
         [],
         "all fixture directives are well-formed"

@@ -18,9 +18,11 @@
 //! than faking reliability inside the proxy:
 //!
 //! * **Drop / partition** — the frame is swallowed. The sender's acked
-//!   resend window retains it; the next connection cut (scheduled, or
-//!   the final [`ChaosNemesis::heal`]) forces a resend from the acked
-//!   watermark.
+//!   resend window retains it. The receiver refuses the frames that
+//!   arrive past the gap and closes the connection, so the redial resends
+//!   from the acked watermark; a drop with no frame behind it waits for
+//!   the next connection cut (scheduled, or the final
+//!   [`ChaosNemesis::heal`]).
 //! * **Cut / mid-frame cut** — the proxied connection is severed (for
 //!   mid-frame cuts, after forwarding a strict prefix of the encoded
 //!   frame). The dialer's backoff loop re-establishes the link and the
@@ -28,12 +30,11 @@
 //! * **Reorder** — the frame is held back and emitted after the next
 //!   forwarded frame, a one-slot non-FIFO inversion.
 //!
-//! Handshake frames (the first frame of every connection) and protected
-//! tags (consistent-cut markers) pass through unfaulted and unscheduled:
-//! markers must keep their position in the channel or the cut they
-//! delimit would not be consistent, and they deliberately do not consume
-//! schedule indices so fault decisions stay aligned with data frames
-//! across runs with and without audits.
+//! Handshake frames (the first frame of every connection) pass through
+//! unfaulted and unscheduled. Every later frame is faulted alike,
+//! consistent-cut markers included: the service's cut audit judges a cut
+//! by its link sequence stamps, so a dropped, repeated, delayed or
+//! reordered marker costs the auditor a retry, never a wrong verdict.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -66,9 +67,6 @@ pub struct ChaosConfig {
     /// Leading frames of each period spent partitioned (frames on links
     /// touching the window's isolated node are swallowed).
     pub partition_len: u64,
-    /// First-payload-byte tags that pass through unfaulted and without
-    /// consuming a schedule index (consistent-cut markers).
-    pub protect_tags: Vec<u8>,
 }
 
 impl ChaosConfig {
@@ -79,7 +77,6 @@ impl ChaosConfig {
             profile: FaultProfile::light(),
             partition_every: 0,
             partition_len: 0,
-            protect_tags: Vec::new(),
         }
     }
 
@@ -443,7 +440,6 @@ fn forward(
     link: (usize, usize),
     schedule: Arc<ChaosSchedule>,
 ) {
-    let protect = schedule.config().protect_tags.clone();
     // First frame of every connection is the handshake hello: faulting it
     // would wedge the dialer inside its blocking hello-ack read, so it
     // passes clean and uncounted.
@@ -454,21 +450,6 @@ fn forward(
             first = false;
             if wr.write_all(&frame).is_err() {
                 break;
-            }
-            continue;
-        }
-        // Protected tags (cut markers) keep their channel position:
-        // forwarded immediately, before any held frame (the held frame
-        // was sent pre-marker, so emitting it post-marker only delays an
-        // in-flight message — the safe direction for cut consistency).
-        if protect.contains(&frame[4]) {
-            if wr.write_all(&frame).is_err() {
-                break;
-            }
-            if let Some(h) = held.take() {
-                if wr.write_all(&h).is_err() {
-                    break;
-                }
             }
             continue;
         }
@@ -700,30 +681,6 @@ mod tests {
         for i in 0..10usize {
             assert_eq!(got[1 + 2 * i], got[2 + 2 * i]);
         }
-    }
-
-    #[test]
-    fn protected_tags_bypass_the_schedule() {
-        let (sink, rx) = frame_sink();
-        let mut cfg = ChaosConfig::new(5);
-        cfg.profile = FaultProfile {
-            drop_pm: 1000,
-            ..FaultProfile::off()
-        };
-        cfg.protect_tags = vec![6];
-        let nemesis = ChaosNemesis::launch(vec![sink, sink], cfg).expect("launch");
-        let via = nemesis.peer_addrs_for(0)[1];
-        let mut conn = TcpStream::connect(via).expect("dial proxy");
-        send_frame(&mut conn, &[1]); // hello
-        send_frame(&mut conn, &[2, 7]); // dropped
-        send_frame(&mut conn, &[6, 9]); // marker: must pass
-        send_frame(&mut conn, &[2, 8]); // dropped
-        drop(conn);
-        let got = rx
-            .recv_timeout(Duration::from_secs(5))
-            .expect("sink frames");
-        assert_eq!(got, vec![vec![1], vec![6, 9]]);
-        assert_eq!(nemesis.schedule().fault_counts().dropped, 2);
     }
 
     #[test]

@@ -1,34 +1,36 @@
 //! Online consistent-cut audit: marker-style global snapshots checked
-//! for causal-cut closure, without stopping traffic.
+//! for consistency and causal-cut closure, without stopping traffic.
 //!
 //! The post-hoc oracle needs every node's full (or checkpointed) trace
 //! and a quiescent cluster. A *consistent-cut* audit is the online
-//! complement: a marker token is injected at one node, floods the peer
-//! links in channel order (Chandy–Lamport style), and each node records
-//! a [`CutSnapshot`] of its per-partition frontiers the moment it first
-//! sees the token. The snapshots form a global cut; this module checks
-//! that the cut is **causally closed**.
+//! complement: a marker token is injected at one node and floods the peer
+//! links (Chandy–Lamport style), and each node records a [`CutSnapshot`]
+//! the moment it first sees the token: its per-partition frontiers, and
+//! per peer node the highest link sequence it had sent (`sent`) and
+//! received (`received`).
 //!
-//! # The closure invariant
+//! A cut is **consistent** exactly when no channel delivered a message
+//! sent after its sender's cut: `received_a[b] ≤ sent_b[a]` for every
+//! pair of reporting nodes. A pair that fails means `a` recorded late (a
+//! marker lost, reordered or overtaken): [`CutVerdict::Incomplete`],
+//! naming the pair. Markers only make consistent cuts likely; the stamps
+//! decide, wherever the markers went.
 //!
-//! Wire ids are assigned monotonically per issuer, and a causally
-//! consistent replica applies each issuer's updates in issue order — so
-//! a replica's per-issuer applied frontier is a complete description of
-//! which of that issuer's updates it has applied. The cut is closed iff
-//! for every partition, every replica `r` in the cut, and every issuer
-//! role `j`:
+//! A consistent cut must be **causally closed**. Wire ids are assigned
+//! monotonically per issuer, and a causally consistent replica applies
+//! each issuer's updates in issue order, so for every partition, replica
+//! `r` and issuer role `j`:
 //!
 //! ```text
 //! applied_r[j] ≤ issued_j          (from j's own snapshot)
 //! ```
 //!
-//! i.e. no replica has applied an update its issuer had not yet issued
-//! when the issuer passed the cut line. An update issued *before* the
-//! cut and applied *after* it is merely in flight (fine); an update
-//! applied *before* the cut whose issue the cut missed would make the
-//! "global state" one that never existed — that is what markers keeping
-//! their channel position prevents, and what this check detects if the
-//! marker discipline (or the protocol) is broken.
+//! An update issued *before* the cut and applied after it is merely in
+//! flight. One applied before the cut whose issue the cut missed reached
+//! the replica on a link sequence past its issuer's `sent` stamp, which a
+//! consistent cut excludes: on consistent stamps a closure failure is a
+//! real break in the id bookkeeping or the protocol,
+//! [`CutVerdict::Violated`].
 //!
 //! A cut is only *conclusive* when every role of every observed
 //! partition reported a snapshot for the token; a node crash or a
@@ -64,6 +66,12 @@ pub struct CutSnapshot {
     pub token: u64,
     /// Per hosted partition, the frontier state at the cut line.
     pub partitions: Vec<PartitionCut>,
+    /// Per node `k`, indexed by node: the highest link sequence this node
+    /// had assigned toward `k` at the cut line (0 = none, and for itself).
+    pub sent: Vec<u64>,
+    /// Per node `k`: the highest link sequence this node had received
+    /// from `k` at the cut line.
+    pub received: Vec<u64>,
 }
 
 /// Verdict of a consistent-cut closure check.
@@ -90,9 +98,10 @@ pub enum CutVerdict {
         /// The issuer's own issued frontier at its snapshot.
         issued: u64,
     },
-    /// The cut cannot be judged: a role is missing (marker lost to a
-    /// crash or sever), duplicated, or tokens are mixed. Retry with a
-    /// fresh token.
+    /// The cut cannot be judged: a node recorded past a message sent
+    /// after its sender's cut (the stamps disagree), a role is missing
+    /// (marker lost to a crash or sever), duplicated, or tokens are
+    /// mixed. Retry with a fresh token.
     Incomplete {
         /// Human-readable reason.
         reason: String,
@@ -111,26 +120,45 @@ impl CutVerdict {
     }
 }
 
-/// Checks a set of per-node snapshots for causal-cut closure.
+/// Checks a set of per-node snapshots for consistency, then causal-cut
+/// closure.
 ///
-/// Completeness requirement: within each partition that any snapshot
-/// mentions, every role `0..replication_factor` (the length of the
-/// `applied` vectors) must be reported exactly once, all under the same
-/// token. Anything else yields [`CutVerdict::Incomplete`].
+/// All under one token, with one stamp per node in every `sent` and
+/// `received`, consistent pairwise; within each partition that any
+/// snapshot mentions, every role `0..replication_factor` (the length of
+/// the `applied` vectors) reported exactly once. Anything else yields
+/// [`CutVerdict::Incomplete`].
 pub fn verify_cut_closure(snapshots: &[CutSnapshot]) -> CutVerdict {
-    if snapshots.is_empty() {
-        return CutVerdict::Incomplete {
-            reason: "no snapshots".into(),
-        };
-    }
-    let token = snapshots[0].token;
+    let incomplete = |reason: String| CutVerdict::Incomplete { reason };
+    let Some(first) = snapshots.first() else {
+        return incomplete("no snapshots".into());
+    };
+    let token = first.token;
     if let Some(s) = snapshots.iter().find(|s| s.token != token) {
-        return CutVerdict::Incomplete {
-            reason: format!(
-                "mixed tokens: node {} reported {}, expected {token}",
-                s.node, s.token
-            ),
-        };
+        return incomplete(format!(
+            "mixed tokens: node {} reported {}, expected {token}",
+            s.node, s.token
+        ));
+    }
+    let nodes = first.sent.len();
+    let fits = |s: &CutSnapshot| {
+        s.sent.len() == nodes && s.received.len() == nodes && (s.node as usize) < nodes
+    };
+    if let Some(s) = snapshots.iter().find(|s| !fits(s)) {
+        return incomplete(format!("node {} stamps other than {nodes} nodes", s.node));
+    }
+    for (a, b) in snapshots
+        .iter()
+        .flat_map(|a| snapshots.iter().map(move |b| (a, b)))
+    {
+        let (received, sent) = (a.received[b.node as usize], b.sent[a.node as usize]);
+        if a.node != b.node && received > sent {
+            return incomplete(format!(
+                "pair ({0}, {1}): node {0} received link sequence {received} from node {1}, \
+                 which had sent {sent} when it recorded the cut",
+                a.node, b.node
+            ));
+        }
     }
     // partition -> role -> (issued_high, applied)
     let mut by_partition: HashMap<u32, HashMap<usize, (u64, &[u64])>> = HashMap::new();
@@ -139,21 +167,20 @@ pub fn verify_cut_closure(snapshots: &[CutSnapshot]) -> CutVerdict {
         for pc in &snap.partitions {
             let roles = roles_of.entry(pc.partition).or_insert(pc.applied.len());
             if *roles != pc.applied.len() || pc.role >= *roles {
-                return CutVerdict::Incomplete {
-                    reason: format!(
-                        "partition {} role {} inconsistent with replication factor {}",
-                        pc.partition, pc.role, roles
-                    ),
-                };
+                return incomplete(format!(
+                    "partition {} role {} inconsistent with replication factor {}",
+                    pc.partition, pc.role, roles
+                ));
             }
             let slot = by_partition.entry(pc.partition).or_default();
             if slot
                 .insert(pc.role, (pc.issued_high, pc.applied.as_slice()))
                 .is_some()
             {
-                return CutVerdict::Incomplete {
-                    reason: format!("partition {} role {} reported twice", pc.partition, pc.role),
-                };
+                return incomplete(format!(
+                    "partition {} role {} reported twice",
+                    pc.partition, pc.role
+                ));
             }
         }
     }
@@ -164,9 +191,7 @@ pub fn verify_cut_closure(snapshots: &[CutSnapshot]) -> CutVerdict {
         let roles = roles_of[&partition];
         for role in 0..roles {
             if !slots.contains_key(&role) {
-                return CutVerdict::Incomplete {
-                    reason: format!("partition {partition} missing role {role}"),
-                };
+                return incomplete(format!("partition {partition} missing role {role}"));
             }
         }
         for (&observer_role, &(_, applied)) in slots.iter() {
@@ -198,11 +223,23 @@ pub fn verify_cut_closure(snapshots: &[CutSnapshot]) -> CutVerdict {
 mod tests {
     use super::*;
 
+    /// A snapshot of a two-node cluster whose links carried nothing.
     fn snap(node: u64, token: u64, partitions: Vec<PartitionCut>) -> CutSnapshot {
         CutSnapshot {
             node,
             token,
             partitions,
+            sent: vec![0; 2],
+            received: vec![0; 2],
+        }
+    }
+
+    /// [`snap`] with link stamps.
+    fn stamped(snap: CutSnapshot, sent: Vec<u64>, received: Vec<u64>) -> CutSnapshot {
+        CutSnapshot {
+            sent,
+            received,
+            ..snap
         }
     }
 
@@ -328,5 +365,77 @@ mod tests {
             snap(1, 1, vec![pc(0, 1, 0, vec![0, 0])]),
         ]);
         assert!(v.is_closed(), "{v:?}");
+    }
+
+    /// Node 0 issued seq 5 and shipped it to node 1 on link sequence 3;
+    /// node 1 issued seq 2 and shipped it to node 0 on link sequence 2.
+    fn two_node_cut(received_by_1: u64, applied_by_1: u64) -> Vec<CutSnapshot> {
+        vec![
+            stamped(
+                snap(0, 7, vec![pc(0, 0, wid(0, 5), vec![wid(0, 5), wid(1, 2)])]),
+                vec![0, 3],
+                vec![0, 2],
+            ),
+            stamped(
+                snap(
+                    1,
+                    7,
+                    vec![pc(0, 1, wid(1, 2), vec![applied_by_1, wid(1, 2)])],
+                ),
+                vec![2, 0],
+                vec![received_by_1, 0],
+            ),
+        ]
+    }
+
+    #[test]
+    fn consistent_stamps_with_closure_are_closed() {
+        let v = verify_cut_closure(&two_node_cut(3, wid(0, 5)));
+        assert!(v.is_closed(), "{v:?}");
+    }
+
+    #[test]
+    fn a_pair_received_past_its_senders_cut_is_incomplete_and_named() {
+        // Node 1 took link sequence 4 from node 0, which had sent 3 when
+        // it recorded: node 1 recorded late. Its frontier overran node 0's
+        // as a late record's does, and the stamps, not the closure check,
+        // judge it.
+        let v = verify_cut_closure(&two_node_cut(4, wid(0, 6)));
+        match v {
+            CutVerdict::Incomplete { reason } => {
+                assert!(reason.starts_with("pair (1, 0):"), "{reason}");
+            }
+            other => panic!("expected the pair named, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn consistent_stamps_with_broken_closure_are_a_violation() {
+        // The stamps say no message crossed the cut, yet node 1 applied
+        // node 0's seq 6: that is the bookkeeping breaking, not timing.
+        let v = verify_cut_closure(&two_node_cut(3, wid(0, 6)));
+        assert!(
+            matches!(
+                v,
+                CutVerdict::Violated {
+                    observer_role: 1,
+                    issuer_role: 0,
+                    ..
+                }
+            ),
+            "{v:?}"
+        );
+    }
+
+    #[test]
+    fn stamps_of_the_wrong_length_are_inconclusive() {
+        let mut cut = two_node_cut(3, wid(0, 5));
+        cut[1].received.push(0);
+        let v = verify_cut_closure(&cut);
+        assert!(v.is_incomplete(), "{v:?}");
+        // A node index past the stamps' length cannot be paired either.
+        let mut cut = two_node_cut(3, wid(0, 5));
+        cut[1].node = 2;
+        assert!(verify_cut_closure(&cut).is_incomplete());
     }
 }

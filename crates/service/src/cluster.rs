@@ -261,21 +261,33 @@ impl LoopbackCluster {
     /// Runs one online consistent-cut audit *without stopping traffic*:
     /// injects marker `token` at node 0, polls every node for its recorded
     /// snapshot until all have reported (or `timeout` elapses), then checks
-    /// the cut for causal closure. A node that never sees the marker — a
-    /// crash or a severed link mid-audit — yields
-    /// [`CutVerdict::Incomplete`], never a false verdict: retry with a
-    /// fresh token.
+    /// the cut for consistency and causal closure. A node that never sees
+    /// the marker, or records late, yields [`CutVerdict::Incomplete`],
+    /// never a false verdict: retry with a fresh token.
     pub fn cut_audit(&self, token: u64, timeout: Duration) -> io::Result<CutVerdict> {
-        self.client(0)?.cut_start(token)?;
+        // One client per node for the whole audit, as `drain` keeps: the
+        // poll runs every 5ms.
+        let mut clients: Vec<Option<ServiceClient>> = (0..self.len()).map(|_| None).collect();
+        let mut initiator = self.client(0)?;
+        initiator.cut_start(token)?;
+        clients[0] = Some(initiator);
         let deadline = Instant::now() + timeout;
         let mut snapshots: Vec<Option<CutSnapshot>> = vec![None; self.len()];
         loop {
-            for (i, slot) in snapshots.iter_mut().enumerate() {
-                if slot.is_none() {
-                    // A node mid-restart refuses connections; that is "not
-                    // yet", not an error — the deadline decides.
-                    if let Ok(snap) = self.client(i).and_then(|mut c| c.cut_report(token)) {
-                        *slot = snap;
+            for (i, (slot, client)) in snapshots.iter_mut().zip(&mut clients).enumerate() {
+                if slot.is_some() {
+                    continue;
+                }
+                // A node mid-restart refuses connections; that is "not
+                // yet", not an error — the deadline decides, and a failed
+                // client is redialed on the next poll.
+                if client.is_none() {
+                    *client = self.client(i).ok();
+                }
+                if let Some(c) = client {
+                    match c.cut_report(token) {
+                        Ok(snap) => *slot = snap,
+                        Err(_) => *client = None,
                     }
                 }
             }

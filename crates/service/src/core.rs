@@ -189,10 +189,11 @@ pub(crate) enum Effect<C> {
     /// the registry snapshot.
     Metrics(ConnId),
     CutReply(ConnId, Option<CutSnapshot>),
-    /// A cut marker to broadcast to every peer link. In-order like the
-    /// sends around it: an update processed before the marker reaches the
-    /// link's command queue first, one processed after it reaches the
-    /// queue after — command order is exactly marker order on the wire.
+    /// A cut marker to broadcast to every peer link: a hint that makes
+    /// peers record soon, not a delimiter the audit relies on. In order
+    /// like the sends around it, so on a healthy link it reaches the peer
+    /// ahead of every post-cut update and the cut comes out consistent;
+    /// where it is lost or overtaken, the snapshot stamps show it.
     Marker(u64),
     /// Close this inbound connection: a redial replaced it (no half-open
     /// black hole), or it carried a frame [`admit`] refused.
@@ -713,9 +714,11 @@ impl<P: Protocol> Core<P> {
     // lint: end-hot-path
 
     /// Records this node's side of cut `token` — every hosted partition's
-    /// frontier at this instant — at its first sighting, and floods the
-    /// marker onward; later sightings are the expected echoes from the
-    /// other peer links.
+    /// frontier and every link's sequence stamps at this instant — at its
+    /// first sighting, and floods the marker onward; later sightings are
+    /// the expected echoes from the other peer links. The stamps let the
+    /// checker tell a late record from a broken cut, whatever path the
+    /// markers took.
     fn sight_cut(
         &mut self,
         map: &PartitionMap,
@@ -736,6 +739,8 @@ impl<P: Protocol> Core<P> {
                 node: self.node as u64,
                 token,
                 partitions,
+                sent: self.links.iter().map(PeerLink::sent_high).collect(),
+                received: self.links.iter().map(PeerLink::received_high).collect(),
             },
         ));
         while self.cuts.len() > CUTS_KEPT {
@@ -1267,6 +1272,104 @@ mod tests {
         let first = run();
         assert!(first.contains("Send("));
         assert_eq!(first, run(), "effect lists must be bit-identical");
+    }
+
+    /// Cuts check their own consistency, socket-free: three ring-3 cores,
+    /// and for each node `a` and each peer `b` in turn, `b` records a cut
+    /// and issues a write whose copy goes to `a`. Where that post-cut copy
+    /// reaches `a` before any marker, and `a` records on the third node's
+    /// marker, `a`'s frontier overruns `b`'s issue — a closure failure the
+    /// stamps attribute to the late record: `Incomplete`, naming `(a, b)`.
+    /// Where `b`'s marker comes first, the cut is `Closed`.
+    #[test]
+    fn a_late_record_is_incomplete_by_its_stamps_not_violated() {
+        let cfg = ServiceConfig::default();
+        let (protocol, map, _) = ring_core(0, 64);
+        let env = Env::new(&protocol, &map, &cfg);
+        let partition = PartitionId(0);
+        let token = 41;
+        let step = |core: &mut Core<EdgeProtocol>, msg| {
+            let mut out = Vec::new();
+            core.step(&env, msg, &|| 0, None, &mut out).expect("step");
+            out
+        };
+        let marker = || CoreMsg::PeerMarker { token };
+        for a in 0..3 {
+            for b in (0..3).filter(|&b| b != a) {
+                let c = 3 - a - b;
+                for marker_first in [false, true] {
+                    let mut cores: Vec<_> = (0..3).map(|n| ring_core(n, 64).2).collect();
+                    let role = |n| map.role_on(partition, n).expect("every node hosts a role");
+                    let register = map.graph().shared(role(b), role(a)).iter().next();
+                    let register = register.expect("ring-3 roles share a register");
+                    // `b` writes the register it shares with `a` alone and
+                    // returns the copy headed for `a` as an `Updates`.
+                    let write = |core: &mut Core<EdgeProtocol>| {
+                        let write = CoreMsg::Write {
+                            partition,
+                            register,
+                            value: 7,
+                            conn: 11,
+                        };
+                        let out = step(core, write);
+                        let [Effect::Send(to, (seq, p, update)), Effect::WriteReply(11, true)] =
+                            &out[..]
+                        else {
+                            panic!("one copy, to `a`: {out:?}");
+                        };
+                        assert_eq!(*to, a);
+                        let sections = vec![(*p, vec![(*seq, update.clone())])];
+                        CoreMsg::Updates {
+                            peer: b,
+                            sections,
+                            conn: 22,
+                        }
+                    };
+                    let before = write(&mut cores[b]);
+                    step(&mut cores[a], before);
+                    step(
+                        &mut cores[b],
+                        CoreMsg::Cut {
+                            token,
+                            start: true,
+                            conn: 1,
+                        },
+                    );
+                    let after = write(&mut cores[b]);
+                    if marker_first {
+                        step(&mut cores[a], marker());
+                    }
+                    step(&mut cores[a], after);
+                    // The third node records on `b`'s marker, `a` on the
+                    // third's; `b`'s own reaching `a` last is an echo.
+                    step(&mut cores[c], marker());
+                    step(&mut cores[a], marker());
+                    step(&mut cores[a], marker());
+                    let cut: Vec<CutSnapshot> = cores
+                        .iter()
+                        .map(|core| {
+                            let found = core.cuts.iter().find(|(t, _)| *t == token);
+                            found.expect("every node recorded").1.clone()
+                        })
+                        .collect();
+                    let verdict = prcc_checker::verify_cut_closure(&cut);
+                    if marker_first {
+                        assert!(verdict.is_closed(), "a={a} b={b}: {verdict:?}");
+                        continue;
+                    }
+                    let pair = format!("pair ({a}, {b}):");
+                    assert!(
+                        matches!(&verdict, prcc_checker::CutVerdict::Incomplete { reason }
+                            if reason.starts_with(&pair)),
+                        "a={a} b={b}: {verdict:?}"
+                    );
+                    // What the closure check alone calls `Violated`: `a`
+                    // applied past `b`'s issued frontier.
+                    let (seen, issued) = (&cut[a].partitions[0], &cut[b].partitions[0]);
+                    assert!(seen.applied[role(b).index()] > issued.issued_high);
+                }
+            }
+        }
     }
 
     /// The sans-I/O property as a check, not a comment: outside comments

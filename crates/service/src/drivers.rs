@@ -11,9 +11,11 @@
 //!   bounded backoff via one-shot timers if the link drops), handshakes,
 //!   then coalesces outgoing updates by event-loop cadence — a batch
 //!   closes when the reactor tick that delivered its updates ends (or a
-//!   cut marker must go out behind it): there is no flush timer, the tick
+//!   cut marker goes out behind it): there is no flush timer, the tick
 //!   *is* the batch. Each `batch_max`-sized chunk of it is emitted as
-//!   *one* multi-partition frame carrying a section per partition present;
+//!   *one* multi-partition frame carrying a section per partition present.
+//!   It parks nothing across a handshake: the core's window is the one
+//!   copy of every unacknowledged update;
 //! * [`PeerIn`] checks the versioned handshake (the core answers it with
 //!   the acknowledged resume offset), then fans decoded flush frames and
 //!   cut markers out to the core as [`CoreMsg`]s — whether a frame's
@@ -42,7 +44,6 @@ use prcc_net::chaos::mix64;
 use prcc_reactor::{Ctx, Driver, Fate, Lease};
 use prcc_telemetry::{wall_us, Counter, Registry, SharedHistogram};
 use std::any::Any;
-use std::collections::VecDeque;
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -54,13 +55,11 @@ use std::time::{Duration, Instant};
 pub(crate) enum PeerCmd<C> {
     /// A sequenced outbound update to batch into the next flush frame.
     Update(Sequenced<C>),
-    /// A consistent-cut marker: written to the peer at exactly the command
-    /// position it was enqueued at (after every update queued before it,
-    /// before every update queued after it) — the Chandy–Lamport discipline
-    /// the cut audit's closure check relies on. A marker issued while the
-    /// link is mid-handshake parks in the backlog and keeps that position
-    /// across the resume; otherwise markers are fire-and-forget: they never
-    /// enter the resend window, so a connection dying under one loses it.
+    /// A consistent-cut marker: written at the command position it was
+    /// enqueued at when the link is established, and dropped otherwise.
+    /// It is a hint that makes the peer record soon; the cut's stamps, not
+    /// its position, decide whether the cut is consistent, so a marker
+    /// lost to a handshake or a dying connection costs a retry at most.
     Marker(u64),
     /// The core's reply to a [`CoreMsg::PeerResume`]: the window suffix to
     /// resend.
@@ -156,9 +155,6 @@ pub(crate) struct PeerOut<C> {
     connect_timeout: Duration,
     hub: Hub<C>,
     state: OutState,
-    /// Commands that arrived mid-handshake, replayed in order once the
-    /// resume window has been retransmitted.
-    pending: VecDeque<PeerCmd<C>>,
     /// This connection's flush encoder: reset on every connect, so no
     /// frame is ever encoded against a base the peer's current inbound
     /// driver did not decode.
@@ -167,11 +163,6 @@ pub(crate) struct PeerOut<C> {
     /// `on_flush` ships all of it when the tick ends, so it never outlives
     /// a tick and is bounded by what one inbox drain can hold.
     batch: Vec<Sequenced<C>>,
-    /// Highest sequence already transmitted on this connection (the
-    /// resume window's tail, advanced by every flush): entries at or
-    /// below it still arriving through the command queue are duplicates
-    /// of what the resume sent and are dropped before encoding.
-    covered: u64,
     /// The peer's acknowledged offset from the current handshake.
     acked: u64,
     /// Connection generation: counts successful connects.
@@ -206,10 +197,8 @@ impl<C: WireClock> PeerOut<C> {
             connect_timeout: cfg.connect_timeout,
             hub,
             state: OutState::Down,
-            pending: VecDeque::new(),
             flush_codec: FlushEncoder::default(),
             batch: Vec::new(),
-            covered: 0,
             acked: 0,
             generation: 0,
             deadline: None,
@@ -291,38 +280,15 @@ impl<C: WireClock> PeerOut<C> {
         }
     }
 
-    /// Flushes the open batch, all of it: drops entries the resume already
-    /// covered and ships the rest, `batch_max` updates to a frame.
+    /// Flushes the open batch, all of it, `batch_max` updates to a frame.
     fn flush(&mut self, ctx: &mut Ctx<'_>) {
-        let covered = self.covered;
-        self.batch.retain(|(seq, _, _)| *seq > covered);
         let mut shipped = std::mem::take(&mut self.batch);
-        if let Some(&(last, _, _)) = shipped.last() {
-            self.covered = last;
-        }
         self.transmit(ctx, &shipped, true);
         // Hand the (emptied) allocation back for the next tick.
         shipped.clear();
         self.batch = shipped;
     }
     // lint: end-hot-path
-
-    /// Applies one established-state command (also used to replay the
-    /// handshake-era backlog after a resume).
-    fn apply_cmd(&mut self, ctx: &mut Ctx<'_>, cmd: PeerCmd<C>) {
-        match cmd {
-            PeerCmd::Update(entry) => self.batch.push(entry),
-            PeerCmd::Marker(token) => {
-                // Everything queued before the marker must hit the wire
-                // first, the marker next, everything after it later.
-                self.flush(ctx);
-                self.write_marker(ctx, token);
-            }
-            // Resume is handled in on_command before dispatch; a stray one
-            // (stale reply after a re-handshake) is ignored.
-            PeerCmd::Resume(_) => {}
-        }
-    }
 
     /// Writes a cut marker frame. A failure loses it (markers are not
     /// windowed); a node no marker reaches never reports, and the audit
@@ -339,15 +305,13 @@ impl<C: WireClock> PeerOut<C> {
         }
     }
 
-    /// The core answered the handshake with the resume window: retransmit
-    /// it, mark the link established, and replay the command backlog, with
-    /// every parked marker at its command position.
+    /// The core answered the handshake with the resume window: mark the
+    /// link established and retransmit the window. Effects leave the core
+    /// in order and this link's commands share one reactor inbox, so every
+    /// update commanded after this reply is sequenced past the window's
+    /// tail, and every one commanded before it arrived mid-handshake and
+    /// was dropped — the window carries it.
     fn finish_resume(&mut self, ctx: &mut Ctx<'_>, window: Vec<Sequenced<C>>) {
-        // Everything up to the window's tail is covered by this resume:
-        // entries still sitting in the command backlog at or below
-        // `covered` are duplicates of what the resume sends and are
-        // dropped by the flush filter.
-        self.covered = window.last().map_or(self.acked, |&(seq, _, _)| seq);
         // A window shipped on the very first connection of a fresh link
         // (generation 1, nothing acked) is a first transmission — writes
         // merely raced the dial — not a retransmission; everything else
@@ -359,26 +323,7 @@ impl<C: WireClock> PeerOut<C> {
         };
         self.hub.counters.resent.add(resent);
         self.state = OutState::Established;
-        // The window also covers the updates parked *behind* a parked
-        // marker, so it ships in slices: ahead of each marker only the
-        // entries queued before it — everything below the first update
-        // still parked after it.
-        let mut unsent = window.as_slice();
-        while let Some(cmd) = self.pending.pop_front() {
-            if matches!(cmd, PeerCmd::Marker(_)) {
-                let queued_after = self.pending.iter().find_map(|cmd| match cmd {
-                    PeerCmd::Update((seq, ..)) => Some(*seq),
-                    _ => None,
-                });
-                let ahead = queued_after.map_or(unsent.len(), |next| {
-                    unsent.partition_point(|&(seq, ..)| seq < next)
-                });
-                self.transmit(ctx, &unsent[..ahead], false);
-                unsent = &unsent[ahead..];
-            }
-            self.apply_cmd(ctx, cmd);
-        }
-        self.transmit(ctx, unsent, false);
+        self.transmit(ctx, &window, false);
     }
 }
 
@@ -434,23 +379,24 @@ impl<C: WireClock> Driver for PeerOut<C> {
         let Ok(cmd) = cmd.downcast::<PeerCmd<C>>() else {
             return;
         };
+        // Mid-handshake (or mid-backoff) an update or marker is dropped:
+        // the update is in the core's window, which the resume sends, and
+        // a marker is only a hint. A stray resume (a stale reply after a
+        // re-handshake) is ignored.
+        let established = self.state == OutState::Established;
         match *cmd {
-            PeerCmd::Resume(window) => {
-                if self.state == OutState::AwaitResume {
-                    self.finish_resume(ctx, window);
-                }
+            PeerCmd::Resume(window) if self.state == OutState::AwaitResume => {
+                self.finish_resume(ctx, window);
             }
-            cmd => {
-                if self.state == OutState::Established {
-                    self.apply_cmd(ctx, cmd);
-                } else {
-                    // Mid-handshake (or mid-backoff): park the command.
-                    // Updates in it are also parked in the core's window;
-                    // the backlog's order is what lets the resume put
-                    // markers back at their command positions.
-                    self.pending.push_back(cmd);
-                }
+            PeerCmd::Update(entry) if established => self.batch.push(entry),
+            PeerCmd::Marker(token) if established => {
+                // Everything queued before the marker goes first, so on a
+                // healthy link the peer records ahead of every update sent
+                // after it.
+                self.flush(ctx);
+                self.write_marker(ctx, token);
             }
+            _ => {}
         }
     }
 
@@ -491,11 +437,9 @@ impl<C: WireClock> Driver for PeerOut<C> {
             return Fate::Keep;
         }
         // A dial or handshake failed. Back off inside the current window;
-        // when the window is exhausted, report once, discard the command
-        // backlog (every entry is also parked in the core's window, which
-        // the resume on the next successful dial retransmits), and open a
-        // fresh window — a peer down longer than one connect_timeout
-        // (e.g. a slow crash-restart) must not strand the link forever.
+        // when the window is exhausted, report once and open a fresh
+        // window — a peer down longer than one connect_timeout (e.g. a
+        // slow crash-restart) must not strand the link forever.
         let now = ctx.now();
         let deadline = self.deadline.unwrap_or(now);
         if now >= deadline {
@@ -503,7 +447,6 @@ impl<C: WireClock> Driver for PeerOut<C> {
                 "prcc-service[{}]: peer {} unreachable for {:?}, backing off",
                 self.node, self.addr, self.connect_timeout
             );
-            self.pending.clear();
             self.begin_window(ctx);
             return Fate::Keep;
         }
@@ -574,10 +517,10 @@ where
             self.hub.to_core(ctx, CoreMsg::PeerJoin { peer, conn });
             return Ok(());
         };
-        // Cut markers travel in the update stream — that is what gives
-        // them a channel position — so they are intercepted here, before
-        // batch decoding, and forwarded on the same core channel as the
-        // updates around them (arrival order is cut order).
+        // Cut markers travel in the update stream, so on a healthy link
+        // they arrive ahead of the updates sent after them; they are
+        // intercepted here, before batch decoding, and forwarded on the
+        // same core channel as the updates around them.
         if frame.first() == Some(&TAG_CUT_MARKER) {
             let token = decode_cut_marker(&frame)?;
             self.hub.to_core(ctx, CoreMsg::PeerMarker { token });
@@ -586,22 +529,15 @@ where
         // One frame, many `(partition, [(seq, update)])` sections, handed
         // to the core as one delivery (and one WAL receipt). Whether the
         // sender may ship them is the core's to judge: `slot::admit`.
+        // A frame lost in transit is an error too: the connection closes,
+        // and the sender redials and resends past the acknowledged line.
         let roles = self.map.graph().num_replicas();
         let protocol = &self.protocol;
-        let was_lost = self.flush_codec.lost();
         let mut sections = self.flush_codec.decode(&frame, |k| {
             (k.index() < roles).then(|| protocol.new_clock(k))
         })?;
         if sections.is_empty() {
-            // A repeat, a frame held for its predecessor, or anything after
-            // a lost frame: the next connection resends past the gap.
-            if !was_lost && self.flush_codec.lost() {
-                eprintln!(
-                    "prcc-service[{}]: peer {peer}: a flush frame was lost in transit; \
-                     updates resume on the next connection",
-                    self.node
-                );
-            }
+            // A repeat, or a frame held for its predecessor.
             return Ok(());
         }
         // Ids arrive without their node bits; the handshake says whose
@@ -694,7 +630,7 @@ impl<C: WireClock> Driver for ClientConn<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{decode_multi_batch, encode_hello_ack_into, read_frame, write_frame};
+    use crate::wire::{encode_hello_ack_into, read_frame, write_frame};
     use prcc_checker::UpdateId;
     use prcc_clock::{EdgeClock, EdgeProtocol};
     use prcc_core::Update;
@@ -760,13 +696,19 @@ mod tests {
         };
         // A first update proves the link established (and leaves the
         // worker parked in `epoll_wait` with nothing armed).
+        let mut decoder = FlushDecoder::default();
+        let mut decode = |frame: &[u8]| {
+            decoder
+                .decode(frame, |k| Some(protocol.new_clock(k)))
+                .expect("flush")
+        };
         handle.command(conn, update(1));
-        read_frame(&mut sock).expect("io").expect("first frame");
+        decode(&read_frame(&mut sock).expect("io").expect("first frame"));
         let before = handle.metrics().wakeups.get();
         handle.command(conn, update(2));
         let frame = read_frame(&mut sock).expect("io").expect("second frame");
         let wakeups = handle.metrics().wakeups.get() - before;
-        let sections = decode_multi_batch(&frame, |k| Some(protocol.new_clock(k))).expect("flush");
+        let sections = decode(&frame);
         assert_eq!(sections[0].1[0].0, 2, "the lone update, link seq 2");
         assert_eq!(wakeups, 1, "command and frame share one reactor tick");
 

@@ -5,7 +5,7 @@
 //! crate takes the same generic [`prcc_clock::Protocol`] replicas across
 //! real sockets, as layers composed around one sans-I/O state machine:
 //!
-//! * [`wire`] — the length-prefixed binary wire protocol (version 12):
+//! * [`wire`] — the length-prefixed binary wire protocol (version 14):
 //!   `wire/peer.rs` has the versioned handshake (carrying the serialized
 //!   [`prcc_graph::PartitionMap`], answered with the link's acknowledged
 //!   resume offset), multi-partition flush frames (a `(partition, [(link

@@ -189,6 +189,20 @@ impl<T> PeerLink<T> {
         self.window.iter()
     }
 
+    /// Sender: the highest sequence assigned so far (0 = none). A cut
+    /// records it, so an update sequenced past it was issued after the cut.
+    pub fn sent_high(&self) -> u64 {
+        self.next_seq - 1
+    }
+
+    /// Receiver: the highest sequence seen from the peer, gaps included.
+    pub fn received_high(&self) -> u64 {
+        // The residue ascends, so its last entry is its largest.
+        self.recv
+            .high()
+            .max(self.recv.residue().last().unwrap_or(0))
+    }
+
     /// Entries the window cap has evicted.
     pub fn evicted(&self) -> u64 {
         self.evicted
@@ -303,6 +317,24 @@ mod tests {
         assert!(link.on_update(2));
         assert_eq!(link.on_frame(1, 1), Some(3));
         assert_eq!(link.on_frame(9, 0), None, "0 = handshake acks only");
+    }
+
+    #[test]
+    fn the_cut_stamps_read_the_highest_sequence_each_way() {
+        let mut link = link(1);
+        assert_eq!((link.sent_high(), link.received_high()), (0, 0));
+        for c in ['a', 'b', 'c'] {
+            link.enqueue(c);
+        }
+        // Eviction and acknowledgement retire entries, not sequences.
+        link.on_ack(3, |_| {});
+        assert_eq!(link.sent_high(), 3);
+        link.on_update(1);
+        assert_eq!(link.received_high(), 1);
+        // A gap counts: what arrived past it arrived.
+        link.on_update(5);
+        link.on_update(4);
+        assert_eq!(link.received_high(), 5);
     }
 
     #[test]

@@ -32,6 +32,22 @@ fn encode_cut_snapshot(snap: &CutSnapshot, out: &mut Vec<u8>) {
         }
         write_varint(out, pc.pending);
     }
+    // v14: the link sequence stamps the checker judges consistency by.
+    for stamps in [&snap.sent, &snap.received] {
+        write_varint(out, stamps.len() as u64);
+        for &seq in stamps {
+            write_varint(out, seq);
+        }
+    }
+}
+
+/// Reads one per-node stamp vector of a cut snapshot.
+fn decode_cut_stamps(payload: &[u8], at: &mut usize) -> io::Result<Vec<u64>> {
+    let nodes = get_varint(payload, at)? as usize;
+    if nodes > 1 << 20 {
+        return Err(bad_data("absurd cut stamp count"));
+    }
+    (0..nodes).map(|_| get_varint(payload, at)).collect()
 }
 
 fn decode_cut_snapshot(payload: &[u8], at: &mut usize) -> io::Result<CutSnapshot> {
@@ -68,6 +84,8 @@ fn decode_cut_snapshot(payload: &[u8], at: &mut usize) -> io::Result<CutSnapshot
         node,
         token,
         partitions,
+        sent: decode_cut_stamps(payload, at)?,
+        received: decode_cut_stamps(payload, at)?,
     })
 }
 

@@ -1,6 +1,7 @@
-//! The length-prefixed wire protocol (version 13: partition-aware,
+//! The length-prefixed wire protocol (version 14: partition-aware,
 //! acknowledged, bounded-memory aware, observable, audited, trimmed,
-//! class-compressed clocks, one counter surface, delta flush frames).
+//! class-compressed clocks, one counter surface, delta flush frames,
+//! stamped cuts).
 //!
 //! Every message is a *frame*: a little-endian `u32` payload length followed
 //! by the payload; the first payload byte is a message tag. Peer frames
@@ -45,11 +46,11 @@
 //!   deterministic.
 //! * **v7** added the online consistent-cut audit: a client `Cut` request
 //!   injects (or polls) a marker token, nodes flood [`encode_cut_marker`]
-//!   frames down their peer links *in channel order* (the Chandy–Lamport
-//!   discipline), and each node answers with its
-//!   [`prcc_checker::CutSnapshot`]. Markers carry no link sequence and are
-//!   not resent, so a lost marker makes the audit *inconclusive*, never
-//!   wrong.
+//!   frames down their peer links (the Chandy–Lamport marker flood), and
+//!   each node answers with its [`prcc_checker::CutSnapshot`]. Markers
+//!   carry no link sequence and are not resent, so a lost marker makes the
+//!   audit *inconclusive*, never wrong — by construction since v14, which
+//!   stamps each snapshot with its links' sequences.
 //! * **v9** trimmed the flush frame to what the link does not already
 //!   know, so a frame per reactor tick costs no more bytes than the timed
 //!   batches it replaced: an update's wire id ships as its low
@@ -82,6 +83,14 @@
 //!   frame's first sequence ships whole, so a frame lost, repeated or
 //!   reordered in transit is never decoded against the wrong base. WAL
 //!   records and snapshots are byte-identical to v12's.
+//! * **v14** stamps the cut: a `Cut` response's snapshot also carries, per
+//!   node, the highest link sequence the reporting node had assigned
+//!   toward it and the highest it had received from it when it recorded.
+//!   The checker refuses a cut in which a node received past what its
+//!   sender had sent at the sender's cut, so a marker lost, repeated,
+//!   delayed or reordered costs a retry and no longer has to keep its
+//!   channel position. Only the `Cut` response changed: peer frames, WAL
+//!   records and snapshots are byte-identical to v13's.
 //!
 //! Causal timestamps ship counters only; index sets, counter layouts and
 //! the partition layout are static configuration carried once in the
@@ -99,7 +108,7 @@ pub use peer::*;
 
 /// The protocol version spoken by this build; peers at any other version
 /// are refused at the handshake. The module docs say what each bump added.
-pub const WIRE_VERSION: u64 = 13;
+pub const WIRE_VERSION: u64 = 14;
 
 /// Bits of a wire id that hold the issuing node's node-global sequence;
 /// the node's index sits above them (`node << WIRE_SEQ_BITS | seq`). The
@@ -127,11 +136,8 @@ const TAG_MULTI_BATCH: u8 = 3;
 const TAG_MULTI_BATCH_NEXT: u8 = 7;
 const TAG_HELLO_ACK: u8 = 4;
 const TAG_PEER_ACK: u8 = 5;
-/// Peer-frame tag of a consistent-cut marker (v7). Public so fault
-/// injectors can recognize markers and preserve their channel position —
-/// reordering a marker against data frames would break the cut the audit
-/// checks.
-pub const TAG_CUT_MARKER: u8 = 6;
+/// Peer-frame tag of a consistent-cut marker (v7).
+pub(crate) const TAG_CUT_MARKER: u8 = 6;
 const TAG_WRITE: u8 = 16;
 const TAG_READ: u8 = 17;
 const TAG_TRACE: u8 = 19;
@@ -869,6 +875,8 @@ mod tests {
                         pending: 0,
                     },
                 ],
+                sent: vec![4, 0, 300],
+                received: vec![1 << 40, 0, 2],
             })),
             ClientResponse::Bye,
         ];

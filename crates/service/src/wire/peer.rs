@@ -25,9 +25,11 @@
 //! start. TCP never loses, repeats or reorders a frame, but a fault proxy
 //! between the ends may: the decoder skips a repeat, holds a frame that
 //! arrives one ahead of its predecessor until the predecessor decodes,
-//! and after a lost frame decodes nothing more on the connection — it
-//! never decodes against a base the sender did not have
-//! ([`FlushDecoder::decode`]).
+//! and refuses a lost frame's successors, which closes the connection —
+//! it never decodes against a base the sender did not have
+//! ([`FlushDecoder::decode`]). Cut markers need no place in this run:
+//! the cut's link stamps, not the markers' positions, decide whether a
+//! cut is consistent.
 //!
 //! **The reset rule: codec state never outlives its connection.** The
 //! outbound link driver resets its encoder on every connect; the inbound
@@ -459,9 +461,6 @@ pub struct FlushDecoder {
     /// A frame that arrived one ahead of its predecessor, held until the
     /// predecessor decodes.
     early: Option<Vec<u8>>,
-    /// A frame was lost in transit: the bases no longer match the
-    /// sender's, and nothing more decodes on this connection.
-    lost: bool,
 }
 
 /// Whether a flush frame opens its connection, and the link sequence its
@@ -488,7 +487,6 @@ impl FlushDecoder {
     fn reset(&mut self) {
         self.next_seq = 0;
         self.early = None;
-        self.lost = false;
         for base in self.bases.values_mut() {
             base.seq = 0;
             base.id = 0;
@@ -503,15 +501,14 @@ impl FlushDecoder {
     ///
     /// A frame can arrive out of the sender's order only through a fault
     /// between the two ends (TCP never does it; the chaos proxy does). A
-    /// repeat of a frame already decoded yields no sections. One frame
-    /// ahead of its predecessor is held, yielding no sections, and decodes
-    /// right after the predecessor, whose call yields both frames'
-    /// sections. A second frame ahead means a frame was lost: the decoder
-    /// turns [`FlushDecoder::lost`] and yields no sections for the rest of
-    /// the connection. That is what a lost frame did before deltas: the
-    /// receiver's acknowledged line stops at the gap, and the link resends
-    /// everything past it on its next connection. The connection stays
-    /// up, so cut markers keep their channel positions.
+    /// repeat of a frame already decoded or held yields no sections. One
+    /// frame ahead of its predecessor is held, yielding no sections, and
+    /// decodes right after the predecessor, whose call yields both frames'
+    /// sections. A second frame ahead, or a held frame that does not
+    /// follow its predecessor, means a frame was lost: `InvalidData`, like
+    /// a malformed frame. The receiver's acknowledged line stops at the
+    /// gap, the connection closes, and the link resends everything past
+    /// the line on its next connection.
     ///
     /// Malformed — corruption or a hostile peer: an opening frame mid-run
     /// (other than a repeat), a frame with no sections, an empty section,
@@ -531,36 +528,31 @@ impl FlushDecoder {
         F: FnMut(ReplicaId) -> Option<C>,
     {
         let (opening, first) = frame_start(payload)?;
-        if self.lost || (self.next_seq != 0 && first < self.next_seq) {
+        if self.next_seq != 0 && first < self.next_seq {
             return Ok(Vec::new());
         }
         if opening && self.next_seq != 0 {
             // No transit fault makes one: only its repeat, caught above.
             return Err(bad_data("an opening flush frame mid-run"));
         }
+        let lost = || bad_data("a flush frame was lost in transit");
         if !opening && first != self.next_seq {
-            if self.early.is_some() {
-                self.lost = true;
-                self.early = None;
-            } else {
-                self.early = Some(payload.to_vec());
+            match &self.early {
+                // The held frame's repeat is a repeat too.
+                Some(early) if early[..] == *payload => {}
+                Some(_) => return Err(lost()),
+                None => self.early = Some(payload.to_vec()),
             }
             return Ok(Vec::new());
         }
         let mut sections = self.decode_frame(payload, &mut make_clock)?;
         if let Some(early) = self.early.take() {
-            if frame_start(&early)? == (false, self.next_seq) {
-                sections.extend(self.decode_frame(&early, &mut make_clock)?);
-            } else {
-                self.lost = true;
+            if frame_start(&early)? != (false, self.next_seq) {
+                return Err(lost());
             }
+            sections.extend(self.decode_frame(&early, &mut make_clock)?);
         }
         Ok(sections)
-    }
-
-    /// Whether a frame of this connection was lost in transit.
-    pub fn lost(&self) -> bool {
-        self.lost
     }
 
     /// Decodes one frame against the bases, whatever its place in the run.
@@ -652,17 +644,21 @@ pub fn encode_multi_batch_into<C: WireClock>(
     });
 }
 
-/// Decodes one peer flush frame on its own, against empty bases: exact for
-/// a connection's opening frame. A later frame decodes too, but only the
-/// fields it ships whole (the first sequence, stamps, issuers, registers,
-/// values) are its own — for probes, tools and tests that read a frame in
-/// isolation. A live link decodes through its connection's
+/// Decodes a connection's opening flush frame on its own, against empty
+/// bases — for probes, tools and tests that read a frame in isolation. A
+/// later frame (tag 7) ships deltas from bases this decoder does not have
+/// and is refused; read a connection's frames through its
 /// [`FlushDecoder`].
 pub fn decode_multi_batch<C, F>(payload: &[u8], make_clock: F) -> io::Result<FlushSections<C>>
 where
     C: WireClock,
     F: FnMut(ReplicaId) -> Option<C>,
 {
+    if payload.first() == Some(&TAG_MULTI_BATCH_NEXT) {
+        return Err(bad_data(
+            "a later flush frame decodes only on its connection",
+        ));
+    }
     thread_local! {
         /// See [`encode_multi_batch_into`]'s encoder.
         static ONE_SHOT: RefCell<FlushDecoder> = RefCell::default();
@@ -688,10 +684,11 @@ pub fn restore_sender<C>(sections: &mut FlushSections<C>, sender: usize) {
 // lint: end-hot-path
 
 /// Encodes a consistent-cut marker peer frame (v7): the tag and the cut
-/// token. Markers are unsequenced — they delimit the channel at the
-/// position they are sent, outside the acknowledged update stream — and
-/// are never resent after a reconnect (a lost marker makes the audit
-/// inconclusive, not wrong).
+/// token. Markers are unsequenced and never resent after a reconnect. A
+/// lost, repeated or reordered marker makes the audit inconclusive, never
+/// wrong, by construction: each snapshot stamps its links' sequences, and
+/// the checker refuses a cut in which a node received past what its
+/// sender had sent when that sender recorded.
 pub fn encode_cut_marker(token: u64) -> Vec<u8> {
     let mut out = vec![TAG_CUT_MARKER];
     write_varint(&mut out, token);
@@ -748,5 +745,39 @@ mod tests {
         forged.extend_from_slice(&[1, 0, 0, 0, 0]);
         let err = decode_multi_batch::<EdgeClock, _>(&forged, |_| None).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// The one-shot decoder reads opening frames only: a later frame's
+    /// deltas against empty bases would decode to the wrong sequences, ids
+    /// and clocks, so it is refused; its connection's decoder reads it.
+    #[test]
+    fn the_one_shot_decoder_refuses_a_later_frame() {
+        let p = EdgeProtocol::new(topologies::line(2));
+        let frame = |seq: u64| {
+            let mut clock = p.new_clock(ReplicaId(0));
+            p.advance(ReplicaId(0), &mut clock, RegisterId(0));
+            let update = Update {
+                id: UpdateId(seq),
+                issuer: ReplicaId(0),
+                register: RegisterId(0),
+                value: seq,
+                clock,
+                issued_at: VirtualTime::ZERO,
+                received_at: VirtualTime::ZERO,
+            };
+            vec![(PartitionId(0), vec![(seq, update)])]
+        };
+        let mut encoder = FlushEncoder::default();
+        let (mut opening, mut later) = (Vec::new(), Vec::new());
+        encoder.encode_into(&frame(1), 0, &mut opening);
+        encoder.encode_into(&frame(2), 0, &mut later);
+        let make = |k| Some(p.new_clock(k));
+        assert!(decode_multi_batch(&opening, make).is_ok());
+        let err = decode_multi_batch(&later, make).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let mut decoder = FlushDecoder::default();
+        decoder.decode(&opening, make).expect("the opening frame");
+        let back = decoder.decode(&later, make).expect("the later frame");
+        assert_eq!((back[0].1[0].0, back[0].1[0].1.value), (2, 2));
     }
 }

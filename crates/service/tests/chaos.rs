@@ -19,24 +19,20 @@ use common::{
     wait_progress,
 };
 use prcc_chaos::{ChaosConfig, FaultProfile};
-use prcc_service::wire::TAG_CUT_MARKER;
 use prcc_service::ServiceConfig;
 use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-/// The suites' baseline chaos config: cut markers are protected (they
-/// must keep their channel position for cuts to stay consistent, and
-/// they do not consume schedule indices), partitions off unless a test
-/// turns them on.
+/// The suites' baseline chaos config: partitions off unless a test turns
+/// them on. Cut markers are faulted like every other frame.
 fn chaos_cfg(seed: u64, profile: FaultProfile) -> ChaosConfig {
     ChaosConfig {
         seed,
         profile,
         partition_every: 0,
         partition_len: 0,
-        protect_tags: vec![TAG_CUT_MARKER],
     }
 }
 
@@ -69,7 +65,7 @@ fn composed_chaos_run_verifies_clean_with_online_cut_audits() {
 
     // First online audit lands mid-traffic, well before the crash.
     wait_progress(&progress, ops / 3);
-    let audits_pre = audit_until_closed(&cluster, 0xA001, 30);
+    let (audits_pre, retried_pre) = audit_until_closed(&cluster, 0xA001, 30);
 
     // Crash a node mid-stream (not node 0 — audits inject there) and
     // restart it from its WAL + snapshot while the nemesis keeps faulting
@@ -79,7 +75,7 @@ fn composed_chaos_run_verifies_clean_with_online_cut_audits() {
     cluster.restart_node(2).expect("restart node 2");
 
     wait_progress(&progress, 2 * ops / 3);
-    let audits_post = audit_until_closed(&cluster, 0xA101, 40);
+    let (audits_post, retried_post) = audit_until_closed(&cluster, 0xA101, 40);
 
     for driver in drivers {
         driver.join().expect("driver");
@@ -118,7 +114,8 @@ fn composed_chaos_run_verifies_clean_with_online_cut_audits() {
     assert_decision_log_replays(&nemesis, cluster.len());
     eprintln!(
         "composed chaos: {} faulted decisions, first closed cut after {audits_pre} audit(s) \
-         pre-crash and {audits_post} post-restart; {counts:?}",
+         pre-crash and {audits_post} post-restart; {counts:?}; retried pre-crash: \
+         {retried_pre:?}; retried post-restart: {retried_post:?}",
         counts.faulted()
     );
 

@@ -9,6 +9,7 @@
 #![allow(dead_code)]
 
 use prcc_chaos::{ChaosConfig, ChaosNemesis, ChaosSchedule};
+use prcc_checker::CutVerdict;
 use prcc_clock::EdgeProtocol;
 use prcc_graph::{topologies, PartitionId, PartitionMap, RegisterId};
 use prcc_service::wire::{
@@ -242,23 +243,28 @@ pub fn wait_progress(progress: &AtomicUsize, target: usize) {
 }
 
 /// Runs online consistent-cut audits with fresh tokens until one is
-/// conclusively closed, panicking on a closure violation. Lost markers
-/// (severed links, crashed nodes) yield `Incomplete` verdicts — those are
-/// retried, never trusted. Returns how many audits it took.
-pub fn audit_until_closed(cluster: &LoopbackCluster, token_base: u64, attempts: u64) -> u64 {
+/// conclusively closed, panicking on a closure violation. Lost or
+/// overtaken markers (drops, reorders, severed links, crashed nodes) yield
+/// `Incomplete` verdicts — those are retried, never trusted. Returns how
+/// many audits it took and the reason of each retried one: inconsistent
+/// stamps name a node pair, a node no marker reached a missing role.
+pub fn audit_until_closed(
+    cluster: &LoopbackCluster,
+    token_base: u64,
+    attempts: u64,
+) -> (u64, Vec<String>) {
+    let mut retried = Vec::new();
     for i in 0..attempts {
-        let verdict = cluster
+        match cluster
             .cut_audit(token_base + i, Duration::from_secs(10))
-            .expect("cut audit io");
-        if verdict.is_closed() {
-            return i + 1;
+            .expect("cut audit io")
+        {
+            CutVerdict::Closed { .. } => return (i + 1, retried),
+            CutVerdict::Incomplete { reason } => retried.push(reason),
+            violated => panic!("consistent-cut closure violated: {violated:?}"),
         }
-        assert!(
-            verdict.is_incomplete(),
-            "consistent-cut closure violated: {verdict:?}"
-        );
     }
-    panic!("no conclusive cut in {attempts} audits");
+    panic!("no conclusive cut in {attempts} audits: {retried:?}");
 }
 
 /// Asserts the nemesis's realized fault-decision log is bit-identical to

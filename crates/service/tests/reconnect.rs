@@ -23,7 +23,8 @@ use prcc_net::VirtualTime;
 use prcc_service::node::{spawn_node, NodeSeed, ServiceConfig};
 use prcc_service::wire::{
     decode_cut_marker, decode_hello_ack, decode_multi_batch, encode_multi_batch_into,
-    encode_peer_hello, read_frame, write_frame, PeerHello, TAG_CUT_MARKER,
+    encode_peer_hello, read_frame, write_frame, FlushDecoder, FlushEncoder, FlushSections,
+    PeerHello,
 };
 use prcc_service::ServiceClient;
 use std::collections::BTreeSet;
@@ -34,9 +35,15 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// `(seq, value)` pairs of every update in one decoded flush frame.
-fn frame_updates(payload: &[u8], protocol: &EdgeProtocol) -> Vec<(u64, u64)> {
-    decode_multi_batch(payload, |i| Some(protocol.new_clock(i)))
+/// `(seq, value)` pairs of every update in one flush frame, decoded by
+/// its connection's `decoder` (one per connection, fed every frame).
+fn frame_updates(
+    decoder: &mut FlushDecoder,
+    payload: &[u8],
+    protocol: &EdgeProtocol,
+) -> Vec<(u64, u64)> {
+    decoder
+        .decode(payload, |i| Some(protocol.new_clock(i)))
         .expect("well-formed flush frame")
         .into_iter()
         .flat_map(|(_, updates)| updates.into_iter().map(|(seq, u)| (seq, u.value)))
@@ -110,7 +117,7 @@ fn sender_reconnects_and_resumes_after_acked_offset() {
     let payload = read_frame(&mut conn)
         .expect("frame io")
         .expect("update frame");
-    let first = frame_updates(&payload, &rig.protocol);
+    let first = frame_updates(&mut FlushDecoder::default(), &payload, &rig.protocol);
     assert_eq!(first, vec![(1, 1)], "first update must carry link seq 1");
     drop(conn);
 
@@ -129,7 +136,7 @@ fn sender_reconnects_and_resumes_after_acked_offset() {
         let payload = read_frame(&mut conn)
             .expect("frame io")
             .expect("post-reconnect update frame");
-        let updates = frame_updates(&payload, &reader_protocol);
+        let updates = frame_updates(&mut FlushDecoder::default(), &payload, &reader_protocol);
         let _ = observed_tx.send((hello, updates));
         // Keep draining so later flushes don't error the sender again.
         while let Ok(Some(_)) = read_frame(&mut conn) {}
@@ -199,6 +206,7 @@ fn mid_frame_cut_never_decodes_partially_and_the_window_resends() {
 
     let (mut conn, _) = rig.fake_peer.accept().expect("reconnect accept");
     accept_handshake(&mut conn, 0);
+    let mut decoder = FlushDecoder::default();
     let mut seen = BTreeSet::new();
     let deadline = Instant::now() + Duration::from_secs(30);
     while seen.len() < 4 {
@@ -209,7 +217,7 @@ fn mid_frame_cut_never_decodes_partially_and_the_window_resends() {
         let payload = read_frame(&mut conn)
             .expect("frame io")
             .expect("resent frame");
-        for (_, value) in frame_updates(&payload, &rig.protocol) {
+        for (_, value) in frame_updates(&mut decoder, &payload, &rig.protocol) {
             seen.insert(value);
         }
     }
@@ -244,7 +252,7 @@ fn no_update_loss_when_link_dies_mid_flush() {
     let payload = read_frame(&mut conn)
         .expect("frame io")
         .expect("first update frame");
-    let delivered = frame_updates(&payload, &rig.protocol);
+    let delivered = frame_updates(&mut FlushDecoder::default(), &payload, &rig.protocol);
     assert!(!delivered.is_empty());
     drop(conn);
 
@@ -257,6 +265,7 @@ fn no_update_loss_when_link_dies_mid_flush() {
     // cover the entire window, first-connection deliveries included.
     let (mut conn, _) = rig.fake_peer.accept().expect("reconnect accept");
     accept_handshake(&mut conn, 0);
+    let mut decoder = FlushDecoder::default();
     let mut seen_values = BTreeSet::new();
     let mut seen_seqs = BTreeSet::new();
     let deadline = Instant::now() + Duration::from_secs(30);
@@ -268,7 +277,7 @@ fn no_update_loss_when_link_dies_mid_flush() {
         let payload = read_frame(&mut conn)
             .expect("frame io")
             .expect("update frame");
-        for (seq, value) in frame_updates(&payload, &rig.protocol) {
+        for (seq, value) in frame_updates(&mut decoder, &payload, &rig.protocol) {
             seen_seqs.insert(seq);
             seen_values.insert(value);
         }
@@ -288,40 +297,51 @@ fn no_update_loss_when_link_dies_mid_flush() {
     rig.node.join();
 }
 
-/// A cut marker issued while the link is mid-handshake keeps its channel
-/// position across the resume: it reaches the peer after the update
-/// written before it and before the update written after it, although
-/// the resume window covers both. (Shipping the whole window first put
-/// post-cut updates ahead of the marker — the receiver then applied them
-/// inside a cut their issuer had already left, and the online audit
-/// reported a closure violation that never happened.)
+/// A link parks nothing across a handshake. A cut started while the link
+/// is mid-handshake, between two writes, records its stamps and drops its
+/// marker (a hint, not a delimiter); the resume window carries both
+/// updates exactly once, with contiguous sequences, and the next write
+/// follows them.
 #[test]
-fn marker_parked_across_a_resume_keeps_its_channel_position() {
+fn a_cut_started_mid_handshake_parks_nothing_and_loses_nothing() {
     let mut rig = rig();
     let (mut conn, _) = rig.fake_peer.accept().expect("first accept");
     accept_handshake(&mut conn, 0);
     drop(conn);
 
-    // Hold the redial mid-handshake: hello read, hello-ack withheld, so
-    // everything the node sends this link now parks in its backlog.
+    // Hold the redial mid-handshake: hello read, hello-ack withheld.
     let (mut conn, _) = rig.fake_peer.accept().expect("reconnect accept");
     read_hello(&mut conn);
     assert!(rig.client.write(RegisterId(0), 1).expect("write before"));
-    rig.client.cut_start(77).expect("start cut");
+    let cut = rig
+        .client
+        .cut_start(77)
+        .expect("start cut")
+        .expect("recorded");
+    assert_eq!(cut.sent, [0, 1], "the cut stamps the write before it");
     assert!(rig.client.write(RegisterId(0), 2).expect("write after"));
     write_hello_ack(&mut conn, 0);
 
+    let mut decoder = FlushDecoder::default();
     let mut arrivals = Vec::new();
-    while arrivals.len() < 3 {
-        let payload = read_frame(&mut conn).expect("frame io").expect("frame");
-        if payload[0] == TAG_CUT_MARKER {
-            assert_eq!(decode_cut_marker(&payload).expect("marker"), 77);
-            arrivals.push(0);
-        } else {
-            arrivals.extend(frame_updates(&payload, &rig.protocol).iter().map(|u| u.1));
+    let mut read_until = |arrivals: &mut Vec<(u64, u64)>, count: usize| {
+        while arrivals.len() < count {
+            let payload = read_frame(&mut conn).expect("frame io").expect("frame");
+            assert!(
+                decode_cut_marker(&payload).is_err(),
+                "a marker dropped mid-handshake came back"
+            );
+            arrivals.extend(frame_updates(&mut decoder, &payload, &rig.protocol));
         }
-    }
-    assert_eq!(arrivals, [1, 0, 2], "values in wire order, 0 = the marker");
+    };
+    read_until(&mut arrivals, 2);
+    assert!(rig.client.write(RegisterId(0), 3).expect("write later"));
+    read_until(&mut arrivals, 3);
+    assert_eq!(
+        arrivals,
+        [(1, 1), (2, 2), (3, 3)],
+        "(seq, value) in wire order: each once, contiguous"
+    );
 
     rig.client.shutdown().expect("shutdown");
     rig.node.join();
@@ -440,4 +460,90 @@ fn a_flush_claiming_another_replicas_issue_is_refused() {
 
     client.shutdown().expect("shutdown");
     node.join();
+}
+
+/// A flush frame lost in transit closes its connection, and the redial
+/// heals the link — no `heal()`, no other fault needed. A fake node 1
+/// ships its own issues to node 0 through one connection's encoder as
+/// frames 1 to 4, withholding frame 2: node 0 holds frame 3 for its
+/// predecessor, refuses frame 4 and closes. The redial's hello-ack names
+/// the acknowledged line, 1, and frames 2–4 re-encoded from an empty base
+/// deliver the rest.
+#[test]
+fn a_lost_flush_frame_closes_its_connection_and_the_redial_heals_it() {
+    let mut rig = rig();
+    let issuer = ReplicaId(1);
+    let mut clock = rig.protocol.new_clock(issuer);
+    let issues: Vec<FlushSections<_>> = (1..=4u64)
+        .map(|seq| {
+            rig.protocol.advance(issuer, &mut clock, RegisterId(0));
+            let update = Update {
+                id: UpdateId(seq),
+                issuer,
+                register: RegisterId(0),
+                value: seq,
+                clock: clock.clone(),
+                issued_at: VirtualTime::ZERO,
+                received_at: VirtualTime::ZERO,
+            };
+            vec![(PartitionId(0), vec![(seq, update)])]
+        })
+        .collect();
+    let dial = |rig: &OneNodeRig| {
+        let mut conn = TcpStream::connect(rig.node.peer_addr).expect("dial the peer listener");
+        let map = rig.map.clone();
+        write_frame(&mut conn, &encode_peer_hello(&PeerHello { node: 1, map })).expect("hello");
+        conn.set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("timeout");
+        let ack = read_frame(&mut conn).expect("frame io").expect("hello-ack");
+        (conn, decode_hello_ack(&ack).expect("hello-ack"))
+    };
+    let frames = |issues: &[FlushSections<_>]| {
+        let mut encoder = FlushEncoder::default();
+        let frames: Vec<Vec<u8>> = issues
+            .iter()
+            .map(|sections| {
+                let mut frame = Vec::new();
+                encoder.encode_into(sections, 0, &mut frame);
+                frame
+            })
+            .collect();
+        frames
+    };
+
+    let (mut conn, acked) = dial(&rig);
+    assert_eq!(acked, 0);
+    let first = frames(&issues);
+    for k in [0, 2, 3] {
+        write_frame(&mut conn, &first[k]).expect("flush");
+    }
+    match read_frame(&mut conn) {
+        Ok(None) => {}
+        Err(e) => assert!(
+            !matches!(
+                e.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+            ),
+            "the connection stayed open past the gap: {e}"
+        ),
+        Ok(Some(frame)) => panic!("the node answered past the gap: {frame:?}"),
+    }
+
+    let (mut conn, acked) = dial(&rig);
+    assert_eq!(acked, 1, "the redial resumes after the acknowledged line");
+    for frame in frames(&issues[1..]) {
+        write_frame(&mut conn, &frame).expect("resent flush");
+    }
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let status = rig.client.status().expect("status");
+        if (status.messages_received, status.applies) == (4, 4) {
+            break;
+        }
+        assert!(Instant::now() < deadline, "never healed: {status:?}");
+        thread::sleep(Duration::from_millis(5));
+    }
+
+    rig.client.shutdown().expect("shutdown");
+    rig.node.join();
 }

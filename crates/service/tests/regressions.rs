@@ -24,7 +24,6 @@ use common::{
 };
 use prcc_chaos::{ChaosConfig, ChaosSchedule, FaultOp, FaultProfile, LinkDecision};
 use prcc_net::chaos::mix64;
-use prcc_service::wire::TAG_CUT_MARKER;
 use prcc_service::ServiceConfig;
 use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
@@ -58,7 +57,6 @@ fn pinned_decision_stream_digests_are_frozen() {
         profile: FaultProfile::heavy(),
         partition_every: 300,
         partition_len: 40,
-        protect_tags: Vec::new(),
     };
     // (config, nodes, link, decisions, pinned digest)
     type PinCase<'a> = (&'a ChaosConfig, usize, (usize, usize), u64, u64);
@@ -101,7 +99,6 @@ fn pinned_partition_rotation_is_frozen() {
         profile: FaultProfile::off(),
         partition_every: 300,
         partition_len: 40,
-        protect_tags: Vec::new(),
     };
     let rotation: Vec<usize> = (0..8)
         .map(|w| ChaosSchedule::isolated_node(&cfg, 4, w))
@@ -132,7 +129,6 @@ fn seed_0xd1ce_drop_storm_with_crash_recovers_and_verifies() {
         },
         partition_every: 0,
         partition_len: 0,
-        protect_tags: vec![TAG_CUT_MARKER],
     };
     let (mut cluster, nemesis) = launch_ring_via_nemesis(2, 3, &cfg, chaos);
 
@@ -180,7 +176,6 @@ fn seed_0x7e57_mid_frame_cut_shower_never_corrupts() {
         },
         partition_every: 0,
         partition_len: 0,
-        protect_tags: vec![TAG_CUT_MARKER],
     };
     let (cluster, nemesis) = launch_ring_via_nemesis(2, 4, &cfg, chaos);
 
