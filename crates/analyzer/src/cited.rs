@@ -1,10 +1,15 @@
 //! Rule 7, **cited-test**: a test the READMEs cite must exist.
 //!
-//! Docs name tests as proof of a claim — `reconnect::a_flush_…` — and a
-//! renamed or deleted test leaves the claim citing nothing. Every
-//! backticked `stem::name` in the root `README.md` and in
-//! `crates/*/README.md` whose `stem` names an integration-test file
-//! (`*/tests/<stem>.rs`) must name a `#[test] fn` in such a file.
+//! Docs name tests as proof of a claim — `chaos::composed_…`,
+//! `conn::tests::a_lost_…` — and a renamed or deleted test leaves the
+//! claim citing nothing. In the root `README.md` and in
+//! `crates/*/README.md`, every backticked
+//!
+//! * `stem::name` whose `stem` names an integration-test file
+//!   (`*/tests/<stem>.rs`) must name a `#[test] fn` in such a file;
+//! * `module::tests::name` must name a `#[test] fn` in a unit-test module
+//!   file, `crates/*/src/**/<module>.rs` or `…/<module>/mod.rs`.
+//!
 //! Citations of anything else (`slot::admit`, `std::sync`) are not test
 //! citations and pass unchecked; fenced code blocks are skipped.
 
@@ -23,6 +28,22 @@ pub(crate) fn test_stem(rel: &str) -> Option<&str> {
     let (dir, file) = rel.rsplit_once('/')?;
     let in_tests = dir == "tests" || dir.ends_with("/tests");
     in_tests.then(|| file.strip_suffix(".rs")).flatten()
+}
+
+/// The module a workspace-relative source file declares, if it sits under
+/// a crate's `src` (`crates/service/src/wire/mod.rs` → `wire`,
+/// `crates/service/src/core/snapshot.rs` → `snapshot`). Crate roots name
+/// no module.
+pub(crate) fn module_stem(rel: &str) -> Option<&str> {
+    let (dir, file) = rel.rsplit_once('/')?;
+    if !rel.starts_with("crates/") || !(dir.ends_with("/src") || dir.contains("/src/")) {
+        return None;
+    }
+    match file.strip_suffix(".rs")? {
+        "mod" => dir.rsplit_once('/').map(|(_, module)| module),
+        "lib" | "main" => None,
+        module => Some(module),
+    }
 }
 
 /// The names of the `#[test]` functions in `src`, attributes stacked
@@ -46,16 +67,23 @@ pub(crate) fn test_fns(src: &str) -> Vec<String> {
     names
 }
 
+fn ident(s: &str) -> bool {
+    s.chars()
+        .next()
+        .is_some_and(|c| c.is_ascii_alphabetic() || c == '_')
+        && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
+}
+
 /// Whether `span` is a bare `stem::name` path of two identifiers.
 fn citation(span: &str) -> Option<(&str, &str)> {
     let (stem, name) = span.split_once("::")?;
-    let ident = |s: &str| {
-        s.chars()
-            .next()
-            .is_some_and(|c| c.is_ascii_alphabetic() || c == '_')
-            && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
-    };
     (ident(stem) && ident(name)).then_some((stem, name))
+}
+
+/// Whether `span` is a bare `module::tests::name` path: a unit test's.
+fn unit_citation(span: &str) -> Option<(&str, &str)> {
+    let (module, name) = span.split_once("::tests::")?;
+    (ident(module) && ident(name)).then_some((module, name))
 }
 
 /// The READMEs under `root` whose citations are checked: the root one and
@@ -73,11 +101,13 @@ fn readmes(root: &Path) -> Vec<String> {
     found
 }
 
-/// Checks every README citation under `root` against `tests`: per test
-/// stem, the `#[test]` functions of the files carrying it.
+/// Checks every README citation under `root` against `tests` and `units`:
+/// per integration-test stem and per module, the `#[test]` functions of
+/// the files carrying it.
 pub(crate) fn check_citations(
     root: &Path,
     tests: &HashMap<String, HashSet<String>>,
+    units: &HashMap<String, HashSet<String>>,
 ) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for rel in readmes(root) {
@@ -95,18 +125,23 @@ pub(crate) fn check_citations(
             }
             // Odd pieces of a backtick split are the code spans.
             for span in line.split('`').skip(1).step_by(2) {
-                let Some((stem, name)) = citation(span) else {
-                    continue;
+                let message = if let Some((module, name)) = unit_citation(span) {
+                    let found = units.get(module).is_some_and(|fns| fns.contains(name));
+                    (!found).then(|| {
+                        format!("`{span}` cites no #[test] fn in a {module}.rs or {module}/mod.rs")
+                    })
+                } else if let Some((stem, name)) = citation(span) {
+                    let fns = tests.get(stem).filter(|fns| !fns.contains(name));
+                    fns.map(|_| format!("`{span}` cites no #[test] fn in tests/{stem}.rs"))
+                } else {
+                    None
                 };
-                let Some(fns) = tests.get(stem) else {
-                    continue;
-                };
-                if !fns.contains(name) {
+                if let Some(message) = message {
                     out.push(Diagnostic {
                         file: rel.clone(),
                         line: index as u32 + 1,
                         rule: RULE_CITED_TEST,
-                        message: format!("`{stem}::{name}` cites no #[test] fn in tests/{stem}.rs"),
+                        message,
                     });
                 }
             }
@@ -141,5 +176,13 @@ mod tests {
         assert_eq!(citation("core::tests::x"), None);
         assert_eq!(citation("Foo::new()"), None);
         assert_eq!(citation("a :: b"), None);
+    }
+
+    #[test]
+    fn a_unit_citation_is_a_module_tests_and_a_name() {
+        assert_eq!(unit_citation("core::tests::x"), Some(("core", "x")));
+        assert_eq!(unit_citation("core::other::x"), None);
+        assert_eq!(unit_citation("chaos::heal_works"), None);
+        assert_eq!(unit_citation("a::tests::b::c"), None);
     }
 }

@@ -1,8 +1,8 @@
 //! Workspace walking: find the `.rs` files to lint, classify crate
 //! roots, run [`crate::rules::check_file`] over each, and check the
-//! READMEs' test citations against the integration tests found.
+//! READMEs' test citations against the integration and unit tests found.
 
-use crate::cited::{check_citations, test_fns, test_stem};
+use crate::cited::{check_citations, module_stem, test_fns, test_stem};
 use crate::rules::{check_file, Finding};
 use std::collections::{HashMap, HashSet};
 use std::fs;
@@ -81,6 +81,7 @@ fn is_crate_root(root: &Path, rel: &str) -> bool {
 pub fn lint_root(root: &Path) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let mut tests: HashMap<String, HashSet<String>> = HashMap::new();
+    let mut units: HashMap<String, HashSet<String>> = HashMap::new();
     for path in collect_rs_files(root) {
         let rel = path
             .strip_prefix(root)
@@ -101,9 +102,13 @@ pub fn lint_root(root: &Path) -> Vec<Diagnostic> {
                 continue;
             }
         };
-        if let Some(stem) = test_stem(&rel) {
-            tests
-                .entry(stem.to_string())
+        let found = match (test_stem(&rel), module_stem(&rel)) {
+            (Some(stem), _) => Some((&mut tests, stem)),
+            (None, Some(module)) => Some((&mut units, module)),
+            (None, None) => None,
+        };
+        if let Some((map, stem)) = found {
+            map.entry(stem.to_string())
                 .or_default()
                 .extend(test_fns(&src));
         }
@@ -122,7 +127,7 @@ pub fn lint_root(root: &Path) -> Vec<Diagnostic> {
             });
         }
     }
-    out.extend(check_citations(root, &tests));
+    out.extend(check_citations(root, &tests, &units));
     out.sort_by(|a, b| (a.file.as_str(), a.line).cmp(&(b.file.as_str(), b.line)));
     out
 }

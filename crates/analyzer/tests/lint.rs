@@ -65,9 +65,9 @@ fn fixtures_trip_every_rule_at_the_expected_lines() {
     );
     assert_eq!(
         hits(&diags, "cited-test"),
-        [("README.md", 6)],
-        "the renamed test's citation; the resolving one, a path naming no \
-         test file and a fenced block stay silent"
+        [("README.md", 6), ("README.md", 9)],
+        "the renamed tests' citations, integration and unit; the resolving \
+         ones, a path naming no test file and a fenced block stay silent"
     );
     assert_eq!(
         hits(&diags, "directive"),

@@ -23,7 +23,6 @@
 
 mod cluster;
 pub mod dedup;
-pub mod epoch;
 mod error;
 pub mod multicast;
 mod replica;
@@ -32,7 +31,6 @@ mod update;
 
 pub use cluster::Cluster;
 pub use dedup::SeqWatermark;
-pub use epoch::EpochedCluster;
 pub use error::CoreError;
 pub use multicast::CausalMulticast;
 pub use replica::{Replica, ReplicaState};

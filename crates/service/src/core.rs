@@ -182,8 +182,9 @@ pub(crate) enum Effect<C> {
     Ack(ConnId, u64),
     /// A handshake acknowledgement — same sync-before-promise rule.
     JoinReply(ConnId, u64),
-    /// The resume window for a reconnected outbound link.
-    ResumeReply(ConnId, Vec<Sequenced<C>>),
+    /// The reply to a reconnected outbound link: the tokens of the kept
+    /// cuts, oldest first, whose markers precede the resume window.
+    ResumeReply(ConnId, Vec<u64>, Vec<Sequenced<C>>),
     Trace(ConnId, Vec<(TraceCheckpoint, Vec<TraceEvent>)>),
     /// Core gauges are mirrored; the driver adds its own and replies with
     /// the registry snapshot.
@@ -534,7 +535,11 @@ impl<P: Protocol> Core<P> {
                         ("window", window.len() as u64),
                     ],
                 );
-                out.push(Effect::ResumeReply(conn, window));
+                // A peer that restarted recorded none of the cuts taken
+                // while its links were down: their markers go first.
+                // lint: allow(alloc) at most CUTS_KEPT tokens, once per reconnect
+                let cuts = self.cuts.iter().map(|(token, _)| *token).collect();
+                out.push(Effect::ResumeReply(conn, cuts, window));
             }
             CoreMsg::PeerAcked { peer, seq } => {
                 if let Some(link) = self.links.get_mut(peer) {
@@ -1372,11 +1377,41 @@ mod tests {
         }
     }
 
+    /// A restarted peer missed the cuts taken while its links were down:
+    /// the reply to a resume carries the tokens of every kept cut, oldest
+    /// first, for the link to write ahead of the window.
+    #[test]
+    fn a_resume_reply_carries_the_kept_cut_tokens() {
+        let (protocol, map, mut core) = ring_core(0, 64);
+        let cfg = ServiceConfig::default();
+        let env = Env::new(&protocol, &map, &cfg);
+        let mut out = Vec::new();
+        for token in 1..=CUTS_KEPT as u64 + 2 {
+            let marker = CoreMsg::PeerMarker { token };
+            core.step(&env, marker, &|| 0, None, &mut out)
+                .expect("step");
+        }
+        out.clear();
+        let (peer, _, _, _) = remote_write(&protocol, &map, &mut core);
+        let (acked, conn) = (0, 5);
+        let resume = CoreMsg::PeerResume { peer, acked, conn };
+        core.step(&env, resume, &|| 0, None, &mut out)
+            .expect("step");
+        let kept: Vec<u64> = (3..=CUTS_KEPT as u64 + 2).collect();
+        assert!(
+            matches!(&out[..], [Effect::ResumeReply(5, cuts, window)] if *cuts == kept && window.len() == 1),
+            "{out:?}"
+        );
+    }
+
     /// The sans-I/O property as a check, not a comment: outside comments
     /// and their test modules, the core's files and `link.rs` name no
     /// socket, thread, file, channel or clock API — and the link names
     /// nothing of the layers around it either: no storage, telemetry or
-    /// wire item, and of the reactor only the opaque connection id.
+    /// wire item, and of the reactor only the opaque connection id. The
+    /// connection layer (`conn.rs`) reaches sockets, the reactor, the core
+    /// channel and the wall clock only through its `Port`: it may name an
+    /// address and take an `Instant` as data, but never read the clock.
     #[test]
     fn core_names_no_io() {
         let sources = [
@@ -1385,6 +1420,7 @@ mod tests {
             ("stage.rs", include_str!("stage.rs")),
             ("link.rs", include_str!("link.rs")),
             ("slot.rs", include_str!("slot.rs")),
+            ("conn.rs", include_str!("conn.rs")),
         ];
         for (file, source) in sources {
             let code: String = source
@@ -1395,14 +1431,31 @@ mod tests {
                 .map(|line| line.split("//").next().unwrap_or(""))
                 .collect::<Vec<_>>()
                 .join("\n");
-            for path in ["std::net", "std::thread", "std::fs"] {
+            let (paths, names) = match file {
+                "conn.rs" => (
+                    ["std::thread", "std::fs", "Instant::now"],
+                    &[
+                        "TcpStream",
+                        "TcpListener",
+                        "mpsc",
+                        "wall_us",
+                        "SystemTime",
+                        "Ctx",
+                    ][..],
+                ),
+                _ => (
+                    ["std::net", "std::thread", "std::fs"],
+                    &["mpsc", "Instant", "Wal", "wall_us", "SystemTime"][..],
+                ),
+            };
+            for path in paths {
                 assert!(!code.contains(path), "{file} names {path}");
             }
             let idents: Vec<&str> = code
                 .split(|c: char| !(c.is_alphanumeric() || c == '_'))
                 .collect();
-            for ident in ["mpsc", "Instant", "Wal", "wall_us", "SystemTime"] {
-                assert!(!idents.contains(&ident), "{file} names {ident}");
+            for ident in names {
+                assert!(!idents.contains(ident), "{file} names {ident}");
             }
             if file == "link.rs" {
                 for layer in ["prcc_storage", "prcc_telemetry", "wire"] {

@@ -31,10 +31,15 @@
 //!   periodic snapshots that truncate it, and boot-time recovery that
 //!   replays `snapshot + log` through `Core::apply`, rebuilding clocks,
 //!   stores, event logs and resend windows after a crash.
+//! * `conn` — the connection lifecycle, sans I/O: `OutConn` dials and
+//!   redials with seeded backoff, handshakes, writes the kept cut markers
+//!   and the resend window, and ships what each reactor tick delivered (no
+//!   flush timer) as one multi-partition frame; `InConn` checks the hello
+//!   and decodes one connection's flush frames. Actions leave through a
+//!   `Port`, so the rules run without a socket.
 //! * `drivers` — every socket as a non-blocking `prcc-reactor` driver:
-//!   peer senders that ship what each reactor tick delivered (no flush
-//!   timer) as one multi-partition frame, redialing with backoff and
-//!   resending the unacked window; peer receivers; client connections.
+//!   peer links as shells forwarding each callback into `conn`, and client
+//!   connections.
 //! * [`node`] — configuration, [`spawn_node`], and the sweep loop: the one
 //!   core thread that feeds messages to `Core::step`, commits the sweep's
 //!   records, and only then releases its effects into the reactor.
@@ -61,6 +66,7 @@
 pub mod client;
 pub mod cluster;
 pub mod config;
+mod conn;
 mod core;
 mod drivers;
 mod durable;

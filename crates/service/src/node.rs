@@ -10,12 +10,12 @@
 //! snapshot file write, the wall clock, the release of the sweep's
 //! `Effect`s into the reactor, and the crash flight dump.
 
+use crate::conn::{InConn, OutConn};
 use crate::core::{Core, CoreMsg, CoreTelemetry, Effect, Env, Flow};
-use crate::drivers::{ClientConn, Hub, NetMetrics, PeerCmd, PeerIn, PeerOut};
+use crate::drivers::{ClientConn, Hub, NetMetrics, Peer, PeerCmd};
 use crate::durable::{recover, take_snapshot, Durable};
 use crate::wire::{
-    append_frame, encode_hello_ack_into, encode_peer_ack_into, encode_response_into,
-    ClientResponse, FlushDecoder,
+    append_frame, encode_hello_ack_into, encode_peer_ack_into, encode_response_into, ClientResponse,
 };
 use prcc_clock::{Protocol, WireClock};
 use prcc_graph::PartitionMap;
@@ -267,8 +267,10 @@ where
     let peer_conns: Vec<Option<ConnId>> = (0..n)
         .map(|k| {
             (k != node).then(|| {
-                let driver = PeerOut::new(node, k, peer_addrs[k], &map, &cfg, hub.clone());
-                rh.register(None, Box::new(driver))
+                let counters = Arc::clone(&counters);
+                let conn = OutConn::new(node, k, peer_addrs[k], &map, &cfg, counters);
+                let hub = hub.clone();
+                rh.register(None, Box::new(Peer { conn, hub }))
             })
         })
         .collect();
@@ -283,17 +285,10 @@ where
         rh.listen(
             peer_listener,
             Box::new(move |sock: TcpStream, _from: SocketAddr| {
-                rh2.register(
-                    Some(sock),
-                    Box::new(PeerIn {
-                        node,
-                        protocol: Arc::clone(&protocol),
-                        map: Arc::clone(&map),
-                        hub: hub.clone(),
-                        peer: None,
-                        flush_codec: FlushDecoder::default(),
-                    }),
-                );
+                let (protocol, map) = (Arc::clone(&protocol), Arc::clone(&map));
+                let conn = InConn::new(node, protocol, map, Arc::clone(&hub.counters));
+                let hub = hub.clone();
+                rh2.register(Some(sock), Box::new(Peer { conn, hub }));
             }),
         );
     }
@@ -559,9 +554,10 @@ where
             let bytes = io.send_frame(conn, 64, |out| encode_hello_ack_into(acked, out));
             io.counters.bytes_out.add(bytes);
         }
-        Effect::ResumeReply(conn, window) => {
+        Effect::ResumeReply(conn, cuts, window) => {
+            let resume = PeerCmd::Resume { cuts, window };
             // lint: allow(alloc) one boxed command per reconnect
-            io.handle.command(conn, Box::new(PeerCmd::Resume(window)));
+            io.handle.command(conn, Box::new(resume));
         }
         Effect::Trace(conn, traces) => io.respond(conn, &ClientResponse::Trace(traces)),
         Effect::Metrics(conn) => {

@@ -1,8 +1,6 @@
 //! Helpers shared by the service integration suites (loopback,
-//! partitioned, recovery, reconnect, compaction, chaos): cluster
-//! configuration and launch, seeded keyed-workload driving, drain /
-//! verify assertions, and the fake-peer handshake used by the link-level
-//! tests.
+//! partitioned, recovery, compaction, chaos): cluster configuration and
+//! launch, seeded keyed-workload driving, and drain / verify assertions.
 //!
 //! Integration tests compile one binary per file, so not every suite uses
 //! every helper — hence the file-wide `dead_code` allowance.
@@ -13,8 +11,7 @@ use prcc_checker::CutVerdict;
 use prcc_clock::EdgeProtocol;
 use prcc_graph::{topologies, PartitionId, PartitionMap, RegisterId};
 use prcc_service::wire::{
-    append_frame, decode_peer_hello, decode_response, encode_hello_ack_into, encode_request_into,
-    read_frame, write_frame, ClientRequest, ClientResponse, PeerHello,
+    append_frame, decode_response, encode_request_into, read_frame, ClientRequest, ClientResponse,
 };
 use prcc_service::{LoopbackCluster, ServiceClient, ServiceConfig};
 use prcc_workloads::ops::{generate_keyed_ops, route_keyed_ops, RoutedOp};
@@ -279,25 +276,4 @@ pub fn assert_decision_log_replays(nemesis: &ChaosNemesis, nodes: usize) {
             "link {src}->{dst}: realized decision log diverged from pure replay"
         );
     }
-}
-
-/// Reads and decodes a dialing sender's hello frame (fake-peer side).
-pub fn read_hello(conn: &mut TcpStream) -> PeerHello {
-    let frame = read_frame(conn).expect("hello io").expect("hello frame");
-    decode_peer_hello(&frame).expect("well-formed hello")
-}
-
-/// Answers a hello with the given acknowledged resume offset.
-pub fn write_hello_ack(conn: &mut TcpStream, acked: u64) {
-    let mut payload = Vec::new();
-    encode_hello_ack_into(acked, &mut payload);
-    write_frame(conn, &payload).expect("write hello ack");
-}
-
-/// Completes the acceptor side of the versioned handshake: read the
-/// hello, answer with the given acknowledged resume offset.
-pub fn accept_handshake(conn: &mut TcpStream, acked: u64) -> PeerHello {
-    let hello = read_hello(conn);
-    write_hello_ack(conn, acked);
-    hello
 }

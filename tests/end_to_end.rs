@@ -172,30 +172,6 @@ fn duplicated_channels_on_every_topology() {
 }
 
 #[test]
-fn epoch_reconfiguration_between_topology_families() {
-    use prcc::core::EpochedCluster;
-    let mut ec = EpochedCluster::new(
-        EdgeProtocol::new(topologies::ring(4)),
-        Box::new(UniformDelay::new(8, 1, 20)),
-    );
-    for v in 0..12u64 {
-        let i = ReplicaId((v % 4) as usize);
-        ec.write(i, RegisterId((i.index() % 4) as u32), v).unwrap();
-    }
-    // Ring → star: registers 0..3 survive where present in the star.
-    ec.reconfigure(
-        EdgeProtocol::new(topologies::star(5)),
-        Box::new(UniformDelay::new(9, 1, 20)),
-    )
-    .unwrap();
-    assert_eq!(ec.epoch(), 1);
-    ec.write(ReplicaId(0), RegisterId(0), 99).unwrap();
-    ec.cluster_mut().run_to_quiescence();
-    assert!(ec.cluster().verdict().is_consistent());
-    assert_eq!(ec.read(ReplicaId(1), RegisterId(0)).unwrap(), Some(99));
-}
-
-#[test]
 fn multicast_view_over_partial_replication() {
     use prcc::core::multicast::{CausalMulticast, GroupId};
     // Groups mirror a ring(4)'s registers.
