@@ -1,19 +1,24 @@
-//! The event loop: a small fixed pool of epoll worker threads driving
-//! per-connection state machines.
+//! The event loop: one epoll thread driving per-connection state
+//! machines and the loop state they share.
 //!
-//! Each worker owns one [`mio::Poll`] plus the connections assigned to
-//! it (round-robin by [`ConnId`]). A connection is a [`Driver`] — the
-//! protocol state machine — wired to a non-blocking socket through an
-//! incremental [`FrameDecoder`] on the read side and a bounded
-//! [`OutQueue`] on the write side. Cross-thread work (frames from the
-//! core thread, commands, registrations) arrives through a per-worker
-//! locked inbox plus an eventfd [`mio::Waker`].
+//! A [`Reactor`] owns one [`mio::Poll`], every connection registered with
+//! it, and one value of a [`Loop`] type — the state that every driver
+//! callback reaches through [`Ctx::state`] and that [`Loop::on_tick`]
+//! closes each tick with. A connection is a [`Driver`] — the protocol
+//! state machine — wired to a non-blocking socket through an incremental
+//! [`FrameDecoder`] on the read side and a bounded [`OutQueue`] on the
+//! write side. Work from other threads (registrations, commands, stop)
+//! arrives through a locked inbox plus an eventfd [`mio::Waker`]; work
+//! the loop state hands its connections at tick end never leaves the
+//! thread.
 //!
 //! ## Tick discipline
 //!
 //! One `epoll_wait` return is one *tick*. A tick processes, in order:
 //! readiness events (connect completions, reads → [`Driver::on_frame`],
-//! accepts), the cross-thread inbox, due timers, then a single
+//! accepts), the cross-thread inbox, due timers, then [`Loop::on_tick`]
+//! — which releases what the tick's callbacks produced as sends,
+//! commands and closes on the loop's connections — then a single
 //! [`Driver::on_flush`] per connection touched this tick — which is
 //! where batching drivers coalesce everything the tick delivered into
 //! frames — and finally one vectored flush per connection with queued
@@ -26,7 +31,7 @@
 //!
 //! ## Backpressure contract
 //!
-//! `ctx.send` / `handle.send` never block. A connection whose outbound
+//! `ctx.send` / `tick.send` never block. A connection whose outbound
 //! queue hits its byte bound is torn down loudly (counted in
 //! `reactor_overflows`, logged, `on_disconnect` with an "outbound queue
 //! overflow" error) — peers redial and resend from their durable
@@ -81,46 +86,70 @@ pub enum Fate {
     Keep,
 }
 
+/// The state one event loop owns beside its connections: every driver
+/// callback reaches it through [`Ctx::state`], and [`Loop::on_tick`]
+/// closes each tick with it. `()` is the stateless loop, whose commands
+/// are type-erased.
+pub trait Loop: Send + Sized + 'static {
+    /// What [`ReactorHandle::command`] and [`Tick::command`] carry to a
+    /// driver's [`Driver::on_command`].
+    type Cmd: Send + 'static;
+
+    /// The tick's events, inbox and timers have run: release what their
+    /// callbacks produced through `tick`. Runs again while it hands out
+    /// work, so whatever that work feeds back is released in the same
+    /// tick; a kill ([`ReactorHandle::stop`]`(false)`) shows as
+    /// [`Tick::killed`], and the loop then ends without applying
+    /// anything.
+    fn on_tick(&mut self, tick: &mut Tick<'_, Self>) {
+        let _ = tick;
+    }
+}
+
+impl Loop for () {
+    type Cmd = Box<dyn Any + Send>;
+}
+
 /// A connection's protocol state machine. All callbacks run on the
-/// connection's worker thread; they must never block — socket I/O goes
-/// through [`Ctx::send`] and the decode loop, waiting goes through
+/// loop's thread; they must never block — socket I/O goes through
+/// [`Ctx::send`] and the decode loop, waiting goes through
 /// [`Ctx::set_timer`].
-pub trait Driver: Send {
+pub trait Driver<S: Loop = ()>: Send {
     /// The connection was registered with the reactor (socket may or may
     /// not be attached yet). Outbound drivers start their dial here.
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, S>) {
         let _ = ctx;
     }
 
     /// A [`Ctx::dial`] completed successfully.
-    fn on_connected(&mut self, ctx: &mut Ctx<'_>) {
+    fn on_connected(&mut self, ctx: &mut Ctx<'_, S>) {
         let _ = ctx;
     }
 
     /// One complete inbound frame. An `Err` tears the connection down
     /// (routed to [`Driver::on_disconnect`] with the error).
-    fn on_frame(&mut self, ctx: &mut Ctx<'_>, frame: Lease) -> io::Result<()>;
+    fn on_frame(&mut self, ctx: &mut Ctx<'_, S>, frame: Lease) -> io::Result<()>;
 
-    /// A message sent by another thread via [`ReactorHandle::command`].
-    fn on_command(&mut self, ctx: &mut Ctx<'_>, cmd: Box<dyn Any + Send>) {
+    /// A command from [`ReactorHandle::command`] or [`Tick::command`].
+    fn on_command(&mut self, ctx: &mut Ctx<'_, S>, cmd: S::Cmd) {
         let _ = (ctx, cmd);
     }
 
     /// The timer set by [`Ctx::set_timer`] fired (timers are one-shot).
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, S>) {
         let _ = ctx;
     }
 
     /// End of a tick in which this connection received frames or
     /// commands: the batching hook. Emit coalesced frames here.
-    fn on_flush(&mut self, ctx: &mut Ctx<'_>) {
+    fn on_flush(&mut self, ctx: &mut Ctx<'_, S>) {
         let _ = ctx;
     }
 
     /// The socket died (clean EOF: `None`; error, overflow, or decode
     /// failure: `Some`). The socket and any queued output are already
     /// gone. Return [`Fate::Keep`] to hold the registration for a redial.
-    fn on_disconnect(&mut self, ctx: &mut Ctx<'_>, err: Option<&io::Error>) -> Fate {
+    fn on_disconnect(&mut self, ctx: &mut Ctx<'_, S>, err: Option<&io::Error>) -> Fate {
         let _ = (ctx, err);
         Fate::Remove
     }
@@ -129,7 +158,7 @@ pub trait Driver: Send {
 /// Telemetry handles for the reactor, registered as `reactor_*` metrics.
 #[derive(Clone)]
 pub struct ReactorMetrics {
-    /// `epoll_wait` returns across all workers (including timeouts).
+    /// `epoll_wait` returns (including timeouts).
     pub wakeups: Counter,
     /// Readiness events delivered; `events / wakeups` is the
     /// events-per-wakeup batching ratio.
@@ -155,11 +184,11 @@ impl ReactorMetrics {
     }
 }
 
-enum Op {
+enum Op<S: Loop> {
     Register {
         conn: ConnId,
         sock: Option<TcpStream>,
-        driver: Box<dyn Driver>,
+        driver: Box<dyn Driver<S>>,
     },
     Listen {
         conn: ConnId,
@@ -172,7 +201,7 @@ enum Op {
     },
     Command {
         conn: ConnId,
-        cmd: Box<dyn Any + Send>,
+        cmd: S::Cmd,
     },
     Close {
         conn: ConnId,
@@ -182,13 +211,9 @@ enum Op {
     },
 }
 
-struct WorkerShared {
-    inbox: Mutex<Vec<Op>>,
+struct Shared<S: Loop> {
+    inbox: Mutex<Vec<Op<S>>>,
     waker: Waker,
-}
-
-struct Shared {
-    workers: Vec<Arc<WorkerShared>>,
     next_conn: AtomicU64,
     pool: BufPool,
     metrics: ReactorMetrics,
@@ -196,163 +221,139 @@ struct Shared {
 }
 
 /// Cheap-to-clone handle for talking to the reactor from any thread:
-/// register connections and listeners, push frames and commands, stop.
-#[derive(Clone)]
-pub struct ReactorHandle {
-    shared: Arc<Shared>,
+/// register connections and listeners, push commands, stop.
+pub struct ReactorHandle<S: Loop = ()> {
+    shared: Arc<Shared<S>>,
 }
 
-impl ReactorHandle {
-    fn worker_of(&self, conn: ConnId) -> usize {
-        (conn % self.shared.workers.len() as u64) as usize
+impl<S: Loop> Clone for ReactorHandle<S> {
+    fn clone(&self) -> Self {
+        ReactorHandle {
+            shared: Arc::clone(&self.shared),
+        }
     }
+}
 
-    fn push_op(&self, worker: usize, op: Op) {
-        let w = &self.shared.workers[worker];
+impl<S: Loop> ReactorHandle<S> {
+    fn push_op(&self, op: Op<S>) {
+        let shared = &self.shared;
         let was_empty = {
-            let mut inbox = w.inbox.lock();
+            let mut inbox = shared.inbox.lock();
             let was_empty = inbox.is_empty();
             inbox.push(op);
             was_empty
         };
         if was_empty {
-            let _ = w.waker.wake();
+            let _ = shared.waker.wake();
         }
     }
 
-    /// Registers a connection, assigning it to a worker round-robin.
-    /// With a socket (must be a connected stream; it is made non-blocking
-    /// by the worker) the driver starts reading immediately; without one,
-    /// the driver is expected to [`Ctx::dial`] from its `on_start`.
-    pub fn register(&self, sock: Option<TcpStream>, driver: Box<dyn Driver>) -> ConnId {
+    /// Registers a connection. With a socket (must be a connected stream;
+    /// it is made non-blocking by the loop) the driver starts reading
+    /// immediately; without one, the driver is expected to [`Ctx::dial`]
+    /// from its `on_start`.
+    pub fn register(&self, sock: Option<TcpStream>, driver: Box<dyn Driver<S>>) -> ConnId {
         let conn = self.shared.next_conn.fetch_add(1, Ordering::Relaxed);
-        self.push_op(self.worker_of(conn), Op::Register { conn, sock, driver });
+        self.push_op(Op::Register { conn, sock, driver });
         conn
     }
 
-    /// Registers a listening socket; `accept` runs on the listener's
-    /// worker for every new connection.
+    /// Registers a listening socket; `accept` runs on the loop for every
+    /// new connection.
     pub fn listen(&self, listener: TcpListener, accept: AcceptFn) -> ConnId {
         let conn = self.shared.next_conn.fetch_add(1, Ordering::Relaxed);
-        self.push_op(
-            self.worker_of(conn),
-            Op::Listen {
-                conn,
-                listener,
-                accept,
-            },
-        );
+        self.push_op(Op::Listen {
+            conn,
+            listener,
+            accept,
+        });
         conn
-    }
-
-    /// Queues one framed buffer on `conn`'s outbound queue (flushed this
-    /// tick). Never blocks; overflow tears the connection down. Frames
-    /// for a dead `ConnId` are silently dropped.
-    pub fn send(&self, conn: ConnId, frame: Lease) {
-        self.push_op(self.worker_of(conn), Op::Send { conn, frame });
     }
 
     /// Delivers a typed message to `conn`'s driver
     /// ([`Driver::on_command`]).
-    pub fn command(&self, conn: ConnId, cmd: Box<dyn Any + Send>) {
-        self.push_op(self.worker_of(conn), Op::Command { conn, cmd });
+    pub fn command(&self, conn: ConnId, cmd: S::Cmd) {
+        self.push_op(Op::Command { conn, cmd });
     }
 
-    /// Tears `conn` down (listener or connection) unconditionally —
-    /// `on_disconnect` is notified but its [`Fate`] is ignored.
-    pub fn close(&self, conn: ConnId) {
-        self.push_op(self.worker_of(conn), Op::Close { conn });
-    }
-
-    /// Stops every worker. `graceful` flushes queued output (bounded by
-    /// a short deadline) before dropping connections; `!graceful` severs
+    /// Stops the loop. `graceful` flushes queued output (bounded by a
+    /// short deadline) before dropping connections; `!graceful` severs
     /// every socket and listener immediately (crash semantics).
     pub fn stop(&self, graceful: bool) {
-        for idx in 0..self.shared.workers.len() {
-            self.push_op(idx, Op::Stop { graceful });
-        }
-    }
-
-    /// The buffer pool shared by every connection of this reactor.
-    pub fn pool(&self) -> &BufPool {
-        &self.shared.pool
-    }
-
-    /// The reactor's telemetry handles.
-    pub fn metrics(&self) -> &ReactorMetrics {
-        &self.shared.metrics
+        self.push_op(Op::Stop { graceful });
     }
 }
 
-/// The worker pool. Dropping the struct does not stop the threads —
-/// call [`ReactorHandle::stop`] (or [`Reactor::stop`]) then
+/// One event loop on its own thread. Dropping the struct does not stop
+/// the thread — call [`ReactorHandle::stop`] (or [`Reactor::stop`]) then
 /// [`Reactor::join`].
-pub struct Reactor {
-    handle: ReactorHandle,
-    threads: Vec<thread::JoinHandle<()>>,
+pub struct Reactor<S: Loop = ()> {
+    handle: ReactorHandle<S>,
+    thread: thread::JoinHandle<()>,
 }
 
 impl Reactor {
-    /// Spawns `threads` event-loop workers named `<name>-io-<i>`.
-    /// `outq_bound` is the per-connection outbound queue byte bound (the
-    /// backpressure contract); `pool` backs every frame buffer.
+    /// Spawns a stateless loop on a thread named `name`. `outq_bound` is
+    /// the per-connection outbound queue byte bound (the backpressure
+    /// contract); `pool` backs every frame buffer. A reactor is one
+    /// event loop: `_threads` is kept so existing callers compile, and
+    /// any value runs one loop thread.
     pub fn new(
         name: &str,
-        threads: usize,
+        _threads: usize,
         outq_bound: usize,
         pool: BufPool,
         registry: &Registry,
     ) -> io::Result<Reactor> {
-        let threads = threads.max(1);
-        let mut polls = Vec::with_capacity(threads);
-        let mut workers = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let poll = Poll::new()?;
-            let waker = Waker::new(&poll, WAKER_TOKEN)?;
-            workers.push(Arc::new(WorkerShared {
+        Reactor::spawn(name, outq_bound, pool, registry, |_| ())
+    }
+}
+
+impl<S: Loop> Reactor<S> {
+    /// Spawns a loop on a thread named `name`, otherwise as
+    /// [`Reactor::new`]. `init` builds the loop state on the calling
+    /// thread, with the handle at hand: what it registers is in place
+    /// when the loop's first tick runs, and the state can keep the ids.
+    pub fn spawn(
+        name: &str,
+        outq_bound: usize,
+        pool: BufPool,
+        registry: &Registry,
+        init: impl FnOnce(&ReactorHandle<S>) -> S,
+    ) -> io::Result<Reactor<S>> {
+        let poll = Poll::new()?;
+        let waker = Waker::new(&poll, WAKER_TOKEN)?;
+        let handle = ReactorHandle {
+            shared: Arc::new(Shared {
                 inbox: Mutex::new(Vec::new()),
                 waker,
-            }));
-            polls.push(poll);
-        }
-        let shared = Arc::new(Shared {
-            workers,
-            next_conn: AtomicU64::new(0),
-            pool,
-            metrics: ReactorMetrics::new(registry),
-            outq_bound,
-        });
-        let handle = ReactorHandle {
-            shared: Arc::clone(&shared),
+                next_conn: AtomicU64::new(0),
+                pool,
+                metrics: ReactorMetrics::new(registry),
+                outq_bound,
+            }),
         };
-        let mut join = Vec::with_capacity(threads);
-        for (idx, poll) in polls.into_iter().enumerate() {
-            let worker = Worker {
-                handle: handle.clone(),
-                poll,
-                waker: shared.workers[idx].waker.clone(),
-                inbox: Arc::clone(&shared.workers[idx]),
-                slots: HashMap::new(),
-                timers: BinaryHeap::new(),
-                dirty: Vec::new(),
-                flushq: Vec::new(),
-                stopping: None,
-            };
-            join.push(
-                thread::Builder::new()
-                    .name(format!("{name}-io-{idx}"))
-                    .spawn(move || worker.run())
-                    .map_err(io::Error::other)?,
-            );
-        }
-        Ok(Reactor {
-            handle,
-            threads: join,
-        })
+        let state = init(&handle);
+        let worker = Worker {
+            handle: handle.clone(),
+            poll,
+            state,
+            slots: HashMap::new(),
+            timers: BinaryHeap::new(),
+            dirty: Vec::new(),
+            flushq: Vec::new(),
+            released: Vec::new(),
+            stopping: None,
+        };
+        let thread = thread::Builder::new()
+            .name(name.to_string())
+            .spawn(move || worker.run())
+            .map_err(io::Error::other)?;
+        Ok(Reactor { handle, thread })
     }
 
     /// The cross-thread handle.
-    pub fn handle(&self) -> &ReactorHandle {
+    pub fn handle(&self) -> &ReactorHandle<S> {
         &self.handle
     }
 
@@ -361,23 +362,21 @@ impl Reactor {
         self.handle.stop(graceful);
     }
 
-    /// Waits for every worker to exit (call [`Reactor::stop`] first).
+    /// Waits for the loop to exit (call [`Reactor::stop`] first).
     pub fn join(self) {
-        for t in self.threads {
-            let _ = t.join();
-        }
+        let _ = self.thread.join();
     }
 }
 
-/// Per-connection state owned by a worker.
-struct Endpoint {
+/// Per-connection state owned by the loop.
+struct Endpoint<S: Loop> {
     sock: Option<TcpStream>,
     /// A non-blocking connect is in flight; completion arrives as a
     /// writable event checked against `take_error`.
     connecting: bool,
     /// Interest currently registered with epoll (`None`: no socket).
     registered: Option<Interest>,
-    driver: Box<dyn Driver>,
+    driver: Box<dyn Driver<S>>,
     decoder: FrameDecoder,
     out: OutQueue,
     timer_at: Option<Instant>,
@@ -385,19 +384,19 @@ struct Endpoint {
     flush_queued: bool,
 }
 
-enum Slot {
-    Conn(Endpoint),
+enum Slot<S: Loop> {
+    Conn(Endpoint<S>),
     Listener {
         listener: TcpListener,
         accept: AcceptFn,
     },
 }
 
-enum Call {
+enum Call<S: Loop> {
     Start,
     Connected,
     Frame(Lease),
-    Command(Box<dyn Any + Send>),
+    Command(S::Cmd),
     Timer,
     Flush,
     Disconnect(Option<io::Error>),
@@ -415,21 +414,20 @@ struct Reqs {
 }
 
 /// What a driver callback may do to its connection: queue frames, set a
-/// one-shot timer, dial, close, lease buffers, reach the rest of the
-/// reactor through the handle.
-pub struct Ctx<'a> {
+/// one-shot timer, dial, close, lease buffers, and reach the loop state.
+pub struct Ctx<'a, S: Loop = ()> {
     conn: ConnId,
     now: Instant,
     pool: &'a BufPool,
-    handle: &'a ReactorHandle,
+    state: &'a mut S,
     out: &'a mut OutQueue,
     timer_at: &'a mut Option<Instant>,
     timer_push: &'a mut Vec<(Instant, ConnId)>,
     reqs: &'a mut Reqs,
 }
 
-impl Ctx<'_> {
-    /// This connection's stable id (route for [`ReactorHandle::send`]).
+impl<S: Loop> Ctx<'_, S> {
+    /// This connection's stable id (route for [`Tick::send`]).
     pub fn conn_id(&self) -> ConnId {
         self.conn
     }
@@ -444,9 +442,9 @@ impl Ctx<'_> {
         self.pool
     }
 
-    /// The cross-thread handle (to message other connections).
-    pub fn handle(&self) -> &ReactorHandle {
-        self.handle
+    /// The loop state every connection of this reactor shares.
+    pub fn state(&mut self) -> &mut S {
+        self.state
     }
 
     /// Queues one framed buffer for this connection; flushed at the end
@@ -462,22 +460,12 @@ impl Ctx<'_> {
         }
     }
 
-    /// Un-written bytes queued on this connection.
-    pub fn queued_bytes(&self) -> usize {
-        self.out.queued_bytes()
-    }
-
     /// Arms this connection's one-shot timer for `after` from now
     /// (replacing any previous deadline).
     pub fn set_timer(&mut self, after: Duration) {
         let at = self.now + after;
         *self.timer_at = Some(at);
         self.timer_push.push((at, self.conn));
-    }
-
-    /// Cancels the pending timer, if any.
-    pub fn clear_timer(&mut self) {
-        *self.timer_at = None;
     }
 
     /// Starts a non-blocking dial to `addr`, replacing this connection's
@@ -494,21 +482,66 @@ impl Ctx<'_> {
     }
 }
 
-struct Worker {
-    handle: ReactorHandle,
+/// What [`Loop::on_tick`] may do: address any connection of the loop by
+/// id, in order, and end the loop. Work for a dead id is dropped.
+pub struct Tick<'a, S: Loop> {
+    ops: &'a mut Vec<Op<S>>,
+    stopping: &'a mut Option<bool>,
+    pool: &'a BufPool,
+}
+
+impl<S: Loop> Tick<'_, S> {
+    /// The reactor's buffer pool.
+    pub fn pool(&self) -> &BufPool {
+        self.pool
+    }
+
+    /// Queues one framed buffer on `conn`'s outbound queue (flushed this
+    /// tick). Overflow tears the connection down.
+    pub fn send(&mut self, conn: ConnId, frame: Lease) {
+        self.ops.push(Op::Send { conn, frame });
+    }
+
+    /// Delivers `cmd` to `conn`'s driver ([`Driver::on_command`]).
+    pub fn command(&mut self, conn: ConnId, cmd: S::Cmd) {
+        self.ops.push(Op::Command { conn, cmd });
+    }
+
+    /// Tears `conn` down unconditionally — `on_disconnect` is notified
+    /// but its [`Fate`] is ignored.
+    pub fn close(&mut self, conn: ConnId) {
+        self.ops.push(Op::Close { conn });
+    }
+
+    /// Ends the loop after this tick, as [`ReactorHandle::stop`]; a kill
+    /// (`!graceful`) also drops everything queued on this `Tick`.
+    pub fn stop(&mut self, graceful: bool) {
+        *self.stopping = Some(self.stopping.unwrap_or(true) && graceful);
+    }
+
+    /// A kill landed: the loop ends when this call returns, and nothing
+    /// queued on this `Tick` is applied.
+    pub fn killed(&self) -> bool {
+        *self.stopping == Some(false)
+    }
+}
+
+struct Worker<S: Loop> {
+    handle: ReactorHandle<S>,
     poll: Poll,
-    waker: Waker,
-    inbox: Arc<WorkerShared>,
-    slots: HashMap<ConnId, Slot>,
+    state: S,
+    slots: HashMap<ConnId, Slot<S>>,
     timers: BinaryHeap<Reverse<(Instant, ConnId)>>,
     dirty: Vec<ConnId>,
     flushq: Vec<ConnId>,
-    /// `Some(graceful)` once a stop op arrived; a kill (`false`) wins
-    /// over a graceful stop.
+    /// What `on_tick` released, applied right after it returns (reused).
+    released: Vec<Op<S>>,
+    /// `Some(graceful)` once a stop arrived; a kill (`false`) wins over a
+    /// graceful stop.
     stopping: Option<bool>,
 }
 
-impl Worker {
+impl<S: Loop> Worker<S> {
     fn metrics(&self) -> &ReactorMetrics {
         &self.handle.shared.metrics
     }
@@ -527,8 +560,14 @@ impl Worker {
             self.metrics().wakeups.inc();
             self.metrics().events.add(events.len() as u64);
             self.process_events(&events);
-            self.process_ops();
+            let ops = std::mem::take(&mut *self.handle.shared.inbox.lock());
+            for op in ops {
+                self.apply(op);
+            }
             self.fire_timers();
+            if self.end_tick() {
+                return; // killed: nothing of this tick leaves
+            }
             self.run_on_flush();
             self.flush_pass();
             if let Some(graceful) = self.stopping {
@@ -537,6 +576,31 @@ impl Worker {
                 }
                 return;
             }
+        }
+    }
+
+    /// Runs [`Loop::on_tick`] and applies what it released, until it
+    /// releases nothing. True when a kill ends the loop.
+    fn end_tick(&mut self) -> bool {
+        loop {
+            let mut tick = Tick {
+                ops: &mut self.released,
+                stopping: &mut self.stopping,
+                pool: &self.handle.shared.pool,
+            };
+            self.state.on_tick(&mut tick);
+            if self.stopping == Some(false) {
+                self.released.clear();
+                return true;
+            }
+            if self.released.is_empty() {
+                return false;
+            }
+            let mut released = std::mem::take(&mut self.released);
+            for op in released.drain(..) {
+                self.apply(op);
+            }
+            self.released = released;
         }
     }
 
@@ -549,7 +613,7 @@ impl Worker {
         for event in events.iter() {
             let token = event.token();
             if token == WAKER_TOKEN {
-                self.waker.drain();
+                self.handle.shared.waker.drain();
                 continue;
             }
             let conn = token.0 as ConnId;
@@ -678,52 +742,49 @@ impl Worker {
         }
     }
 
-    fn process_ops(&mut self) {
-        let ops = std::mem::take(&mut *self.inbox.inbox.lock());
-        for op in ops {
-            match op {
-                Op::Register { conn, sock, driver } => self.do_register(conn, sock, driver),
-                Op::Listen {
-                    conn,
-                    listener,
-                    accept,
-                } => {
-                    if mio::set_nonblocking(&listener)
-                        .and_then(|()| {
-                            self.poll
-                                .register(&listener, Token(conn as usize), Interest::READABLE)
-                        })
-                        .is_ok()
-                    {
-                        self.slots.insert(conn, Slot::Listener { listener, accept });
-                    } else {
-                        eprintln!("[reactor] listener registration failed");
+    fn apply(&mut self, op: Op<S>) {
+        match op {
+            Op::Register { conn, sock, driver } => self.do_register(conn, sock, driver),
+            Op::Listen {
+                conn,
+                listener,
+                accept,
+            } => {
+                if mio::set_nonblocking(&listener)
+                    .and_then(|()| {
+                        self.poll
+                            .register(&listener, Token(conn as usize), Interest::READABLE)
+                    })
+                    .is_ok()
+                {
+                    self.slots.insert(conn, Slot::Listener { listener, accept });
+                } else {
+                    eprintln!("[reactor] listener registration failed");
+                }
+            }
+            Op::Send { conn, frame } => {
+                if let Some(Slot::Conn(ep)) = self.slots.get_mut(&conn) {
+                    match ep.out.push(frame) {
+                        Ok(()) => queue_flush(&mut self.flushq, conn, ep),
+                        Err(full) => self.overflow(conn, full),
                     }
                 }
-                Op::Send { conn, frame } => {
-                    if let Some(Slot::Conn(ep)) = self.slots.get_mut(&conn) {
-                        match ep.out.push(frame) {
-                            Ok(()) => queue_flush(&mut self.flushq, conn, ep),
-                            Err(full) => self.overflow(conn, full),
-                        }
-                    }
+            }
+            Op::Command { conn, cmd } => self.run_call(conn, Call::Command(cmd)),
+            Op::Close { conn } => match self.slots.get(&conn) {
+                Some(Slot::Listener { .. }) => {
+                    self.slots.remove(&conn); // drop closes + deregisters
                 }
-                Op::Command { conn, cmd } => self.run_call(conn, Call::Command(cmd)),
-                Op::Close { conn } => match self.slots.get(&conn) {
-                    Some(Slot::Listener { .. }) => {
-                        self.slots.remove(&conn); // drop closes + deregisters
-                    }
-                    Some(Slot::Conn(_)) => self.disconnect(conn, None, true),
-                    None => {}
-                },
-                Op::Stop { graceful } => {
-                    self.stopping = Some(self.stopping.unwrap_or(true) && graceful);
-                }
+                Some(Slot::Conn(_)) => self.disconnect(conn, None, true),
+                None => {}
+            },
+            Op::Stop { graceful } => {
+                self.stopping = Some(self.stopping.unwrap_or(true) && graceful);
             }
         }
     }
 
-    fn do_register(&mut self, conn: ConnId, sock: Option<TcpStream>, driver: Box<dyn Driver>) {
+    fn do_register(&mut self, conn: ConnId, sock: Option<TcpStream>, driver: Box<dyn Driver<S>>) {
         let mut ep = Endpoint {
             sock: None,
             connecting: false,
@@ -828,9 +889,8 @@ impl Worker {
 
     /// Runs one driver callback with a fresh [`Ctx`], then applies the
     /// requests the driver made.
-    fn run_call(&mut self, conn: ConnId, call: Call) {
-        let handle = self.handle.clone();
-        let pool = handle.shared.pool.clone();
+    fn run_call(&mut self, conn: ConnId, call: Call<S>) {
+        let pool = self.handle.shared.pool.clone();
         let now = Instant::now();
         let mut timer_push = Vec::new();
         let mut reqs = Reqs::default();
@@ -854,7 +914,7 @@ impl Worker {
                 conn,
                 now,
                 pool: &pool,
-                handle: &handle,
+                state: &mut self.state,
                 out,
                 timer_at,
                 timer_push: &mut timer_push,
@@ -996,7 +1056,7 @@ impl Worker {
     }
 }
 
-fn desired_interest(ep: &Endpoint) -> Interest {
+fn desired_interest<S: Loop>(ep: &Endpoint<S>) -> Interest {
     if ep.out.is_empty() {
         Interest::READABLE
     } else {
@@ -1004,7 +1064,7 @@ fn desired_interest(ep: &Endpoint) -> Interest {
     }
 }
 
-fn set_interest(poll: &Poll, conn: ConnId, ep: &mut Endpoint, want: Interest) {
+fn set_interest<S: Loop>(poll: &Poll, conn: ConnId, ep: &mut Endpoint<S>, want: Interest) {
     if ep.registered == Some(want) {
         return;
     }
@@ -1014,7 +1074,7 @@ fn set_interest(poll: &Poll, conn: ConnId, ep: &mut Endpoint, want: Interest) {
     }
 }
 
-fn queue_flush(flushq: &mut Vec<ConnId>, conn: ConnId, ep: &mut Endpoint) {
+fn queue_flush<S: Loop>(flushq: &mut Vec<ConnId>, conn: ConnId, ep: &mut Endpoint<S>) {
     if !ep.flush_queued {
         ep.flush_queued = true;
         flushq.push(conn);

@@ -59,8 +59,9 @@ fn run() -> Result<(), String> {
              \t--snapshot-every N  WAL records between snapshots (default 4096)\n\
              \t--fsync          group-commit every WAL append (power-loss durability)\n\
              \t--fsync-every N  group-commit cadence: fdatasync every N appends (0 = off)\n\
-             \t--compact-at N   live trace events per partition before checkpointed\n\
-             \t                 compaction seals the acked prefix (default 1024)\n\
+             \t--compact-at N   live trace events per node, summed over its partitions,\n\
+             \t                 before checkpointed compaction seals every acked\n\
+             \t                 prefix (default 1024)\n\
              \t--sample-every N sample 1-in-N update lifecycles for the stage\n\
              \t                 histograms (1 = every update, default 16)\n\
              \t--metrics-every S  every S seconds, scrape all nodes over the\n\

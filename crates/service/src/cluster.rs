@@ -34,6 +34,10 @@ pub struct LoopbackCluster {
     /// the same interposition its first life used.
     dial_addrs: Vec<Vec<SocketAddr>>,
     durable: bool,
+    /// Nodes crashed and not yet restarted.
+    down: Vec<bool>,
+    /// How long a launch or restart waits for the peer links.
+    connect_timeout: Duration,
     spawner: Arc<dyn Fn(NodeSeed) -> io::Result<NodeHandle> + Send + Sync>,
 }
 
@@ -64,7 +68,9 @@ impl LoopbackCluster {
 
     /// Binds listeners for every node of the partition map (ephemeral ports
     /// when `base_port` is 0, else `base_port + 2i` / `base_port + 2i + 1`),
-    /// then spawns the nodes with the full peer map.
+    /// spawns the nodes with the full peer map, and returns once every
+    /// peer link is up (`TimedOut` if that takes longer than the config's
+    /// `connect_timeout`).
     pub fn launch_partitioned<P>(
         protocol: Arc<P>,
         map: PartitionMap,
@@ -144,13 +150,47 @@ impl LoopbackCluster {
                 peer_addrs: dial_addrs[i].clone(),
             })?);
         }
-        Ok(LoopbackCluster {
+        let cluster = LoopbackCluster {
             map,
             nodes,
             dial_addrs,
             durable: cfg.data_dir.is_some(),
+            down: vec![false; n],
+            connect_timeout: cfg.connect_timeout,
             spawner,
-        })
+        };
+        cluster.await_links()?;
+        Ok(cluster)
+    }
+
+    /// Waits until every live node reports a link up to every other live
+    /// node (`peer_links_up` in its metrics scrape), so the cluster a
+    /// launch or restart returns ships updates on established links, not
+    /// on resume windows. A scrape a node cannot answer yet counts as not
+    /// ready.
+    ///
+    /// # Errors
+    ///
+    /// `TimedOut` when the links are not all up within the deployment's
+    /// `connect_timeout`.
+    fn await_links(&self) -> io::Result<()> {
+        let live = || (self.nodes.iter().zip(&self.down)).filter(|(_, &down)| !down);
+        let want = live().count() as u64 - 1;
+        let up = |node: &NodeHandle| {
+            let status = ServiceClient::connect(node.client_addr).and_then(|mut c| c.status());
+            status.is_ok_and(|s| s.peer_links_up >= want)
+        };
+        let deadline = Instant::now() + self.connect_timeout;
+        while !live().all(|(node, _)| up(node)) {
+            if Instant::now() >= deadline {
+                return Err(io::Error::new(
+                    io::ErrorKind::TimedOut,
+                    format!("peer links not all up within {:?}", self.connect_timeout),
+                ));
+            }
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        Ok(())
     }
 
     /// The cluster's partition map.
@@ -222,13 +262,15 @@ impl LoopbackCluster {
     /// die and fall into the reconnect backoff path.
     pub fn crash_node(&mut self, i: usize) {
         self.nodes[i].crash();
+        self.down[i] = true;
     }
 
     /// Respawns a crashed node on its original listener addresses. With a
     /// data dir configured the node recovers its snapshot + WAL first, so
     /// it rejoins with its pre-crash clock, store and event log; peers'
     /// senders reconnect (backoff) and resend their unacked windows from
-    /// the offset the recovered node acknowledges.
+    /// the offset the recovered node acknowledges. Returns once every link
+    /// between live nodes is up again.
     ///
     /// # Errors
     ///
@@ -236,7 +278,8 @@ impl LoopbackCluster {
     /// respawn would reissue wire ids its peers' dedup sets already hold,
     /// so its new writes would be silently dropped cluster-wide. Also
     /// fails on rebinding the listeners (the OS may briefly hold the
-    /// port) or the respawn itself (e.g. an unrecoverable data dir).
+    /// port), the respawn itself (e.g. an unrecoverable data dir), or links
+    /// that stay down past the config's `connect_timeout`.
     pub fn restart_node(&mut self, i: usize) -> io::Result<()> {
         if !self.durable {
             return Err(io::Error::new(
@@ -255,7 +298,8 @@ impl LoopbackCluster {
             client_listener,
             peer_addrs: self.dial_addrs[i].clone(),
         })?;
-        Ok(())
+        self.down[i] = false;
+        self.await_links()
     }
 
     /// Runs one online consistent-cut audit *without stopping traffic*:
@@ -328,7 +372,7 @@ impl LoopbackCluster {
             let pending: u64 = statuses.iter().map(|s| s.pending).sum();
             let settled = pending == 0 && received.saturating_sub(duplicates) >= sent;
             // Reactor telemetry moves with this drain's own scrapes
-            // (every request wakes an event-loop worker), so it must not
+            // (every request wakes a node's event loop), so it must not
             // count against the two-identical-polls stability check.
             let mut normalized = statuses;
             for status in &mut normalized {
@@ -424,7 +468,7 @@ impl LoopbackCluster {
         Ok(Ok(combined))
     }
 
-    /// Gracefully shuts every node down and joins their core threads.
+    /// Gracefully shuts every node down and joins their loop threads.
     pub fn shutdown(mut self) -> io::Result<()> {
         for node in &self.nodes {
             ServiceClient::connect(node.client_addr)?.shutdown()?;

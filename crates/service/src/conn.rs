@@ -23,7 +23,7 @@
 //!
 //! Events arrive as method calls; an event that needs the time takes it
 //! as data. Everything an event does leaves through a [`Port`]: the
-//! reactor drivers (`drivers.rs`) implement it over a worker's `Ctx`, and
+//! reactor drivers (`drivers.rs`) implement it over the node loop's `Ctx`, and
 //! the tests below over a recording fake.
 
 use crate::core::{CoreMsg, Sequenced};
@@ -133,7 +133,7 @@ pub(crate) struct OutConn<C> {
     flush_codec: FlushEncoder,
     /// The open batch: the updates this reactor tick has delivered so far.
     /// `on_flush` ships all of it when the tick ends, so it never outlives
-    /// a tick and is bounded by what one inbox drain can hold.
+    /// a tick and is bounded by what one tick can deliver.
     batch: Vec<Sequenced<C>>,
     /// The peer's acknowledged offset from the current handshake.
     acked: u64,
@@ -180,8 +180,8 @@ impl<C: WireClock> OutConn<C> {
     /// the markers of the core's kept cuts, then retransmit the window.
     /// A peer that restarted while those cuts were taken (its links were
     /// handshaking as their markers passed) records them now, ahead of
-    /// every resent update. Effects leave the core in order and this
-    /// link's commands share one inbox, so every update commanded after
+    /// every resent update. The node's loop releases the core's effects in
+    /// order, so every update commanded after
     /// this reply is sequenced past the window's tail, and every one
     /// commanded before it arrived mid-handshake and was dropped — the
     /// window carries it.
@@ -194,6 +194,9 @@ impl<C: WireClock> OutConn<C> {
             self.counters.resent.add(window.len() as u64);
         }
         self.state = OutState::Established;
+        // Every link of a node runs on the node's one loop thread.
+        let up = &self.counters.links_up;
+        up.set(up.get() + 1);
         for &token in cuts {
             self.write_marker(token, port);
         }
@@ -370,6 +373,8 @@ impl<C: WireClock> Conn<C> for OutConn<C> {
     ) -> bool {
         self.batch.clear();
         if self.state == OutState::Established {
+            let up = &self.counters.links_up;
+            up.set(up.get().saturating_sub(1));
             if let Some(e) = err {
                 eprintln!(
                     "prcc-service[{}]: peer link {}: {e}; reconnecting",
@@ -413,7 +418,7 @@ impl<C: WireClock> Conn<C> for OutConn<C> {
 /// The inbound half of one peer link: checks the hello, binds itself to
 /// the sender's node index, then decodes flush frames and passes cut
 /// markers through to the core. Acknowledgements — and the close of a
-/// refused link — come back from the core at sweep end.
+/// refused link — come back from the core at tick end.
 pub(crate) struct InConn<P: Protocol> {
     node: usize,
     protocol: Arc<P>,

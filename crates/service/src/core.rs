@@ -29,7 +29,7 @@
 //! [`Core::step`] is the single entry point for live input. It returns
 //! *what the driver must do next* as a [`Flow`] and appends *everything
 //! that must leave the node* to an [`Effect`] list, which the driver
-//! releases only after the sweep's staged records are on disk. Time enters
+//! releases only after the tick's staged records are on disk. Time enters
 //! through the injected `now` alone, and lazily: transitions note sampled
 //! lifecycle stamps, which `step`/`apply` settle against one clock read —
 //! an unsampled step with the flight recorder off reads no clock, and
@@ -87,8 +87,9 @@ pub(crate) struct Env<'a, P> {
     pub(crate) map: &'a PartitionMap,
     /// Received updates between streamed acknowledgements per link.
     pub(crate) ack_every: u64,
-    /// Live trace events per partition above which the acknowledged log
-    /// prefix is sealed (0 = only when a snapshot is due).
+    /// Live trace events, summed over the node's partitions, at which
+    /// every acknowledged log prefix is sealed (0 = only when a snapshot
+    /// is due).
     pub(crate) trace_compact_at: usize,
 }
 
@@ -159,21 +160,19 @@ pub(crate) enum CoreMsg<C> {
     Trace(ConnId),
     /// A live metrics scrape: mirror core state into the registry's gauges.
     Metrics(ConnId),
-    /// Fault injection: stop immediately, no final snapshot.
-    Crash,
     Shutdown,
 }
 
 /// One thing that must leave the node. Nothing a processed message
 /// produced may escape — no client reply, no peer update, no
-/// acknowledgement — until the sweep's staged WAL batch is committed:
+/// acknowledgement — until the tick's staged WAL batch is committed:
 /// releasing any of them earlier would let an effect outlive a crash that
-/// loses its record. The driver releases them in order at sweep end.
+/// loses its record. The driver releases them in order at tick end.
 #[derive(Debug)]
 pub(crate) enum Effect<C> {
     WriteReply(ConnId, bool),
     /// Deferred like every reply: a read may observe a write staged earlier
-    /// in this sweep, and that observation must not escape before the
+    /// in this tick, and that observation must not escape before the
     /// write's record is committed.
     ReadReply(ConnId, bool, Option<u64>),
     /// An outbound update headed for `peer`'s link driver.
@@ -210,15 +209,11 @@ pub(crate) enum Flow {
     /// The stage crossed its snapshot threshold (and the trace logs are
     /// compacted for it): commit, fold the core into a snapshot and
     /// truncate the log *now*, so the snapshot is a pure function of the
-    /// record sequence rather than of where the sweep happens to end.
+    /// record sequence rather than of where the tick happens to end.
     SnapshotDue,
-    /// Stop draining; commit and release what was processed, take the
-    /// final snapshot, exit.
+    /// Take no more messages; commit and release what was processed,
+    /// take the final snapshot, exit.
     Shutdown,
-    /// Stop immediately: nothing staged commits and nothing queued escapes
-    /// — indistinguishable from a crash landing before this sweep's
-    /// messages arrived. Carries the flight-recorder event to close on.
-    Halt(&'static str),
 }
 
 /// A sampled lifecycle observation a transition noted, awaiting the clock
@@ -484,7 +479,7 @@ impl<P: Protocol> Core<P> {
                     "recv_frame",
                     &[("peer", peer as u64), ("updates", updates)],
                 );
-                // The frame joins the sweep's batch, and the
+                // The frame joins the tick's batch, and the
                 // acknowledgement below stays queued (and synced) behind
                 // the commit — a commit failure drops the frame
                 // *unacknowledged* and fail-stops the node, so the peer's
@@ -551,7 +546,7 @@ impl<P: Protocol> Core<P> {
             CoreMsg::Cut { token, start, conn } => {
                 if start {
                     // Snapshot *now*, at this message's position: writes
-                    // processed earlier in the sweep are inside the cut,
+                    // processed earlier in the tick are inside the cut,
                     // later ones outside it.
                     self.sight_cut(env.map, token, "cut_start", now, out);
                 }
@@ -567,10 +562,9 @@ impl<P: Protocol> Core<P> {
                 self.mirror_gauges();
                 out.push(Effect::Metrics(conn));
             }
-            CoreMsg::Crash => return Ok(Flow::Halt("crash")),
             CoreMsg::Shutdown => {
                 // Seal what the final snapshot may fold; the record rides
-                // the sweep's last commit.
+                // the tick's last commit.
                 if stage.is_some() {
                     self.compact(env, 1, now, stage, out)?;
                 }
@@ -580,9 +574,10 @@ impl<P: Protocol> Core<P> {
         Ok(Flow::Continue)
     }
 
-    /// The one post-apply block: compact the trace logs past the
-    /// configured threshold, and when the stage says a snapshot is due,
-    /// compact fully and hand the fold to the driver.
+    /// The one post-apply block: once the node's live trace events, summed
+    /// over its partitions, reach the configured budget, seal every
+    /// settled prefix in one checkpoint; and when the stage says a
+    /// snapshot is due, compact fully and hand the fold to the driver.
     fn after_apply(
         &mut self,
         env: &Env<'_, P>,
@@ -593,8 +588,8 @@ impl<P: Protocol> Core<P> {
     where
         P::Clock: WireClock,
     {
-        if env.trace_compact_at > 0 {
-            self.compact(env, env.trace_compact_at, now, stage.as_deref_mut(), out)?;
+        if env.trace_compact_at > 0 && self.live_events() >= env.trace_compact_at as u64 {
+            self.compact(env, 1, now, stage.as_deref_mut(), out)?;
         }
         if stage.as_deref().is_some_and(Stage::snapshot_due) {
             self.compact(env, 1, now, stage, out)?;
@@ -846,6 +841,11 @@ impl<P: Protocol> Core<P> {
         }
     }
 
+    /// Live trace events across the hosted partitions.
+    fn live_events(&self) -> u64 {
+        self.slots().map(PartitionSlot::live_events).sum()
+    }
+
     /// Plans a trace compaction over every slot. A copy settles once its
     /// link acknowledged it or evicted it (`window_evicted` records that
     /// loss); a copy on no link keeps blocking, as unblocking would
@@ -909,8 +909,7 @@ impl<P: Protocol> Core<P> {
             .set(links().map(PeerLink::max_window).max().unwrap_or(0));
         r.gauge("core_window_evicted")
             .set(links().map(PeerLink::evicted).sum());
-        r.gauge("trace_events_live")
-            .set(self.slots().map(PartitionSlot::live_events).sum());
+        r.gauge("trace_events_live").set(self.live_events());
         r.gauge("trace_events_sealed")
             .set(self.slots().map(|s| s.digest().1).sum());
     }

@@ -3,9 +3,9 @@
 //!
 //! With a data dir configured, every state-mutating input reaches the
 //! checksummed write-ahead log *before* any of its effects leaves the
-//! node: [`Core::apply`] stages the record, the sweep loop commits the
-//! sweep's stage as one batch ([`Durable::commit`]), and only then are the
-//! sweep's replies, sends and acknowledgements released. Periodic
+//! node: [`Core::apply`] stages the record, the node's event loop commits the
+//! tick's stage as one batch ([`Durable::commit`]), and only then are the
+//! tick's replies, sends and acknowledgements released. Periodic
 //! snapshots ([`take_snapshot`]) fold the log prefix and truncate it.
 //!
 //! Because [`Core::apply`] is deterministic and is the only mutation
@@ -35,7 +35,7 @@ pub(crate) struct Durable {
     /// Sync snapshots through to disk before renaming, and the WAL before
     /// any acknowledgement (paired with the WAL's group commit).
     fsync: bool,
-    /// Records the core staged this sweep, written by [`Durable::commit`].
+    /// Records the core staged this tick, written by [`Durable::commit`].
     pub(crate) stage: Stage,
     /// Physical WAL writes issued (one per committed batch) — group commit
     /// makes this measurably smaller than the stage's record count.
@@ -50,7 +50,7 @@ pub(crate) struct Durable {
 
 impl Durable {
     /// Writes every staged record as one framed batch: one buffer, one
-    /// `write`, one group-commit tick — the sweep-scoped group commit.
+    /// `write`, one group-commit tick — the tick-scoped group commit.
     pub(crate) fn commit(&mut self) -> io::Result<()> {
         if self.stage.is_empty() {
             return Ok(());
@@ -449,8 +449,8 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// The sweep-scoped group commit, stated as counts: however many
-    /// records a sweep stages through `Core::apply`, one `commit` is one
+    /// The tick-scoped group commit, stated as counts: however many
+    /// records a tick stages through `Core::apply`, one `commit` is one
     /// physical WAL write, and a reopened log holds every one of them. A
     /// per-record commit would report `wal_writes == staged` here.
     #[test]

@@ -40,9 +40,10 @@
 //! * `drivers` — every socket as a non-blocking `prcc-reactor` driver:
 //!   peer links as shells forwarding each callback into `conn`, and client
 //!   connections.
-//! * [`node`] — configuration, [`spawn_node`], and the sweep loop: the one
-//!   core thread that feeds messages to `Core::step`, commits the sweep's
-//!   records, and only then releases its effects into the reactor.
+//! * [`node`] — configuration, [`spawn_node`], and the loop state: the
+//!   node's one event loop steps `Core::step` with each message its
+//!   drivers decode, commits the tick's records, and only then releases
+//!   its effects onto the connections.
 //! * [`client`] — [`ServiceClient`] (blocking, single-node) and
 //!   [`RoutedClient`] (key-routed over the whole cluster).
 //! * [`cluster`] — [`LoopbackCluster`]: bind, spawn, drain-to-quiescence,
@@ -53,12 +54,12 @@
 //!   `prcc-serve` and `prcc-perf` binaries.
 //!
 //! The deployment is event-loop I/O without an async runtime: the hermetic
-//! build environment has no tokio, so sockets are multiplexed onto a fixed
-//! pool of epoll event-loop threads via the dependency-free `compat/mio`
-//! shim and the `prcc-reactor` driver runtime. A node's thread count is a
-//! constant (`REACTOR_THREADS` workers plus the core loop),
-//! independent of how many peers or clients are connected, while the core
-//! keeps identical semantics: a run-to-completion loop fed by channels.
+//! build environment has no tokio, so each node is one epoll event-loop
+//! thread via the dependency-free `compat/mio` shim and the
+//! `prcc-reactor` driver runtime. A node's thread count is one,
+//! independent of how many peers or clients are connected, and the core
+//! keeps identical semantics: a run-to-completion state machine stepped
+//! by the loop that read its input.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

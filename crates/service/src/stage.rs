@@ -6,7 +6,7 @@ use prcc_storage::{encode_record_into, WalRecord};
 
 /// The in-memory WAL stage: records encoded but not yet written, plus the
 /// index and snapshot-cadence accounting that must advance with them. The
-/// driver writes all staged spans as one group-committed batch per sweep.
+/// driver writes all staged spans as one group-committed batch per reactor tick.
 pub(crate) struct Stage {
     buf: Vec<u8>,
     spans: Vec<(usize, usize)>,
@@ -16,7 +16,7 @@ pub(crate) struct Stage {
     records_since_snapshot: u64,
     /// Logical records staged since boot.
     pub(crate) appends: u64,
-    /// Sample stamps of records staged this sweep; the driver records
+    /// Sample stamps of records staged this tick; the driver records
     /// `wal_append_us` against them once the batch is on disk.
     pub(crate) stamps: Vec<u64>,
 }

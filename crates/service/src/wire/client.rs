@@ -288,6 +288,8 @@ pub struct NodeStatus {
     pub reactor_rearms: u64,
     /// Largest outbound queue of any one connection, in bytes.
     pub reactor_outq_hiwat: u64,
+    /// Outbound peer links established (handshaken and resumed) now.
+    pub peer_links_up: u64,
     /// Counters broken out per partition, indexed by partition id.
     pub per_partition: Vec<PartitionCounters>,
 }
@@ -297,7 +299,7 @@ type Field = fn(&mut NodeStatus) -> &mut u64;
 
 /// The registry schema of [`NodeStatus`]: each scalar field beside the one
 /// counter or gauge that holds it.
-const SCHEMA: [(&str, Field); 26] = [
+const SCHEMA: [(&str, Field); 27] = [
     ("node", |s| &mut s.node),
     ("core_issued", |s| &mut s.issued),
     ("core_sent", |s| &mut s.messages_sent),
@@ -324,6 +326,7 @@ const SCHEMA: [(&str, Field); 26] = [
     ("reactor_events", |s| &mut s.reactor_events),
     ("reactor_rearms", |s| &mut s.reactor_rearms),
     ("reactor_outq_hiwat", |s| &mut s.reactor_outq_hiwat),
+    ("peer_links_up", |s| &mut s.peer_links_up),
 ];
 
 /// Registry names of partition `p`'s `(issued, applies, pending)` gauges,

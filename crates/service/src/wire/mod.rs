@@ -961,7 +961,7 @@ mod tests {
             net_flushes net_resent wal_appends snapshots_written wal_bytes snapshot_bytes \
             first_snapshot_bytes trace_events_live trace_events_sealed core_max_window \
             core_window_evicted reactor_wakeups reactor_events reactor_rearms reactor_outq_hiwat \
-            core_issued_p0 core_applies_p0 core_pending_p0 core_issued_p1 core_applies_p1 \
+            peer_links_up core_issued_p0 core_applies_p0 core_pending_p0 core_issued_p1 core_applies_p1 \
             core_pending_p1";
         let registry = prcc_telemetry::Registry::new();
         for (value, name) in (1..).zip(names.split_whitespace()) {
@@ -1000,7 +1000,8 @@ mod tests {
             reactor_events: 24,
             reactor_rearms: 25,
             reactor_outq_hiwat: 26,
-            per_partition: [27, 30]
+            peer_links_up: 27,
+            per_partition: [28, 31]
                 .map(|n| PartitionCounters {
                     issued: n,
                     applies: n + 1,

@@ -75,6 +75,70 @@ fn compacted_cluster_verifies_like_a_full_history_one() {
     compacted.shutdown().expect("shutdown");
 }
 
+/// The compaction threshold is a per-node budget: on an 8-partition map
+/// each node's live trace, summed over its partitions, stays within the
+/// budget plus what unacknowledged issues hold back — not 8x it, as a
+/// per-partition threshold would allow — and the compacted run's verdict
+/// equals the full-history run's on the identical seeded workload.
+#[test]
+fn the_live_trace_budget_holds_per_node_across_eight_partitions() {
+    const BUDGET: usize = 256;
+    let ops = 4000usize;
+    let verdicts = |cfg: &ServiceConfig| {
+        let cluster = launch(8, 4, cfg);
+        drive(&cluster, ops, 29);
+        drain_and_verify(&cluster, "eight-partition run");
+        let statuses = cluster.statuses().expect("statuses");
+        let verdicts: Vec<_> = cluster
+            .verify_partitions()
+            .expect("traces")
+            .into_iter()
+            .map(|v| v.expect("replayable"))
+            .collect();
+        cluster.shutdown().expect("shutdown");
+        (statuses, verdicts)
+    };
+    let (full, full_verdicts) = verdicts(&ServiceConfig {
+        trace_compact_at: usize::MAX,
+        ..ServiceConfig::default()
+    });
+    let (statuses, compact_verdicts) = verdicts(&ServiceConfig {
+        trace_compact_at: BUDGET,
+        ack_every: 1,
+        ..ServiceConfig::default()
+    });
+    assert_eq!(
+        compact_verdicts, full_verdicts,
+        "compaction changed the verdict"
+    );
+    let peers = statuses.len() as u64 - 1;
+    for status in &statuses {
+        let hosted = status.per_partition.iter().filter(|p| p.issued > 0).count();
+        assert!(
+            hosted >= 4,
+            "node {} hosts {hosted} partitions",
+            status.node
+        );
+        assert!(
+            status.sealed_events > 0,
+            "node {} never sealed",
+            status.node
+        );
+        // Every unacknowledged issue holds a copy in some peer's window.
+        let unacked = peers * status.max_window;
+        assert!(
+            status.trace_events <= BUDGET as u64 + unacked,
+            "node {}: {} live events over a {BUDGET}-event budget + {unacked} unacked",
+            status.node,
+            status.trace_events
+        );
+    }
+    let total = |s: &[prcc_service::NodeStatus]| -> u64 {
+        s.iter().map(|s| s.trace_events + s.sealed_events).sum()
+    };
+    assert_eq!(total(&statuses), total(&full), "events lost or invented");
+}
+
 /// Long-running durable cluster: snapshots stay flat while the WAL keeps
 /// truncating, and the run still verifies.
 ///

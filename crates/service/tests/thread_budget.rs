@@ -4,13 +4,16 @@
 //! These tests read the *process-wide* `Threads:` line of
 //! `/proc/self/status`, so only one of them may run in a process: any
 //! sibling spawning dialer threads or nodes would show up in the
-//! measurement. A plain `cargo test` runs the 128-connection case alone;
-//! `-- --ignored` runs the 2000-connection case alone (never pass
-//! `--include-ignored`).
+//! measurement. A plain `cargo test` runs the 128-connection case in this
+//! process and the one-thread-per-node case in a child process of its
+//! own, one after the other (`serial`); `-- --ignored` runs the
+//! 2000-connection case alone (never pass `--include-ignored`).
 
 mod common;
 
 use common::{drain_and_verify, keyed_scripts, launch_ring, quick_cfg};
+use std::process::Command;
+use std::sync::OnceLock;
 
 /// Current thread count of this test process (the loopback cluster's
 /// nodes live in-process, so reactor threads show up here).
@@ -25,8 +28,16 @@ fn process_threads() -> usize {
         .expect("thread count")
 }
 
+/// Serializes this file's in-process measurements with its other tests:
+/// a sibling test thread coming or going would show up in the count.
+fn serial() -> parking_lot::MutexGuard<'static, ()> {
+    static SERIAL: OnceLock<parking_lot::Mutex<()>> = OnceLock::new();
+    SERIAL.get_or_init(|| parking_lot::Mutex::new(())).lock()
+}
+
 #[test]
 fn idle_connections_do_not_grow_the_thread_count() {
+    let _serial = serial();
     let cluster = launch_ring(2, 3, &quick_cfg());
     let baseline = process_threads();
 
@@ -47,6 +58,47 @@ fn idle_connections_do_not_grow_the_thread_count() {
 
     drop(clients);
     cluster.shutdown().expect("shutdown");
+}
+
+/// A node is one event loop: launching an N-node cluster adds exactly N
+/// threads to the process — no core thread beside the loop, no worker
+/// pool. The count runs in a child process holding only this test, so no
+/// sibling test's threads come or go while it measures.
+#[test]
+fn a_node_runs_on_one_thread() {
+    const CHILD: &str = "PRCC_THREAD_BUDGET_CHILD";
+    if std::env::var_os(CHILD).is_none() {
+        let _serial = serial();
+        let exe = std::env::current_exe().expect("test binary");
+        let out = Command::new(exe)
+            .args([
+                "--exact",
+                "a_node_runs_on_one_thread",
+                "--test-threads",
+                "1",
+            ])
+            .env(CHILD, "1")
+            .output()
+            .expect("run the child");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            out.status.success() && stdout.contains("1 passed"),
+            "child run failed:\n{stdout}\n{stderr}"
+        );
+        return;
+    }
+    for nodes in [3, 4] {
+        let baseline = process_threads();
+        let cluster = launch_ring(2, nodes, &quick_cfg());
+        assert_eq!(
+            process_threads(),
+            baseline + nodes,
+            "a {nodes}-node cluster must add one thread per node"
+        );
+        cluster.shutdown().expect("shutdown");
+        assert_eq!(process_threads(), baseline, "shutdown joins every node");
+    }
 }
 
 /// The same property at event-loop scale, with traffic: 2000 client

@@ -9,16 +9,47 @@
 //! an unsynchronized ring push — and renders them as one readable line per
 //! event on the way down.
 //!
-//! Events carry a static event code plus `(key, value)` integer fields;
-//! there is deliberately no formatting or allocation of strings on the
-//! record path.
+//! Events carry a static event code plus up to [`MAX_FIELDS`] `(key,
+//! value)` integer fields, stored inline: there is deliberately no
+//! formatting, string or heap allocation on the record path.
 
 use std::collections::VecDeque;
 use std::io::{self, Write};
+use std::ops::Deref;
 use std::path::Path;
 
+/// Most `(key, value)` fields one event carries; extra fields are dropped.
+pub const MAX_FIELDS: usize = 3;
+
+/// An event's named integer fields, inline; reads as a slice.
+#[derive(Debug, Clone, Copy)]
+pub struct Fields {
+    buf: [(&'static str, u64); MAX_FIELDS],
+    len: u8,
+}
+
+impl Fields {
+    fn new(fields: &[(&'static str, u64)]) -> Self {
+        let len = fields.len().min(MAX_FIELDS);
+        let mut buf = [("", 0); MAX_FIELDS];
+        buf[..len].copy_from_slice(&fields[..len]);
+        Fields {
+            buf,
+            len: len as u8,
+        }
+    }
+}
+
+impl Deref for Fields {
+    type Target = [(&'static str, u64)];
+
+    fn deref(&self) -> &Self::Target {
+        &self.buf[..usize::from(self.len)]
+    }
+}
+
 /// One recorded event: a micros timestamp, a static code, and
-/// up to a handful of integer fields.
+/// up to [`MAX_FIELDS`] integer fields.
 #[derive(Debug, Clone)]
 pub struct FlightEvent {
     /// Microseconds since `UNIX_EPOCH` when the event was recorded.
@@ -26,7 +57,7 @@ pub struct FlightEvent {
     /// Static event code (e.g. `"wal_append"`).
     pub what: &'static str,
     /// Named integer payload fields.
-    pub fields: Vec<(&'static str, u64)>,
+    pub fields: Fields,
 }
 
 /// Bounded ring of [`FlightEvent`]s. `cap = 0` disables recording.
@@ -50,7 +81,8 @@ impl FlightRecorder {
     /// Records an event, evicting the oldest if the ring is full. The
     /// timestamp comes from the caller's clock `at_us` (the recorder's
     /// owner may be a sans-I/O state machine running on injected time),
-    /// read only when the recorder is enabled.
+    /// read only when the recorder is enabled. Fields past
+    /// [`MAX_FIELDS`] are dropped.
     pub fn record(
         &mut self,
         at_us: impl FnOnce() -> u64,
@@ -67,7 +99,7 @@ impl FlightRecorder {
         self.ring.push_back(FlightEvent {
             at_us: at_us(),
             what,
-            fields: fields.to_vec(),
+            fields: Fields::new(fields),
         });
     }
 
@@ -89,7 +121,7 @@ impl FlightRecorder {
         );
         for ev in &self.ring {
             let _ = write!(out, "@{} {}", ev.at_us, ev.what);
-            for (k, v) in &ev.fields {
+            for (k, v) in ev.fields.iter() {
                 let _ = write!(out, " {k}={v}");
             }
             let _ = writeln!(out);

@@ -35,7 +35,7 @@ mod hist;
 mod registry;
 mod sampler;
 
-pub use flight::{FlightEvent, FlightRecorder};
+pub use flight::{Fields, FlightEvent, FlightRecorder, MAX_FIELDS};
 pub use hist::{exact_percentile, HistSummary, Histogram, NUM_BUCKETS};
 pub use registry::{Counter, Gauge, MetricsSnapshot, Registry, SharedHistogram};
 pub use sampler::Sampler;
